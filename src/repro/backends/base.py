@@ -11,9 +11,11 @@ for type 3) where every stage is dispatched through an
     with on-the-fly (exact) kernel evaluation and no stencil cache.  Slow but
     dependency-free ground truth for the other backends.
 ``cached``
-    The fast path: plan-level stencil cache, fused ``n_trans`` passes and the
-    CSR sparse spread/interp operator.  Pure numerics -- no simulated-GPU
-    profiling overhead.
+    The fast path: plan-level stencil cache and fused ``n_trans`` passes.
+    Spread/interp use the CSR sparse operator within the fusion budget and
+    the windowed engine (:mod:`repro.core.windowed`) beyond it, whatever the
+    plan's spreading method.  Pure numerics -- no simulated-GPU profiling
+    overhead.
 ``device_sim``
     Wraps the numerics of ``cached`` (or ``reference`` when the stencil cache
     is disabled) and routes every stage through the simulated GPU kernel

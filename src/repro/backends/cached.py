@@ -3,17 +3,26 @@
 The fast path introduced by the batched execution engine: ``set_pts``
 precomputes the per-point kernel stencils (and, within budget, the CSR sparse
 spread/interp operator), and every stage then processes the whole ``n_trans``
-block in one fused pass -- a sparse mat-mat (or fused ``bincount``) for
-spreading, a batched multi-axis FFT, broadcast correction factors, and the
-transposed sparse gather for interpolation.  No simulated-GPU profiles are
-recorded; this backend is pure throughput.
+block in one fused pass.  Spreading and interpolation take one of two
+engines, chosen by what the cache holds:
+
+* the CSR operator (within the fusion budget): a sparse mat-mat for
+  spreading, the transposed sparse gather for interpolation;
+* otherwise the windowed engine of :mod:`repro.core.windowed`, which works
+  from the per-dimension stencils over a wrap-padded fine grid, whatever the
+  plan's spreading method.
+
+The FFT is batched over all transforms and the correction factors broadcast.
+No simulated-GPU profiles are recorded; this backend is pure throughput.
 """
 
 from __future__ import annotations
 
-from ..core.interp import interp_cached, interpolate
-from ..core.options import SpreadMethod
-from ..core.spread import spread_cached, spread_gm, spread_gm_sort, spread_sm
+import numpy as np
+
+from ..core.interp import interp_cached
+from ..core.spread import spread_cached
+from ..core.windowed import interp_windowed, spread_windowed
 from .base import ExecutionBackend
 
 __all__ = ["CachedBackend"]
@@ -34,18 +43,11 @@ class CachedBackend(ExecutionBackend):
     def spread(self, plan, strengths, pipeline, out=None):
         cache = plan._stencil
         cplx = plan.precision.complex_dtype
-        if cache is not None and cache.interp_matrix is not None:
+        if cache.interp_matrix is not None:
             return spread_cached(plan.fine_shape, strengths, cache, cplx, out=out)
-        if plan.method is SpreadMethod.GM:
-            return spread_gm(plan.fine_shape, plan._grid_coords, strengths,
-                             plan.kernel, cplx, cache=cache, out=out)
-        if plan.method is SpreadMethod.GM_SORT:
-            return spread_gm_sort(plan.fine_shape, plan._grid_coords, strengths,
-                                  plan.kernel, plan._sort, cplx, cache=cache,
-                                  out=out)
-        return spread_sm(plan.fine_shape, plan._grid_coords, strengths,
-                         plan.kernel, plan._sort, plan._ensure_subproblems(),
-                         cplx, cache=cache, out=out)
+        if out is None:
+            out = np.empty((strengths.shape[0],) + plan.fine_shape, dtype=cplx)
+        return spread_windowed(strengths, cache, plan._sort.permutation, out)
 
     def fft_forward(self, plan, fine, pipeline):
         # Native precision end to end: pocketfft transforms complex64 blocks
@@ -70,8 +72,8 @@ class CachedBackend(ExecutionBackend):
     def interp(self, plan, fine, pipeline, out=None):
         cache = plan._stencil
         cplx = plan.precision.complex_dtype
-        if cache is not None and cache.interp_matrix is not None:
+        if cache.interp_matrix is not None:
             return interp_cached(fine, plan._grid_coords, cache, cplx, out=out)
-        return interpolate(fine, plan._grid_coords, plan.kernel,
-                           plan.interp_method, plan._sort, cplx, cache=cache,
-                           out=out)
+        if out is None:
+            out = np.empty((fine.shape[0], cache.n_points), dtype=cplx)
+        return interp_windowed(fine, cache, plan._sort.permutation, out)

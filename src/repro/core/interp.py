@@ -7,6 +7,12 @@ points: unsorted (GM) threads in a warp read scattered grid regions, while
 bin-sorted (GM-sort) threads read localized, cache-friendly regions.  There
 are no write conflicts (each thread owns its output ``c_j``), which is why the
 paper applies no SM-style scheme to interpolation.
+
+:func:`interp_gm` / :func:`interp_gm_sort` evaluate the kernel on the fly;
+the ``reference`` backend and the baselines run them, and tests compare the
+fast paths against them.  The ``cached`` backend interpolates through the CSR
+operator of :func:`interp_cached` when the stencil cache holds one, and
+through the windowed engine of :mod:`repro.core.windowed` otherwise.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ def _as_grid_batch(grid, ndim):
     return (grid if batched else grid[None]), batched
 
 
-def _interp_points(grids, grid_coords, kernel, point_order, out, cache=None):
+def _interp_points(grids, grid_coords, kernel, point_order, out):
     """Interpolate the points listed in ``point_order`` (chunked, batched).
 
     ``grids`` has shape ``(n_trans, *fine_shape)`` and ``out`` shape
@@ -66,7 +72,7 @@ def _interp_points(grids, grid_coords, kernel, point_order, out, cache=None):
 
     for start in range(0, point_order.shape[0], chunk):
         sel = point_order[start:start + chunk]
-        flat_idx, wprod = _chunk_stencil(grid_coords, fine_shape, kernel, sel, cache)
+        flat_idx, wprod = _chunk_stencil(grid_coords, fine_shape, kernel, sel)
         gathered = flat[:, flat_idx]  # (n_trans, m, w^d)
         out[:, sel] = np.einsum("tmk,mk->tm", gathered, wprod)
     return out
@@ -96,18 +102,18 @@ def interp_cached(grid, grid_coords, cache, dtype=np.complex64, out=None):
     return values if batched else values[0]
 
 
-def _interp_ordered(grid, grid_coords, kernel, point_order, cache, dtype, out=None):
+def _interp_ordered(grid, grid_coords, kernel, point_order, dtype, out=None):
     ndim = len(grid_coords)
     grids, batched = _as_grid_batch(grid, ndim)
     m = grid_coords[0].shape[0]
     values = out if out is not None else np.zeros((grids.shape[0], m), dtype=dtype)
-    _interp_points(grids, grid_coords, kernel, point_order, values, cache=cache)
+    _interp_points(grids, grid_coords, kernel, point_order, values)
     if out is not None:
         return out
     return values if batched else values[0]
 
 
-def interp_gm(grid, grid_coords, kernel, dtype=np.complex64, cache=None, out=None):
+def interp_gm(grid, grid_coords, kernel, dtype=np.complex64, out=None):
     """GM interpolation: targets visited in their user-supplied order.
 
     ``grid`` may be ``(*fine_shape)`` or a stacked ``(n_trans, *fine_shape)``
@@ -115,33 +121,31 @@ def interp_gm(grid, grid_coords, kernel, dtype=np.complex64, cache=None, out=Non
     """
     m = grid_coords[0].shape[0]
     order = np.arange(m, dtype=np.int64)
-    return _interp_ordered(grid, grid_coords, kernel, order, cache, dtype, out=out)
+    return _interp_ordered(grid, grid_coords, kernel, order, dtype, out=out)
 
 
-def interp_gm_sort(grid, grid_coords, kernel, sort, dtype=np.complex64, cache=None,
-                   out=None):
+def interp_gm_sort(grid, grid_coords, kernel, sort, dtype=np.complex64, out=None):
     """GM-sort interpolation: targets visited in bin-sorted order.
 
     The permuted visiting order only changes memory locality; the value
     written to each ``c_j`` is identical to GM up to floating point.
     """
-    return _interp_ordered(grid, grid_coords, kernel, sort.permutation, cache, dtype,
+    return _interp_ordered(grid, grid_coords, kernel, sort.permutation, dtype,
                            out=out)
 
 
 def interpolate(grid, grid_coords, kernel, method, sort=None, dtype=np.complex64,
-                cache=None, out=None):
+                out=None):
     """Dispatch to the requested interpolation method."""
     method = SpreadMethod.parse(method)
     if method is SpreadMethod.GM:
-        return interp_gm(grid, grid_coords, kernel, dtype, cache=cache, out=out)
+        return interp_gm(grid, grid_coords, kernel, dtype, out=out)
     if method in (SpreadMethod.GM_SORT, SpreadMethod.SM):
         # The paper notes an SM-style scheme brings little benefit for
         # interpolation; SM requests fall back to GM-sort (same as the code).
         if sort is None:
             raise ValueError("GM-sort interpolation requires a BinSort")
-        return interp_gm_sort(grid, grid_coords, kernel, sort, dtype, cache=cache,
-                              out=out)
+        return interp_gm_sort(grid, grid_coords, kernel, sort, dtype, out=out)
     raise ValueError(f"cannot interpolate with method {method!r}")
 
 

@@ -946,7 +946,7 @@ class Plan:
             lines.append(pts)
             if self._stencil is not None:
                 kind = ("sparse-op" if self._stencil.interp_matrix is not None
-                        else "fused" if self._stencil.is_fused else "per-dim")
+                        else "per-dim")
                 lines.append(
                     f"  stencil cache: {kind} ({self._stencil.kernel_eval}), "
                     f"{self._stencil.nbytes() / 1e6:.1f} MB host"

@@ -20,9 +20,13 @@ is what the cost profiles capture:
     each subproblem accumulates into a *padded bin* copy in shared memory and
     then adds that copy back to global memory once (paper Fig. 1).
 
-The numeric implementations are genuinely distinct code paths (different
-summation orders and different intermediate buffers); tests assert they agree
-to floating-point tolerance.
+The functions here are the cache-free numerics of those three methods: the
+``reference`` backend and the baselines run them, evaluating the kernel on the
+fly, and tests compare the fast paths against them.  The ``cached`` backend
+never calls them: it spreads through the CSR operator of
+:func:`spread_cached` when the stencil cache holds one, and through the
+windowed engine of :mod:`repro.core.windowed` otherwise.  A method's GPU cost
+comes from its kernel profiles below, not from which numpy loop ran.
 """
 
 from __future__ import annotations
@@ -106,27 +110,18 @@ def _point_chunk(n_trans, entries_per_point):
     return max(256, _CHUNK_ENTRIES // max(1, n_trans * entries_per_point))
 
 
-def _chunk_stencil(grid_coords, fine_shape, kernel, sel, cache):
+def _chunk_stencil(grid_coords, fine_shape, kernel, sel):
     """Fused ``(flat_idx, weights)`` of shape (m, w^d) for the selected points.
 
-    Reads the plan-level :class:`~repro.core.stencil.StencilCache` when one is
-    supplied (never re-evaluating the kernel); otherwise evaluates the exact
-    stencils on the fly, which is the seed behaviour.
+    Evaluates the exact stencils on the fly (the seed behaviour) and wraps
+    the indices periodically.
     """
-    if cache is not None and cache.flat_idx is not None:
-        return cache.flat_idx[sel], cache.weights[sel]
-    ndim = len(fine_shape)
-    if cache is not None:
-        idx_per_dim = [cache.idx[d][sel] for d in range(ndim)]
-        vals_per_dim = [cache.vals[d][sel] for d in range(ndim)]
-    else:
-        w = kernel.width
-        offsets = np.arange(w, dtype=np.int64)
-        idx_per_dim, vals_per_dim = [], []
-        for d in range(ndim):
-            i0, vals = compute_kernel_stencil(grid_coords[d][sel], fine_shape[d], kernel)
-            idx_per_dim.append(np.mod(i0[:, None] + offsets[None, :], fine_shape[d]))
-            vals_per_dim.append(vals)
+    offsets = np.arange(kernel.width, dtype=np.int64)
+    idx_per_dim, vals_per_dim = [], []
+    for d in range(len(fine_shape)):
+        i0, vals = compute_kernel_stencil(grid_coords[d][sel], fine_shape[d], kernel)
+        idx_per_dim.append(np.mod(i0[:, None] + offsets[None, :], fine_shape[d]))
+        vals_per_dim.append(vals)
     return _tensor_stencil(idx_per_dim, vals_per_dim, fine_shape)
 
 
@@ -158,7 +153,7 @@ def _grid_views(grids):
     return flat.real, flat.imag
 
 
-def _spread_points(grids, grid_coords, strengths, kernel, point_order, cache=None):
+def _spread_points(grids, grid_coords, strengths, kernel, point_order):
     """Spread the points listed in ``point_order`` (chunked, any order).
 
     ``grids`` has shape ``(n_trans, *fine_shape)`` and ``strengths`` shape
@@ -177,7 +172,7 @@ def _spread_points(grids, grid_coords, strengths, kernel, point_order, cache=Non
 
     for start in range(0, point_order.shape[0], chunk):
         sel = point_order[start:start + chunk]
-        flat_idx, wprod = _chunk_stencil(grid_coords, fine_shape, kernel, sel, cache)
+        flat_idx, wprod = _chunk_stencil(grid_coords, fine_shape, kernel, sel)
         cw = strengths[:, sel]
         if n_trans == 1:
             weights_real = cw.real[0, :, None] * wprod
@@ -224,15 +219,15 @@ def spread_cached(fine_shape, strengths, cache, dtype=np.complex64, out=None):
     return result if batched else result[0]
 
 
-def _spread_ordered(fine_shape, grid_coords, strengths, kernel, point_order, cache,
-                    dtype, out=None):
+def _spread_ordered(fine_shape, grid_coords, strengths, kernel, point_order, dtype,
+                    out=None):
     block, batched = _as_strength_batch(strengths)
     if out is not None and not out.flags.c_contiguous:
         # The fused bincount pass needs flat C-order views of the grid;
         # accumulate into a contiguous scratch and assign through the
         # destination's strides at the end.
         grids = np.zeros(out.shape, dtype=out.dtype)
-        _spread_points(grids, grid_coords, block, kernel, point_order, cache=cache)
+        _spread_points(grids, grid_coords, block, kernel, point_order)
         out[...] = grids
         return out
     if out is not None:
@@ -240,14 +235,14 @@ def _spread_ordered(fine_shape, grid_coords, strengths, kernel, point_order, cac
         grids.fill(0)
     else:
         grids = np.zeros((block.shape[0],) + tuple(fine_shape), dtype=dtype)
-    _spread_points(grids, grid_coords, block, kernel, point_order, cache=cache)
+    _spread_points(grids, grid_coords, block, kernel, point_order)
     if out is not None:
         return out
     return grids if batched else grids[0]
 
 
 def spread_gm(fine_shape, grid_coords, strengths, kernel, dtype=np.complex64,
-              cache=None, out=None):
+              out=None):
     """GM spreading: points processed in their user-supplied order.
 
     ``strengths`` may be ``(M,)`` or a stacked ``(n_trans, M)`` block; the
@@ -255,19 +250,19 @@ def spread_gm(fine_shape, grid_coords, strengths, kernel, dtype=np.complex64,
     """
     m = np.asarray(strengths).shape[-1]
     order = np.arange(m, dtype=np.int64)
-    return _spread_ordered(fine_shape, grid_coords, strengths, kernel, order,
-                           cache, dtype, out=out)
+    return _spread_ordered(fine_shape, grid_coords, strengths, kernel, order, dtype,
+                           out=out)
 
 
 def spread_gm_sort(fine_shape, grid_coords, strengths, kernel, sort, dtype=np.complex64,
-                   cache=None, out=None):
+                   out=None):
     """GM-sort spreading: points processed in bin-sorted (permuted) order."""
     return _spread_ordered(fine_shape, grid_coords, strengths, kernel,
-                           sort.permutation, cache, dtype, out=out)
+                           sort.permutation, dtype, out=out)
 
 
 def spread_sm(fine_shape, grid_coords, strengths, kernel, sort, subproblems,
-              dtype=np.complex64, cache=None, out=None):
+              dtype=np.complex64, out=None):
     """SM spreading: per-subproblem padded-bin accumulation then write-back.
 
     Follows paper Fig. 1 steps 2-3 exactly: each subproblem spreads its points
@@ -278,8 +273,7 @@ def spread_sm(fine_shape, grid_coords, strengths, kernel, sort, subproblems,
 
     ``strengths`` may be ``(M,)`` or a ``(n_trans, M)`` block; all transforms
     of a subproblem share one fused accumulation pass into a
-    ``(n_trans, padded_bin)`` local buffer.  A stencil cache (per-dimension
-    ``i0``/``vals``) skips the kernel evaluation entirely.
+    ``(n_trans, padded_bin)`` local buffer.
     """
     ndim = len(fine_shape)
     block, batched = _as_strength_batch(strengths)
@@ -317,12 +311,7 @@ def spread_sm(fine_shape, grid_coords, strengths, kernel, sort, subproblems,
         idx_per_dim = []
         vals_per_dim = []
         for d in range(ndim):
-            if cache is not None:
-                i0 = cache.i0[d][sel]
-                vals = cache.vals[d][sel]
-            else:
-                i0, vals = compute_kernel_stencil(grid_coords[d][sel], fine_shape[d],
-                                                  kernel)
+            i0, vals = compute_kernel_stencil(grid_coords[d][sel], fine_shape[d], kernel)
             local_idx = i0[:, None] + offsets[None, :] - delta[d]
             if local_idx.min() < 0 or local_idx.max() >= local_shape[d]:
                 raise AssertionError(
@@ -358,7 +347,7 @@ def spread_sm(fine_shape, grid_coords, strengths, kernel, sort, subproblems,
 
 
 def spread(fine_shape, grid_coords, strengths, kernel, method, sort=None,
-           max_subproblem_size=1024, dtype=np.complex64, cache=None, out=None):
+           max_subproblem_size=1024, dtype=np.complex64, out=None):
     """Dispatch to the requested spreading method.
 
     ``sort`` (a :class:`~repro.core.binsort.BinSort`) is required for GM-sort
@@ -366,17 +355,16 @@ def spread(fine_shape, grid_coords, strengths, kernel, method, sort=None,
     """
     method = SpreadMethod.parse(method)
     if method is SpreadMethod.GM:
-        return spread_gm(fine_shape, grid_coords, strengths, kernel, dtype,
-                         cache=cache, out=out)
+        return spread_gm(fine_shape, grid_coords, strengths, kernel, dtype, out=out)
     if sort is None:
         raise ValueError(f"method {method.value} requires a BinSort")
     if method is SpreadMethod.GM_SORT:
         return spread_gm_sort(fine_shape, grid_coords, strengths, kernel, sort, dtype,
-                              cache=cache, out=out)
+                              out=out)
     if method is SpreadMethod.SM:
         subproblems = make_subproblems(sort, max_subproblem_size)
         return spread_sm(fine_shape, grid_coords, strengths, kernel, sort, subproblems,
-                         dtype, cache=cache, out=out)
+                         dtype, out=out)
     raise ValueError(f"cannot spread with method {method!r}")
 
 

@@ -9,22 +9,22 @@ across solver iterations).
 At ``set_pts`` time we therefore precompute and store, per dimension:
 
 * ``i0``      -- the first fine-grid node each point touches (unwrapped),
-* ``idx``     -- the ``w`` wrapped (periodic) node indices per point,
 * ``vals``    -- the ``w`` kernel values per point (Horner-evaluated by
   default, see :func:`repro.kernels.es_kernel.horner_coefficients`),
 
-and, when the footprint ``M * w^d`` fits a memory budget, the *fused* form:
+and, when the footprint ``M * w^d`` fits a memory budget and scipy is
+available, the *fused* form:
 
-* ``flat_idx`` -- the ``w^d`` wrapped flat fine-grid indices per point,
-* ``weights``  -- the ``w^d`` tensor-product kernel values per point,
-* ``interp_matrix`` -- the same data as a ``(M, n_fine)`` CSR sparse matrix
-  (when scipy is available), whose transpose is the spreading operator.
+* ``interp_matrix`` -- the ``w^d`` wrapped flat fine-grid indices and
+  tensor-product kernel values of every point as a ``(M, n_fine)`` CSR sparse
+  matrix, whose transpose is the spreading operator.
 
 ``execute`` then never calls ``evaluate_offsets`` again: spreading becomes a
-single accumulation pass over the ``(n_trans, M)`` strength block (a sparse
-mat-mat, or a fused ``bincount`` without scipy) and interpolation the
-transposed gather.  The cache is tied to one point set; ``Plan.set_pts``
-rebuilds it, which is exactly the invalidation the paper's interface implies.
+single sparse mat-mat over the ``(n_trans, M)`` strength block and
+interpolation the transposed gather; without the operator, the windowed
+engine (:mod:`repro.core.windowed`) works from ``i0`` and ``vals`` alone.
+The cache is tied to one point set; ``Plan.set_pts`` rebuilds it, which is
+exactly the invalidation the paper's interface implies.
 """
 
 from __future__ import annotations
@@ -64,19 +64,10 @@ class StencilCache:
     width : int
         Kernel width ``w``.
     i0 : list of ndarray, each (M,)
-        Unwrapped first node per dimension (the SM spreader needs the
-        unwrapped value to localize points inside a padded bin).
-    idx : list of ndarray, each (M, w)
-        Wrapped node indices per dimension.
+        Unwrapped first node per dimension (the windowed engine addresses
+        each point's window in a padded grid from it).
     vals : list of ndarray, each (M, w)
         Kernel values per dimension.
-    flat_idx : ndarray (M, w^d) or None
-        Fused wrapped flat indices (only when within budget and no sparse
-        operator was assembled -- the CSR matrix supersedes them, so keeping
-        both would hold the large int64 index array as dead memory).
-    weights : ndarray (M, w^d) or None
-        Fused tensor-product kernel values (same lifetime as ``flat_idx``;
-        when the sparse operator exists it owns this data as ``matrix.data``).
     interp_matrix : scipy.sparse.csr_matrix (M, prod(fine_shape)) or None
         Row ``j`` holds point ``j``'s stencil; ``interp_matrix @ grid`` is
         interpolation and ``interp_matrix.T @ c`` is spreading.
@@ -87,10 +78,7 @@ class StencilCache:
     fine_shape: tuple
     width: int
     i0: list
-    idx: list
     vals: list
-    flat_idx: np.ndarray = None
-    weights: np.ndarray = None
     interp_matrix: object = None
     kernel_eval: str = "horner"
 
@@ -102,17 +90,10 @@ class StencilCache:
     def ndim(self):
         return len(self.fine_shape)
 
-    @property
-    def is_fused(self):
-        return self.flat_idx is not None or self.interp_matrix is not None
-
     def nbytes(self):
         """Host memory held by the cache (for reporting)."""
         total = sum(a.nbytes for a in self.i0)
-        total += sum(a.nbytes for a in self.idx)
         total += sum(a.nbytes for a in self.vals)
-        if self.flat_idx is not None:
-            total += self.flat_idx.nbytes + self.weights.nbytes
         if self.interp_matrix is not None:
             total += (self.interp_matrix.data.nbytes
                       + self.interp_matrix.indices.nbytes
@@ -168,7 +149,8 @@ def build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval="horner",
     fuse_budget : int
         Maximum fused entry count ``M * w^d`` (see :data:`DEFAULT_FUSE_BUDGET`).
     build_matrix : bool
-        Whether to assemble the CSR operator (requires scipy and a fused cache).
+        Whether to assemble the CSR operator (requires scipy and ``M * w^d``
+        within ``fuse_budget``).
     store : ArtifactStore, optional
         Warm-state store (kind ``"stencil"``).  With ``points_digest`` also
         given, the cache is served from the store when present and persisted
@@ -208,9 +190,8 @@ def _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
     ndim = len(fine_shape)
     w = kernel.width
     use_horner = kernel_eval == "horner" and hasattr(kernel, "evaluate_offsets_horner")
-    offsets = np.arange(w, dtype=np.int64)
 
-    i0_list, idx_list, vals_list = [], [], []
+    i0_list, vals_list = [], []
     for d in range(ndim):
         g = np.asarray(grid_coords[d], dtype=np.float64)
         i0 = np.ceil(g - 0.5 * w).astype(np.int64)
@@ -220,34 +201,25 @@ def _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
         else:
             vals = kernel.evaluate_offsets(frac)
         i0_list.append(i0)
-        idx_list.append(np.mod(i0[:, None] + offsets[None, :], fine_shape[d]))
         vals_list.append(vals)
 
     m = i0_list[0].shape[0]
-    flat_idx = weights = matrix = None
-    if m * (w ** ndim) <= fuse_budget:
+    matrix = None
+    if build_matrix and _sparse is not None and m * (w ** ndim) <= fuse_budget:
+        offsets = np.arange(w, dtype=np.int64)
+        idx_list = [np.mod(i0[:, None] + offsets, n) for i0, n in zip(i0_list, fine_shape)]
         flat_idx, weights = _tensor_stencil(idx_list, vals_list, fine_shape)
-        if build_matrix and _sparse is not None:
-            n_fine = int(np.prod(fine_shape))
-            k = flat_idx.shape[1]
-            indptr = np.arange(0, (m + 1) * k, k, dtype=np.int64)
-            matrix = _sparse.csr_matrix(
-                (weights.reshape(-1), flat_idx.reshape(-1), indptr),
-                shape=(m, n_fine),
-            )
-            # The operator supersedes the fused arrays: every cached
-            # spread/interp goes through the matrix, and dropping the raw
-            # references frees the large int64 index array (scipy keeps its
-            # own, typically int32, copy) instead of holding it dead.
-            flat_idx = weights = None
+        k = flat_idx.shape[1]
+        indptr = np.arange(0, (m + 1) * k, k, dtype=np.int64)
+        matrix = _sparse.csr_matrix(
+            (weights.reshape(-1), flat_idx.reshape(-1), indptr),
+            shape=(m, int(np.prod(fine_shape))),
+        )
     return StencilCache(
         fine_shape=tuple(int(n) for n in fine_shape),
         width=int(w),
         i0=i0_list,
-        idx=idx_list,
         vals=vals_list,
-        flat_idx=flat_idx,
-        weights=weights,
         interp_matrix=matrix,
         kernel_eval="horner" if use_horner else "exact",
     )
@@ -284,12 +256,8 @@ def stencil_cache_arrays(cache):
         "width": np.asarray(cache.width, dtype=np.int64),
         "kernel_eval": np.asarray(cache.kernel_eval),
         "i0": np.stack(cache.i0),
-        "idx": np.stack(cache.idx),
         "vals": np.stack(cache.vals),
     }
-    if cache.flat_idx is not None:
-        arrays["flat_idx"] = cache.flat_idx
-        arrays["weights"] = cache.weights
     if cache.interp_matrix is not None:
         arrays["csr_data"] = cache.interp_matrix.data
         arrays["csr_indices"] = cache.interp_matrix.indices
@@ -320,10 +288,7 @@ def stencil_cache_from_arrays(arrays):
         fine_shape=fine_shape,
         width=int(arrays["width"]),
         i0=[arrays["i0"][d] for d in range(ndim)],
-        idx=[arrays["idx"][d] for d in range(ndim)],
         vals=[arrays["vals"][d] for d in range(ndim)],
-        flat_idx=arrays.get("flat_idx"),
-        weights=arrays.get("weights"),
         interp_matrix=matrix,
         kernel_eval=str(arrays["kernel_eval"]),
     )

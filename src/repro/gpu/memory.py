@@ -100,14 +100,19 @@ class MemoryPool:
 
         Mirrors ``cudaMalloc`` + ``cudaMemset``; the returned buffer counts
         toward :attr:`allocated_bytes` and :attr:`peak_bytes` until freed.
+        The simulated capacity is checked before any host memory is touched.
         """
-        array = np.zeros(shape, dtype=dtype)
-        return self._register(array, label)
+        self._check_capacity(int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize)
+        return self._register(np.zeros(shape, dtype=dtype), label)
 
     def from_host(self, host_array, label=""):
-        """Allocate a device buffer holding a copy of ``host_array``."""
-        array = np.array(host_array, copy=True)
-        return self._register(array, label)
+        """Allocate a device buffer holding a copy of ``host_array``.
+
+        Capacity is checked before the copy is made.
+        """
+        host_array = np.asarray(host_array)
+        self._check_capacity(host_array.nbytes)
+        return self._register(np.array(host_array, copy=True), label)
 
     def adopt(self, array, label=""):
         """Account an existing array as a device buffer without copying it.
@@ -120,14 +125,17 @@ class MemoryPool:
         """
         return self._register(np.asarray(array), label)
 
-    def _register(self, array, label):
-        nbytes = array.nbytes
+    def _check_capacity(self, nbytes):
         if self.allocated_bytes + nbytes > self.capacity_bytes:
             raise OutOfDeviceMemory(
                 f"allocation of {nbytes} B would exceed device capacity "
                 f"({self.allocated_bytes} B already in use, "
                 f"{self.capacity_bytes} B total)"
             )
+
+    def _register(self, array, label):
+        nbytes = array.nbytes
+        self._check_capacity(nbytes)
         buf = DeviceBuffer(array=array, pool=self, label=label)
         self.allocated_bytes += nbytes
         self.peak_bytes = max(self.peak_bytes, self.allocated_bytes)

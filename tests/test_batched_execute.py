@@ -6,8 +6,8 @@ import pytest
 
 from repro import Plan, nudft_type1, nufft2d1, nufft2d2, relative_l2_error
 from repro.core.binsort import bin_sort, make_subproblems, to_grid_coordinates
-from repro.core.interp import interp_cached, interp_gm, interp_gm_sort
-from repro.core.spread import spread_cached, spread_gm, spread_gm_sort, spread_sm
+from repro.core.interp import interp_gm_sort
+from repro.core.spread import spread_gm_sort, spread_sm
 from repro.core.stencil import build_stencil_cache
 from repro.kernels import ESKernel
 from repro.kernels.es_kernel import (
@@ -68,58 +68,69 @@ class TestHornerKernel:
 
 
 # --------------------------------------------------------------------------- #
-# stencil cache (function level)
+# stencil cache (through the Plan: CSR operator and windowed engine)
 # --------------------------------------------------------------------------- #
+def _spread_only(pts, c, n_modes, method="GM-sort", **opts):
+    with Plan(1, n_modes, n_trans=c.shape[0], eps=1e-9, precision="double",
+              method=method, spread_only=True, **opts) as plan:
+        plan.set_pts(*pts)
+        return plan.execute(c)
+
+
+def _interp_only(pts, grid, n_modes, **opts):
+    with Plan(2, n_modes, n_trans=grid.shape[0], eps=1e-9, precision="double",
+              spread_only=True, **opts) as plan:
+        plan.set_pts(*pts)
+        return plan.execute(grid)
+
+
 class TestStencilCache:
+    #: Exact kernel evaluation, so the cached engines and the reference loop
+    #: use bit-identical stencils and differ only in summation order.
+    EXACT = dict(kernel_eval="exact", backend="cached")
+
     def test_cached_spread_matches_uncached(self, rng):
-        fine_shape = (48, 40)
-        kernel, grid_coords, sort = _grid_setup(rng, fine_shape, 1200)
-        c = rng.standard_normal(1200) + 1j * rng.standard_normal(1200)
-        cache = build_stencil_cache(grid_coords, fine_shape, kernel,
-                                    kernel_eval="exact")
-        base = spread_gm(fine_shape, grid_coords, c, kernel, np.complex128)
-        cached = spread_gm(fine_shape, grid_coords, c, kernel, np.complex128,
-                           cache=cache)
-        np.testing.assert_allclose(cached, base, rtol=1e-12, atol=1e-12)
-        sparse = spread_cached(fine_shape, c, cache, np.complex128)
-        np.testing.assert_allclose(sparse, base, rtol=1e-10, atol=1e-10)
+        x, y, _ = make_points_2d(rng, m=1200)
+        c = rng.standard_normal((2, 1200)) + 1j * rng.standard_normal((2, 1200))
+        base = _spread_only((x, y), c, (24, 20), backend="reference")
+        sparse = _spread_only((x, y), c, (24, 20), **self.EXACT)
+        windowed = _spread_only((x, y), c, (24, 20), stencil_budget=0, **self.EXACT)
+        np.testing.assert_allclose(sparse, base, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(windowed, base, rtol=1e-12, atol=1e-12)
 
     def test_cached_interp_matches_uncached(self, rng):
-        fine_shape = (40, 40)
-        kernel, grid_coords, sort = _grid_setup(rng, fine_shape, 1000)
-        grid = rng.standard_normal(fine_shape) + 1j * rng.standard_normal(fine_shape)
-        cache = build_stencil_cache(grid_coords, fine_shape, kernel,
-                                    kernel_eval="exact")
-        base = interp_gm(grid, grid_coords, kernel, np.complex128)
-        cached = interp_gm(grid, grid_coords, kernel, np.complex128, cache=cache)
-        np.testing.assert_allclose(cached, base, rtol=1e-12, atol=1e-12)
-        sparse = interp_cached(grid, grid_coords, cache, np.complex128)
-        np.testing.assert_allclose(sparse, base, rtol=1e-10, atol=1e-10)
+        x, y, _ = make_points_2d(rng, m=1000)
+        with Plan(2, (20, 20), eps=1e-9) as probe:
+            fine_shape = probe.fine_shape
+        grid = (rng.standard_normal((2,) + fine_shape)
+                + 1j * rng.standard_normal((2,) + fine_shape))
+        base = _interp_only((x, y), grid, (20, 20), backend="reference")
+        sparse = _interp_only((x, y), grid, (20, 20), **self.EXACT)
+        windowed = _interp_only((x, y), grid, (20, 20), stencil_budget=0, **self.EXACT)
+        np.testing.assert_allclose(sparse, base, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(windowed, base, rtol=1e-12, atol=1e-12)
 
     def test_budget_disables_fused_form(self, rng):
         fine_shape = (32, 32)
         kernel, grid_coords, _ = _grid_setup(rng, fine_shape, 500)
         fused = build_stencil_cache(grid_coords, fine_shape, kernel)
         lean = build_stencil_cache(grid_coords, fine_shape, kernel, fuse_budget=0)
-        assert fused.is_fused and fused.interp_matrix is not None
-        assert not lean.is_fused and lean.interp_matrix is None
-        # The per-dimension arrays are still there for the spreaders.
-        c = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-        a = spread_gm(fine_shape, grid_coords, c, kernel, np.complex128, cache=fused)
-        b = spread_gm(fine_shape, grid_coords, c, kernel, np.complex128, cache=lean)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+        assert fused.interp_matrix is not None
+        assert lean.interp_matrix is None
+        # The per-dimension arrays are identical: the windowed engine reads them.
+        for d in range(2):
+            np.testing.assert_array_equal(fused.i0[d], lean.i0[d])
+            np.testing.assert_array_equal(fused.vals[d], lean.vals[d])
+        assert lean.nbytes() < fused.nbytes()
 
     def test_sm_spread_with_cache(self, rng):
-        fine_shape = (64, 48)
-        kernel, grid_coords, sort = _grid_setup(rng, fine_shape, 2000)
-        subs = make_subproblems(sort, 256)
-        c = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
-        cache = build_stencil_cache(grid_coords, fine_shape, kernel,
-                                    kernel_eval="exact")
-        base = spread_sm(fine_shape, grid_coords, c, kernel, sort, subs, np.complex128)
-        cached = spread_sm(fine_shape, grid_coords, c, kernel, sort, subs,
-                           np.complex128, cache=cache)
-        np.testing.assert_allclose(cached, base, rtol=1e-12, atol=1e-12)
+        x, y, _ = make_points_2d(rng, m=2000)
+        c = rng.standard_normal((1, 2000)) + 1j * rng.standard_normal((1, 2000))
+        opts = dict(method="SM", max_subproblem_size=256)
+        base = _spread_only((x, y), c, (32, 24), backend="reference", **opts)
+        windowed = _spread_only((x, y), c, (32, 24), stencil_budget=0, **opts,
+                                **self.EXACT)
+        np.testing.assert_allclose(windowed, base, rtol=1e-12, atol=1e-12)
 
 
 # --------------------------------------------------------------------------- #
@@ -258,7 +269,7 @@ class TestPlanBatchedEngine:
                 Plan(1, (18, 18), n_trans=3, eps=1e-7, precision="double") as fat:
             lean.set_pts(x, y)
             fat.set_pts(x, y)
-            assert lean._stencil is not None and not lean._stencil.is_fused
+            assert lean._stencil is not None and lean._stencil.interp_matrix is None
             assert fat._stencil.interp_matrix is not None
             np.testing.assert_allclose(lean.execute(block), fat.execute(block),
                                        rtol=1e-9, atol=1e-9)

@@ -79,6 +79,26 @@ class TestDeviceAndMemory:
         with pytest.raises(OutOfDeviceMemory):
             pool.allocate((1000,), np.float64)
 
+    def test_capacity_checked_before_host_allocation(self):
+        # A 32 GB request against the simulated 16 GB device must fail on the
+        # accounting alone: no host array is ever created for it.
+        import tracemalloc
+
+        dev = Device()
+        capacity = dev.memory.capacity_bytes
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutOfDeviceMemory):
+                dev.memory.allocate((capacity // 8,), np.complex128, label="huge")
+            host = np.broadcast_to(np.float64(1.0), (capacity // 4,))  # no storage
+            with pytest.raises(OutOfDeviceMemory):
+                dev.memory.from_host(host, label="huge copy")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert dev.memory.allocated_bytes == 0 and not dev.memory.live_buffers
+
     def test_transfer_and_alloc_times_monotone(self):
         t_small = transfer_time_seconds(1_000, V100_SPEC)
         t_big = transfer_time_seconds(1_000_000_000, V100_SPEC)
