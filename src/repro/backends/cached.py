@@ -10,7 +10,9 @@ engines, chosen by what the cache holds:
   spreading, the transposed sparse gather for interpolation;
 * otherwise the windowed engine of :mod:`repro.core.windowed`, which works
   from the per-dimension stencils over a wrap-padded fine grid, whatever the
-  plan's spreading method.
+  plan's spreading method, in two regimes: crowded windows (pencils of
+  points sharing one window cross-section) as dense real matrix products,
+  every other point by the chunked scatter / window gather.
 
 The FFT is batched over all transforms and the correction factors broadcast.
 No simulated-GPU profiles are recorded; this backend is pure throughput.

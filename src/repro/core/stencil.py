@@ -29,7 +29,7 @@ exactly the invalidation the paper's interface implies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,6 +73,9 @@ class StencilCache:
         interpolation and ``interp_matrix.T @ c`` is spreading.
     kernel_eval : str
         Which kernel evaluation built the values ("horner" or "exact").
+    pencils : object or None
+        The windowed engine's crowded-window grouping of the points, filled
+        in on first use (:mod:`repro.core.windowed`); never persisted.
     """
 
     fine_shape: tuple
@@ -81,6 +84,7 @@ class StencilCache:
     vals: list
     interp_matrix: object = None
     kernel_eval: str = "horner"
+    pencils: object = field(default=None, repr=False, compare=False)
 
     @property
     def n_points(self):

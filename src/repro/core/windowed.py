@@ -6,36 +6,73 @@ interpolates here, whatever the plan's spreading method (a method's GPU cost
 comes from its kernel profiles, not from this numpy loop).  The engine reads
 only the per-dimension ``i0`` and ``vals`` that
 :func:`~repro.core.stencil.build_stencil_cache` stores, and never
-materializes wrapped indices:
+materializes wrapped indices.  The fine grid is padded by ``ceil(w/2)`` cells
+before and ``w`` cells after along every axis, so every point's ``w^d``
+window is one box of the padded grid, addressed without ``mod``.
 
-* the fine grid is padded by ``ceil(w/2)`` cells before and ``w`` cells after
-  along every axis, so every point's ``w^d`` window is one box of the padded
-  grid, addressed without ``mod``;
-* **interpolation** wrap-pads the grid once per execute, gathers each point's
-  window through a :func:`numpy.lib.stride_tricks.sliding_window_view` and
-  contracts it one axis at a time against the per-dimension kernel values
-  (``w^d -> w^(d-1) -> ... -> 1``), in the grid's own precision;
-* **spreading** (the adjoint) processes points in bin-sorted chunks: the
-  index of each window cell is a per-point ``base`` plus a fixed offset table,
-  the weights are a staged outer product with the strength folded into the
-  axis-0 factor, and one unbuffered ``np.add.at`` per chunk accumulates them
-  into a complex128 padded grid.  The periodic margins are folded back once
-  at the end.
+Points take one of two regimes (d >= 2; 1D always scatters):
 
-The spreading accumulator is laid out with axis 0 fastest, the order the bin
-sort walks its bins in, so a chunk of bin-sorted points writes a short span
-of it.
+* **crowded windows: dense GEMM.**  Points are keyed by their axis-0 tile of
+  ``_PENCIL_TILE`` padded cells and their window corner on axes 1..d-1; a
+  *pencil* is the set of points sharing a key, whose windows share one
+  ``w^(d-1)`` cross-section and lie within ``_PENCIL_TILE + w - 1`` cells
+  along axis 0.  Pencils covering at least ``_PENCIL_MIN_ENTRIES`` window
+  entries (points x ``w^d``) are spread by dense real products with the
+  points as columns: ``R`` holds the outer product of each point's kernel
+  values on axes 1..d-1, ``S`` its strengths times its axis-0 values, and
+  every run of points with the same axis-0 offset adds one ``R @ S^T``
+  (``w^(d-1) x w * B * 2``, all transforms at once) into the pencil's box,
+  which is then added into the accumulator.  Interpolation is the transpose:
+  each run multiplies the box's rows at its offset by ``R``, and each point
+  dots its ``w`` results with its axis-0 values.  The grouping depends only
+  on the points; it is computed on first use and kept on the cache.
+  Pencils too large for one chunk are processed in pieces from one reused
+  buffer, so the temporaries stay bounded however the points cluster.
+* **everything else: scatter / gather**, in bin-sorted chunks.  Spreading
+  indexes each window cell as a per-point ``base`` plus a fixed offset
+  table, builds the weights as a staged outer product with the strength
+  folded into the axis-0 factor, and accumulates them with one unbuffered
+  ``np.add.at`` per chunk; interpolation gathers each window through a
+  :func:`numpy.lib.stride_tricks.sliding_window_view` and contracts it one
+  axis at a time (``w^d -> w^(d-1) -> ... -> 1``).
+
+Spreading accumulates in complex128 and folds the periodic margins back onto
+the interior in place at the end; interpolation wrap-pads the grid once per
+execute and computes in the grid's own precision.  The spreading accumulator
+is laid out with axis 0 fastest, the order the bin sort walks its bins in,
+so a chunk of bin-sorted points writes a short span of it.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["spread_windowed", "interp_windowed"]
 
-#: Window entries (points x w^d) per spreading / interpolation chunk.
+#: Window entries (points x w^d) per spreading / interpolation chunk; also
+#: the entry bound of each dense-GEMM temporary.
 _CHUNK_ENTRIES = 1 << 18
+#: Axis-0 extent, in padded cells, of the tiles that key the pencils.
+_PENCIL_TILE = 16
+#: Window entries (points x w^d) a pencil needs to take the dense-GEMM path:
+#: 96 points of a 3D width-7 window, 15 of width 13, 669 in 2D.  Below it, the
+#: pencil's fixed cost (one small product per axis-0 offset) outweighs the
+#: scatter / gather it saves.
+_PENCIL_MIN_ENTRIES = 1 << 15
+
+
+class _Pencils(NamedTuple):
+    """The crowded-window grouping of one point set (see module docstring)."""
+
+    #: Point indices of the GEMM pencils, pencil by pencil.
+    points: np.ndarray
+    #: ``(n_pencils + 1,)`` boundaries of the pencils in ``points``.
+    starts: np.ndarray
+    #: ``(M,)`` mask of the points left to the scatter / gather.
+    scatter: np.ndarray
 
 
 def _padding(width):
@@ -55,37 +92,127 @@ def _check_windows(cache):
             )
 
 
+def _step(entries_per_point):
+    """Points per chunk (or pencil piece) of ``_CHUNK_ENTRIES`` entries."""
+    return max(1, _CHUNK_ENTRIES // max(1, entries_per_point))
+
+
 def _chunks(n_points, entries_per_point):
-    step = max(1, _CHUNK_ENTRIES // max(1, entries_per_point))
+    step = _step(entries_per_point)
     return range(0, n_points, step), step
 
 
-def _fold_axis(a, axis, n, before):
-    """Sum a padded axis back onto its ``n`` periodic cells.
+def _pencils(cache):
+    """The cache's pencil grouping, computed on first use.
 
-    Padded index ``p`` holds fine cell ``(p - before) mod n``.  Shifting by
-    ``(-before) mod n`` and zero-filling to a multiple of ``n`` turns that
-    map into a reshape, so margins wider than ``n`` fold correctly too.
+    Call after :func:`_check_windows`.  Points are sorted by window corner on
+    axes 1..d-1, then by axis-0 start, so each pencil lists its points by
+    axis-0 offset.
     """
-    shift = (-before) % n
-    length = a.shape[axis] + shift
-    blocks = -(-length // n)
-    shape = list(a.shape)
-    shape[axis] = blocks * n
-    full = np.zeros(shape, dtype=a.dtype)
-    dest = [slice(None)] * a.ndim
-    dest[axis] = slice(shift, length)
-    full[tuple(dest)] = a
-    shape[axis:axis + 1] = [blocks, n]
-    return full.reshape(shape).sum(axis=axis)
+    if cache.pencils is not None:
+        return cache.pencils
+    m = cache.n_points
+    before, after = _padding(cache.width)
+    points = np.empty(0, dtype=np.int64)
+    starts = np.zeros(1, dtype=np.int64)
+    if cache.ndim > 1 and m:
+        corner = np.zeros(m, dtype=np.int64)
+        for i0, n in zip(cache.i0[1:], cache.fine_shape[1:]):
+            corner = corner * (n + before + after) + (i0 + before)
+        start0 = cache.i0[0] + before
+        extent0 = cache.fine_shape[0] + before + after
+        perm = np.argsort(corner * extent0 + start0, kind="stable")
+        key = corner[perm] * extent0 + start0[perm] // _PENCIL_TILE
+        bounds = np.flatnonzero(key[1:] != key[:-1]) + 1
+        sizes = np.diff(np.concatenate(([0], bounds, [m])))
+        crowded = sizes * cache.width ** cache.ndim >= _PENCIL_MIN_ENTRIES
+        points = perm[np.repeat(crowded, sizes)]
+        starts = np.concatenate(([0], np.cumsum(sizes[crowded])))
+    scatter = np.ones(m, dtype=bool)
+    scatter[points] = False
+    cache.pencils = _Pencils(points, starts, scatter)
+    return cache.pencils
+
+
+def _pencil_blocks(pencils, step):
+    """Yield each pencil's point indices in near-equal pieces of ``<= step``."""
+    for lo, hi in zip(pencils.starts[:-1], pencils.starts[1:]):
+        pieces = -(-(hi - lo) // step)
+        for k in range(pieces):
+            yield pencils.points[lo + (hi - lo) * k // pieces:
+                                 lo + (hi - lo) * (k + 1) // pieces]
+
+
+def _scatter_order(pencils, order):
+    """The points of ``order`` left to the scatter / gather, in that order."""
+    if pencils.points.size == 0:
+        return order
+    if pencils.points.size == order.shape[0]:
+        return order[:0]
+    return order[pencils.scatter[order]]
+
+
+def _pencil_factors(cache, sel, before, axes, work):
+    """One pencil piece's box and kernel factors, points as columns.
+
+    Returns the box's axis-0 start ``s0`` and corner on axes 1..d-1 (padded
+    cells); ``runs``, one ``(offset, lo, hi)`` per run of points
+    ``sel[lo:hi]`` whose windows start ``offset`` cells past ``s0``; the
+    ``(w, m)`` axis-0 kernel values; and ``rest``, the ``(w^(d-1), m)``
+    outer product of the other axes' values over ``axes`` (slowest first),
+    written to the front of the flat buffer ``work`` in its dtype.
+    """
+    w = cache.width
+    m = sel.shape[0]
+    start0 = cache.i0[0][sel] + before
+    s0 = int(start0[0])  # pencil points are sorted by axis-0 start
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(start0)) + 1, [m]))
+    runs = [(int(start0[lo]) - s0, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    vals0, *factors = (np.ascontiguousarray(np.take(cache.vals[d], sel, axis=0).T)
+                       for d in (0, *axes))
+    rest = work[:w ** len(factors) * m].reshape(-1, m)
+    if len(factors) == 2:  # 3D (plans have at most three dimensions)
+        np.multiply(factors[0][:, None], factors[1], out=rest.reshape(w, w, m))
+    else:
+        rest[...] = factors[0]
+    corner = [int(cache.i0[d][sel[0]]) + before for d in range(1, cache.ndim)]
+    return s0, corner, runs, vals0, rest
+
+
+def _fold_axis(a, axis, n, before):
+    """Add a padded axis's periodic margins onto its ``n`` interior cells.
+
+    Padded index ``p`` holds fine cell ``(p - before) mod n``.  Each margin is
+    added in place one slab of at most ``n`` cells at a time, so margins wider
+    than ``n`` fold correctly too.  Returns the interior view of ``a``.
+    """
+    def part(start, stop):
+        index = [slice(None)] * a.ndim
+        index[axis] = slice(start, stop)
+        return a[tuple(index)]
+
+    stop = before  # leading margin, walking outwards from the interior
+    while stop > 0:
+        start = max(0, stop - n)
+        dest = part(before + n - (stop - start), before + n)
+        dest += part(start, stop)
+        stop = start
+    start = before + n  # trailing margin
+    while start < a.shape[axis]:
+        stop = min(a.shape[axis], start + n)
+        dest = part(before, before + stop - start)
+        dest += part(start, stop)
+        start = stop
+    return part(before, before + n)
 
 
 def spread_windowed(strengths, cache, order, out):
     """Spread a ``(B, M)`` strength block into ``out`` of shape ``(B, *fine)``.
 
-    ``order`` lists the points in the sequence to accumulate them (the bin
-    sort permutation keeps each chunk's span short; any order gives the same
-    sum up to rounding).  ``out`` may have any layout; it is returned.
+    ``order`` lists the points in the sequence to accumulate the scattered
+    ones in (the bin sort permutation keeps each chunk's span short; any
+    order gives the same sum up to rounding).  ``out`` may have any layout;
+    it is returned.
     """
     _check_windows(cache)
     fine_shape = cache.fine_shape
@@ -94,9 +221,38 @@ def spread_windowed(strengths, cache, order, out):
     before, after = _padding(w)
     padded = tuple(n + before + after for n in fine_shape)
     n_trans = strengths.shape[0]
+    size = int(np.prod(padded))
+    acc = np.zeros((n_trans, size), dtype=np.complex128)
+    grid = acc.reshape((n_trans,) + padded[::-1])
 
-    # Flat index of window cell (r_0, ..., r_{d-1}) relative to the window's
-    # first cell, axis 0 fastest; the weights below share that entry order.
+    # Crowded windows: one dense product per pencil into its box.
+    pencils = _pencils(cache)
+    # Per point of a piece: its ``rest`` column and its ``scaled`` column.
+    per_point = w ** (ndim - 1) + w * n_trans * 2
+    step = _step(per_point)
+    work = np.empty(step * per_point)  # reused by every piece
+    for sel in _pencil_blocks(pencils, step):
+        s0, corner, runs, vals0, rest = _pencil_factors(
+            cache, sel, before, range(ndim - 1, 0, -1), work)
+        l0 = runs[-1][0] + w
+        m = sel.shape[0]
+        c = np.take(strengths, sel, axis=1).astype(np.complex128)
+        c = np.moveaxis(c.view(np.float64).reshape(n_trans, m, 2), -1, 1)
+        # Rows (r_0, t, re/im): strength t of each point times its axis-0 values.
+        scaled = work[rest.size:rest.size + w * n_trans * 2 * m].reshape(-1, m)
+        np.multiply(vals0[:, None, None, :], c, out=scaled.reshape(w, n_trans, 2, m))
+        block = np.zeros((w ** (ndim - 1), l0, n_trans), dtype=np.complex128)
+        for offset, lo, hi in runs:
+            block[:, offset:offset + w] += (rest[:, lo:hi] @ scaled[:, lo:hi].T).view(
+                np.complex128).reshape(-1, w, n_trans)
+        box = (slice(None),) + tuple(slice(i, i + w) for i in corner[::-1])
+        grid[box + (slice(s0, s0 + l0),)] += np.moveaxis(
+            block.reshape((w,) * (ndim - 1) + (l0, n_trans)), -1, 0)
+
+    # Everything else: chunked scatter.  Flat index of window cell
+    # (r_0, ..., r_{d-1}) relative to the window's first cell, axis 0
+    # fastest; the weights below share that entry order.
+    scattered = _scatter_order(pencils, order)
     strides = np.cumprod((1,) + padded[:-1])
     offsets = np.zeros((1,) * ndim, dtype=np.int64)
     for d in range(ndim):
@@ -104,12 +260,9 @@ def spread_windowed(strengths, cache, order, out):
         shape[ndim - 1 - d] = w
         offsets = offsets + (np.arange(w, dtype=np.int64) * strides[d]).reshape(shape)
     offsets = offsets.reshape(-1)
-
-    size = int(np.prod(padded))
-    acc = np.zeros((n_trans, size), dtype=np.complex128)
-    starts, step = _chunks(order.shape[0], w ** ndim)
+    starts, step = _chunks(scattered.shape[0], w ** ndim)
     for start in starts:
-        sel = order[start:start + step]
+        sel = scattered[start:start + step]
         m = sel.shape[0]
         base = cache.i0[0][sel] + before
         for d in range(1, ndim):
@@ -127,7 +280,6 @@ def spread_windowed(strengths, cache, order, out):
             weights = np.einsum("ma,mbc->mabc", rest, first.reshape(m, w, 2))
             np.add.at(acc[t], idx, weights.view(np.complex128).reshape(-1))
 
-    grid = acc.reshape((n_trans,) + padded[::-1])
     for d in range(ndim):
         grid = _fold_axis(grid, ndim - d, fine_shape[d], before)
     out[...] = grid.transpose((0,) + tuple(range(ndim, 0, -1)))
@@ -137,25 +289,53 @@ def spread_windowed(strengths, cache, order, out):
 def interp_windowed(grids, cache, order, out):
     """Interpolate a ``(B, *fine)`` grid block into ``out`` of shape ``(B, M)``.
 
-    ``order`` lists the points in the sequence to visit them.  The window
-    gather and every contraction run in the grid's precision; ``out`` may
-    have any layout and is returned.
+    ``order`` lists the gathered points in the sequence to visit them.  Every
+    product and contraction runs in the grid's precision; ``out`` may have
+    any layout and is returned.
     """
     _check_windows(cache)
     fine_shape = cache.fine_shape
     ndim = len(fine_shape)
     w = cache.width
     before, after = _padding(w)
+    n_trans = grids.shape[0]
     real_dtype = np.finfo(grids.dtype).dtype
     # C order whatever the input layout: the gathered windows must be
     # contiguous for their real view below.
     padded = np.ascontiguousarray(
         np.pad(grids, [(0, 0)] + [(before, after)] * ndim, mode="wrap"))
-    windows = sliding_window_view(padded, (w,) * ndim, axis=tuple(range(1, ndim + 1)))
 
-    starts, step = _chunks(order.shape[0], grids.shape[0] * w ** ndim)
+    # Crowded windows: the transposed product per pencil.
+    pencils = _pencils(cache)
+    # Per point of a piece: its ``rest`` column and its ``q`` column.
+    rows = n_trans * 2
+    per_point = w ** (ndim - 1) + w * rows
+    step = _step(per_point)
+    work = np.empty(step * per_point, dtype=real_dtype)  # reused by every piece
+    for sel in _pencil_blocks(pencils, step):
+        s0, corner, runs, vals0, rest = _pencil_factors(
+            cache, sel, before, range(1, ndim), work)
+        l0 = runs[-1][0] + w
+        m = sel.shape[0]
+        box = padded[(slice(None), slice(s0, s0 + l0))
+                     + tuple(slice(i, i + w) for i in corner)].reshape(n_trans, l0, -1)
+        # Rows (r_0, t, re/im), one column per cross-section cell.
+        box = box.view(real_dtype).reshape(n_trans, l0, -1, 2).transpose(1, 0, 3, 2)
+        box = np.ascontiguousarray(box).reshape(l0 * n_trans * 2, -1)
+        q = work[rest.size:rest.size + w * rows * m].reshape(-1, m)
+        for offset, lo, hi in runs:
+            q[:, lo:hi] = box[offset * rows:(offset + w) * rows] @ rest[:, lo:hi]
+        values = np.einsum("ktcm,km->tcm", q.reshape(w, n_trans, 2, m),
+                           vals0.astype(real_dtype, copy=False))
+        out[:, sel] = np.ascontiguousarray(np.moveaxis(values, 1, -1)).view(
+            grids.dtype)[..., 0]
+
+    # Everything else: chunked window gather.
+    windows = sliding_window_view(padded, (w,) * ndim, axis=tuple(range(1, ndim + 1)))
+    gathered_order = _scatter_order(pencils, order)
+    starts, step = _chunks(gathered_order.shape[0], n_trans * w ** ndim)
     for start in starts:
-        sel = order[start:start + step]
+        sel = gathered_order[start:start + step]
         corner = tuple(cache.i0[d][sel] + before for d in range(ndim))
         gathered = windows[(slice(None),) + corner]  # (B, m, w, ..., w)
         # Contract axis 0 first on the real view (trailing re/im axis), so

@@ -5,20 +5,26 @@ numerics (and ``device_sim``, which delegates to them) spread and interpolate
 through :mod:`repro.core.windowed`; default plans at these sizes use the CSR
 operator.  Both engines run the same stencils and differ only in summation
 order, so they must agree within the ``eps / 10`` backend-equivalence bound
-of ``tests/test_property_equivalence.py``.
+of ``tests/test_property_equivalence.py``.  The same bound holds between the
+windowed engine's two regimes (dense GEMM per crowded pencil, scatter /
+gather for the rest), which the tests below force by patching the pencil
+threshold.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro import Plan
+from repro import Plan, nudft_type1, nudft_type2
+from repro.core import windowed
 from repro.core.binsort import bin_sort, to_grid_coordinates
 from repro.core.interp import interp_cached
 from repro.core.spread import spread_cached
 from repro.core.stencil import build_stencil_cache
 from repro.core.windowed import interp_windowed, spread_windowed
 from repro.kernels import ESKernel
-from repro.workloads.distributions import cluster_points
+from repro.workloads.distributions import cluster_points, mixture_points
 
 _EPS = {"single": 1e-4, "double": 1e-9}
 _TOL = {p: eps / 10.0 for p, eps in _EPS.items()}
@@ -31,6 +37,8 @@ _EDGE = (-1e-12, -np.pi, 0.0)
 def _points(rng, ndim, dist, m, fine_shape):
     if dist == "cluster":
         pts = cluster_points(m, fine_shape, rng)
+    elif dist == "mixture":
+        pts = mixture_points(m, ndim, rng)
     else:
         pts = [rng.uniform(-np.pi, np.pi, m) for _ in range(ndim)]
     return [np.concatenate([p, _EDGE]) for p in pts]
@@ -52,6 +60,12 @@ def _run(nufft_type, ndim, precision, n_trans, pts, targets, data, out=None, **o
         operators = (plan._stencil.interp_matrix is not None,
                      inner._stencil.interp_matrix is not None)
         return plan.execute(data, out=out), operators
+
+
+def _out_like(shape, dtype, layout):
+    if layout == "fortran":
+        return np.zeros(shape, dtype=dtype, order="F")
+    return np.zeros(shape[:-1] + (2 * shape[-1],), dtype=dtype)[..., ::2]
 
 
 def _error(a, b):
@@ -92,28 +106,23 @@ def test_windowed_writes_any_out_layout(layout, precision):
         fine_shape = probe.fine_shape
         dtype = probe.precision.complex_dtype
 
-    def out_like(shape):
-        if layout == "fortran":
-            return np.zeros(shape, dtype=dtype, order="F")
-        return np.zeros(shape[:-1] + (2 * shape[-1],), dtype=dtype)[..., ::2]
-
     # Type 2: interpolation writes straight into ``out``.
     modes = _random(rng, (3,) + _MODES[2], dtype)
     ref, _ = _run(2, 2, precision, 3, pts, None, modes)
-    out = out_like((3, m))
+    out = _out_like((3, m), dtype, layout)
     got, _ = _run(2, 2, precision, 3, pts, None, modes, out=out, stencil_budget=0)
     assert got is out and _error(out, ref) <= _TOL[precision]
 
     # Spread-only type 1: spreading writes straight into ``out``.
     c = _random(rng, (3, m), dtype)
     ref, _ = _run(1, 2, precision, 3, pts, None, c, spread_only=True)
-    out = out_like((3,) + fine_shape)
+    out = _out_like((3,) + fine_shape, dtype, layout)
     got, _ = _run(1, 2, precision, 3, pts, None, c, out=out, spread_only=True,
                   stencil_budget=0)
     assert got is out and _error(out, ref) <= _TOL[precision]
 
     # Spread-only type 2 from a strided fine-grid block.
-    grid = out_like((3,) + fine_shape)
+    grid = _out_like((3,) + fine_shape, dtype, layout)
     grid[...] = _random(rng, (3,) + fine_shape, dtype)
     ref, _ = _run(2, 2, precision, 3, pts, None, grid, spread_only=True)
     got, _ = _run(2, 2, precision, 3, pts, None, grid, spread_only=True,
@@ -124,10 +133,9 @@ def test_windowed_writes_any_out_layout(layout, precision):
 # --------------------------------------------------------------------------- #
 # engine level: grids narrower than the kernel, adjointness, bad windows
 # --------------------------------------------------------------------------- #
-def _engine_setup(rng, fine_shape, eps, m=200):
+def _engine_setup(rng, fine_shape, eps, m=200, dist="rand"):
     kernel = ESKernel.from_tolerance(eps)
-    coords = [np.concatenate([rng.uniform(-np.pi, np.pi, m), _EDGE])
-              for _ in fine_shape]
+    coords = _points(rng, len(fine_shape), dist, m, fine_shape)
     grid_coords = [to_grid_coordinates(c, n) for c, n in zip(coords, fine_shape)]
     cache = build_stencil_cache(grid_coords, fine_shape, kernel)
     sort = bin_sort(grid_coords, fine_shape, (4,) * len(fine_shape))
@@ -175,3 +183,146 @@ def test_windows_outside_padded_grid_raise():
         spread_windowed(c, cache, order, np.zeros((1, 16, 16), complex))
     with pytest.raises(ValueError, match="padded grid"):
         interp_windowed(np.ones((1, 16, 16), complex), cache, order, c.copy())
+
+
+# --------------------------------------------------------------------------- #
+# the two regimes: dense GEMM per crowded pencil, scatter / gather otherwise
+# --------------------------------------------------------------------------- #
+#: Pencil thresholds (window entries) that send every point to one regime.
+_ALL_GEMM, _ALL_SCATTER = 1, 1 << 62
+#: Delivered error may exceed the requested eps by this factor against the
+#: exact sums (the library-wide contract of ``tests/test_accuracy.py``).
+_SAFETY = 12.0
+
+
+def _run_windowed(nufft_type, ndim, precision, n_trans, pts, data, out=None):
+    with Plan(nufft_type, _MODES[ndim], n_trans=n_trans, eps=_EPS[precision],
+              precision=precision, stencil_budget=0) as plan:
+        plan.set_pts(*pts)
+        return plan.execute(data, out=out), plan._stencil
+
+
+@pytest.mark.parametrize("dist", ["rand", "cluster", "mixture"])
+@pytest.mark.parametrize("regime", ["gemm", "scatter", "mixed"])
+@pytest.mark.parametrize("n_trans", [1, 3])
+@pytest.mark.parametrize("precision", ["single", "double"])
+@pytest.mark.parametrize("nufft_type", [1, 2])
+@pytest.mark.parametrize("ndim", [2, 3])
+def test_pencil_regimes_agree(ndim, nufft_type, precision, n_trans, regime, dist,
+                              monkeypatch):
+    rng = np.random.default_rng([ndim, nufft_type, n_trans, len(regime), len(dist)])
+    with Plan(1, _MODES[ndim], eps=_EPS[precision], precision=precision) as probe:
+        fine_shape = probe.fine_shape
+        dtype = probe.precision.complex_dtype
+    pts = _points(rng, ndim, dist, 300, fine_shape)
+    m = pts[0].shape[0]
+    shape = _MODES[ndim] if nufft_type == 2 else (m,)
+    batch = (n_trans,) if n_trans > 1 else ()
+    data = _random(rng, batch + shape, dtype)
+    args = (nufft_type, ndim, precision, n_trans, pts, data)
+
+    monkeypatch.setattr(windowed, "_PENCIL_MIN_ENTRIES", _ALL_SCATTER)
+    scattered, _ = _run_windowed(*args)
+    monkeypatch.setattr(windowed, "_PENCIL_MIN_ENTRIES", _ALL_GEMM)
+    _, cache = _run_windowed(*args)
+    # Mixed: only the largest pencils (the edge points make small ones).
+    largest = int(np.diff(cache.pencils.starts).max()) * cache.width ** ndim
+    threshold = {"gemm": _ALL_GEMM, "scatter": _ALL_SCATTER, "mixed": largest}[regime]
+    monkeypatch.setattr(windowed, "_PENCIL_MIN_ENTRIES", threshold)
+    out_shape = batch + ((m,) if nufft_type == 2 else _MODES[ndim])
+    out = _out_like(out_shape, dtype, "strided" if n_trans > 1 else "fortran")
+    got, cache = _run_windowed(*args, out=out)
+    n_gemm = cache.pencils.points.size
+    assert {"gemm": n_gemm == m, "scatter": n_gemm == 0, "mixed": 0 < n_gemm < m}[regime]
+    assert got is out
+
+    csr, operators = _run(nufft_type, ndim, precision, n_trans, pts, None, data)
+    assert operators == (True, True)
+    assert _error(got, scattered) <= _TOL[precision]
+    assert _error(got, csr) <= _TOL[precision]
+    rows = data.reshape((n_trans,) + shape)
+    if nufft_type == 1:
+        exact = [nudft_type1(pts, c, _MODES[ndim]) for c in rows]
+    else:
+        exact = [nudft_type2(pts, f) for f in rows]
+    exact = np.stack(exact).reshape(out_shape)
+    assert _error(got, exact) <= _SAFETY * _EPS[precision]
+
+
+@pytest.mark.parametrize("regime", ["gemm", "mixed"])
+@pytest.mark.parametrize("fine_shape", [(24, 18), (12, 10, 14), (3, 4, 5)])
+def test_gemm_spread_is_adjoint_of_gemm_interp(fine_shape, regime, monkeypatch):
+    """<spread(c), g> == <c, interp(g)> with crowded pencils on the GEMM path."""
+    rng = np.random.default_rng(len(fine_shape))
+    _, cache, order = _engine_setup(rng, fine_shape, 1e-9, m=400, dist="cluster")
+    monkeypatch.setattr(windowed, "_PENCIL_MIN_ENTRIES",
+                        _ALL_GEMM if regime == "gemm" else 8 * cache.width ** len(fine_shape))
+    c = _random(rng, (2, cache.n_points), np.complex128)
+    g = _random(rng, (2,) + fine_shape, np.complex128)
+    spread = spread_windowed(c, cache, order, np.zeros_like(g))
+    values = interp_windowed(g, cache, order, np.zeros_like(c))
+    n_gemm = cache.pencils.points.size
+    assert n_gemm == cache.n_points if regime == "gemm" else 0 < n_gemm < cache.n_points
+    lhs = np.vdot(g, spread)
+    rhs = np.vdot(values, c)
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+def test_pencil_split_assigns_every_point_once():
+    rng = np.random.default_rng(11)
+    fine_shape = (40, 36, 32)
+    _, cache, order = _engine_setup(rng, fine_shape, 1e-6, m=3000, dist="mixture")
+    pencils = windowed._pencils(cache)
+    step = 10  # splits the crowded pencils into several pieces
+    pieces = list(windowed._pencil_blocks(pencils, step))
+    gemm = np.concatenate(pieces)
+    scattered = windowed._scatter_order(pencils, order)
+    m = cache.n_points
+    assert 0 < gemm.size < m and len(pieces) > len(pencils.starts) - 1
+    assert np.array_equal(gemm, pencils.points)
+    assert np.array_equal(np.sort(np.concatenate([gemm, scattered])), np.arange(m))
+    # The scattered points keep their relative order in ``order``.
+    assert np.array_equal(scattered, order[np.isin(order, scattered)])
+
+    before, _ = windowed._padding(cache.width)
+    for piece in pieces:
+        assert 0 < piece.size <= step
+        start0 = cache.i0[0][piece] + before
+        assert np.all(np.diff(start0) >= 0)
+        assert np.unique(start0 // windowed._PENCIL_TILE).size == 1
+        for d in range(1, 3):
+            assert np.unique(cache.i0[d][piece]).size == 1
+
+
+def test_pencil_temporaries_stay_flat(monkeypatch):
+    """One pencil holding every point: host peak is flat in M.
+
+    Spreading and interpolating ``M`` points that all share one window
+    cross-section stays within 3x the padded complex128 grid of host memory
+    (traced by ``tracemalloc``), whether ``M`` is 20k or 80k.
+    """
+    monkeypatch.setattr(windowed, "_CHUNK_ENTRIES", 1 << 12)
+    fine_shape = (64, 64)
+    kernel = ESKernel.from_tolerance(1e-6)
+    before, after = windowed._padding(kernel.width)
+    padded_bytes = 16 * int(np.prod([n + before + after for n in fine_shape]))
+    peaks = []
+    for m in (20_000, 80_000):
+        rng = np.random.default_rng(m)
+        grid_coords = [rng.uniform(30.6, 30.9, m) for _ in fine_shape]
+        cache = build_stencil_cache(grid_coords, fine_shape, kernel, build_matrix=False)
+        order = np.arange(m)
+        c = _random(rng, (1, m), np.complex128)
+        g = _random(rng, (1,) + fine_shape, np.complex128)
+        spread, values = np.zeros_like(g), np.zeros_like(c)
+        spread_windowed(c, cache, order, spread)  # groups the points
+        assert cache.pencils.points.size == m and cache.pencils.starts.size == 2
+        tracemalloc.start()
+        try:
+            spread_windowed(c, cache, order, spread)
+            interp_windowed(g, cache, order, values)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 3 * padded_bytes, (peaks, padded_bytes)
+    assert peaks[1] <= 1.1 * peaks[0], peaks
