@@ -7,12 +7,19 @@ block in one fused pass.  Spreading and interpolation take one of two
 engines, chosen by what the cache holds:
 
 * the CSR operator (within the fusion budget): a sparse mat-mat for
-  spreading, the transposed sparse gather for interpolation;
+  spreading, the transposed sparse gather for interpolation, one real
+  product over the interleaved real/imaginary block when ``n_trans > 1``;
 * otherwise the windowed engine of :mod:`repro.core.windowed`, which works
   from the per-dimension stencils over a wrap-padded fine grid, whatever the
   plan's spreading method, in two regimes: crowded windows (pencils of
   points sharing one window cross-section) as dense real matrix products,
   every other point by the chunked scatter / window gather.
+
+The stencil cache lists the points in bin-sort order (the GM-sort order of
+the paper), so consecutive points touch nearby fine-grid memory.  Spreading
+permutes the strengths into that order once on the way in; interpolation
+scatters its values back to the caller's point indices once on the way out
+(``out[:, perm] = values``, any ``out`` layout).
 
 The FFT is batched over all transforms and the correction factors broadcast.
 No simulated-GPU profiles are recorded; this backend is pure throughput.
@@ -44,12 +51,13 @@ class CachedBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     def spread(self, plan, strengths, pipeline, out=None):
         cache = plan._stencil
-        cplx = plan.precision.complex_dtype
-        if cache.interp_matrix is not None:
-            return spread_cached(plan.fine_shape, strengths, cache, cplx, out=out)
         if out is None:
-            out = np.empty((strengths.shape[0],) + plan.fine_shape, dtype=cplx)
-        return spread_windowed(strengths, cache, plan._sort.permutation, out)
+            out = np.empty((strengths.shape[0],) + plan.fine_shape,
+                           dtype=plan.precision.complex_dtype)
+        strengths = np.take(strengths, plan._sort.permutation, axis=1)
+        if cache.interp_matrix is not None:
+            return spread_cached(plan.fine_shape, strengths, cache, out=out)
+        return spread_windowed(strengths, cache, out)
 
     def fft_forward(self, plan, fine, pipeline):
         # Native precision end to end: pocketfft transforms complex64 blocks
@@ -74,8 +82,11 @@ class CachedBackend(ExecutionBackend):
     def interp(self, plan, fine, pipeline, out=None):
         cache = plan._stencil
         cplx = plan.precision.complex_dtype
-        if cache.interp_matrix is not None:
-            return interp_cached(fine, plan._grid_coords, cache, cplx, out=out)
         if out is None:
             out = np.empty((fine.shape[0], cache.n_points), dtype=cplx)
-        return interp_windowed(fine, cache, plan._sort.permutation, out)
+        if cache.interp_matrix is not None:
+            values = interp_cached(fine, plan._grid_coords, cache, cplx)
+        else:
+            values = interp_windowed(fine, cache, np.empty(out.shape, dtype=cplx))
+        out[:, plan._sort.permutation] = values
+        return out

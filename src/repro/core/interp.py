@@ -82,24 +82,34 @@ def interp_cached(grid, grid_coords, cache, dtype=np.complex64, out=None):
     """Interpolate via the cached sparse operator (one pass over all transforms).
 
     ``interp_matrix @ grid`` performs the kernel-weighted gather for every
-    transform at once; real and imaginary parts are contracted separately so
-    the real-valued operator is never upcast (and copied) to complex.
-    ``out``, when given, must be a ``(n_trans, M)`` array; the result is
-    written into it and it is returned.
+    transform at once, in the cache's point order.  The real-valued operator
+    is never upcast (and copied) to complex: with ``n_trans > 1`` the grids
+    are contracted by one real product over their complex128 transpose
+    viewed as ``(n_fine, 2 * n_trans)`` float64; a single grid takes one
+    product per real and imaginary part (faster there than the two-column
+    product).  ``out``, when given, must be a ``(n_trans, M)`` array; the
+    result is written into it and it is returned.
     """
     if cache is None or cache.interp_matrix is None:
         raise ValueError("interp_cached needs a stencil cache with a sparse operator")
     ndim = len(grid_coords)
     grids, batched = _as_grid_batch(grid, ndim)
-    flat = grids.reshape(grids.shape[0], -1).T  # (n_fine, n_trans)
+    n_trans = grids.shape[0]
     matrix = cache.interp_matrix
-    values = ((matrix @ np.ascontiguousarray(flat.real))
-              + 1j * (matrix @ np.ascontiguousarray(flat.imag))).T
-    if out is not None:
-        out[...] = values
-        return out
-    values = values.astype(dtype, copy=False)
-    return values if batched else values[0]
+    result = out
+    if result is None:
+        result = np.empty((n_trans, matrix.shape[0]), dtype=dtype)
+    if n_trans > 1:
+        pairs = np.empty((matrix.shape[1], n_trans), dtype=np.complex128)
+        pairs.T.reshape(grids.shape)[...] = grids
+        result[...] = (matrix @ pairs.view(np.float64)).view(np.complex128).T
+    else:
+        flat = grids[0].reshape(-1)
+        result[0].real[...] = matrix @ flat.real
+        result[0].imag[...] = matrix @ flat.imag
+    if out is not None or batched:
+        return result
+    return result[0]
 
 
 def _interp_ordered(grid, grid_coords, kernel, point_order, dtype, out=None):

@@ -471,6 +471,8 @@ class Plan:
         # Rebuilding on each set_pts call is the cache invalidation.  Whether
         # the cache exists at all is the backend's call: the reference backend
         # re-evaluates kernels on the fly, the cached backend requires it.
+        # The cache lists the points in bin-sort order, so consecutive points
+        # (and CSR rows) touch nearby fine-grid memory.
         self._stencil = None
         if self.backend.wants_stencil_cache(self.opts):
             points_digest = None
@@ -479,14 +481,16 @@ class Plan:
                 for c in self._grid_coords:
                     h.update(np.ascontiguousarray(c).tobytes())
                 points_digest = h.hexdigest()
+            perm = self._sort.permutation
             self._stencil = build_stencil_cache(
-                self._grid_coords,
+                [c[perm] for c in self._grid_coords],
                 self.fine_shape,
                 self.kernel,
                 kernel_eval=self.opts.kernel_eval,
                 fuse_budget=self.opts.stencil_budget,
                 store=self.artifact_store,
                 points_digest=points_digest,
+                bin_shape=self.bin_shape,
             )
         if self.method is SpreadMethod.SM and self.nufft_type != 2:
             self._subproblems = make_subproblems(self._sort, self.opts.max_subproblem_size)

@@ -25,6 +25,12 @@ interpolation the transposed gather; without the operator, the windowed
 engine (:mod:`repro.core.windowed`) works from ``i0`` and ``vals`` alone.
 The cache is tied to one point set; ``Plan.set_pts`` rebuilds it, which is
 exactly the invalidation the paper's interface implies.
+
+Every array lists the points in the order of the coordinates it was built
+from.  ``Plan`` builds it from the bin-sorted coordinates (the GM-sort order
+of paper Sec. III-A), so consecutive points -- and CSR rows -- touch nearby
+fine-grid memory; the backend permutes strengths into that order and
+scatters outputs back to the caller's point indices.
 """
 
 from __future__ import annotations
@@ -64,13 +70,15 @@ class StencilCache:
     width : int
         Kernel width ``w``.
     i0 : list of ndarray, each (M,)
-        Unwrapped first node per dimension (the windowed engine addresses
-        each point's window in a padded grid from it).
+        Unwrapped first node per dimension, in the build's point order (the
+        windowed engine addresses each point's window in a padded grid from
+        it).
     vals : list of ndarray, each (M, w)
         Kernel values per dimension.
     interp_matrix : scipy.sparse.csr_matrix (M, prod(fine_shape)) or None
-        Row ``j`` holds point ``j``'s stencil; ``interp_matrix @ grid`` is
-        interpolation and ``interp_matrix.T @ c`` is spreading.
+        Row ``j`` holds the stencil of the build's ``j``-th point;
+        ``interp_matrix @ grid`` is interpolation and ``interp_matrix.T @ c``
+        is spreading.
     kernel_eval : str
         Which kernel evaluation built the values ("horner" or "exact").
     pencils : object or None
@@ -137,13 +145,14 @@ def _tensor_stencil(idx_per_dim, vals_per_dim, fine_shape):
 
 def build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval="horner",
                         fuse_budget=DEFAULT_FUSE_BUDGET, build_matrix=True,
-                        store=None, points_digest=None):
+                        store=None, points_digest=None, bin_shape=None):
     """Build the stencil cache for one point set.
 
     Parameters
     ----------
     grid_coords : sequence of ndarray
-        Per-dimension fine-grid coordinates in ``[0, n_d)``.
+        Per-dimension fine-grid coordinates in ``[0, n_d)``, in the order
+        the cache should list the points in.
     fine_shape : tuple of int
     kernel : ESKernel or compatible
         Must provide ``width`` and ``evaluate_offsets``; the Horner fast path
@@ -166,12 +175,16 @@ def build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval="horner",
         :meth:`repro.service.TransformRequest.points_key`).  Required for
         store participation: the grid coordinates themselves are too large to
         key on.
+    bin_shape : tuple of int, optional
+        The bin shape ``grid_coords`` were bin-sorted by, when
+        ``points_digest`` is of the points in the caller's order; part of
+        the key, since the cache's point order depends on it.
     """
     if kernel_eval not in ("horner", "exact"):
         raise ValueError(f"kernel_eval must be 'horner' or 'exact', got {kernel_eval!r}")
     if store is not None and points_digest is not None:
         key = stencil_cache_key(points_digest, fine_shape, kernel, kernel_eval,
-                                fuse_budget, build_matrix)
+                                fuse_budget, build_matrix, bin_shape)
         arrays = store.get_or_build(
             "stencil", key,
             lambda: stencil_cache_arrays(_build_stencil_cache(
@@ -233,18 +246,21 @@ def _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
 # artifact-store serialization
 # --------------------------------------------------------------------------- #
 def stencil_cache_key(points_digest, fine_shape, kernel, kernel_eval,
-                      fuse_budget, build_matrix):
+                      fuse_budget, build_matrix, bin_shape=None):
     """The artifact key one stencil cache is stored under.
 
     Every input that shapes the cache's contents participates: the points
     digest, the fine-grid geometry, the kernel parameters, the evaluation
-    mode and the fusion knobs.  Two processes computing the same key are
-    guaranteed bit-identical caches (the build is deterministic).
+    mode, the fusion knobs and the bin shape that sets the point order
+    (``None``: the digested order).  Two processes computing the same key
+    are guaranteed bit-identical caches (the build is deterministic).
     """
     grid = "x".join(str(int(n)) for n in fine_shape)
+    bins = "none" if bin_shape is None else "x".join(str(int(n)) for n in bin_shape)
     return (f"pts={points_digest}.grid={grid}.w={int(kernel.width)}"
             f".beta={float(kernel.beta):.9g}.eval={kernel_eval}"
-            f".budget={int(fuse_budget)}.matrix={int(bool(build_matrix))}")
+            f".budget={int(fuse_budget)}.matrix={int(bool(build_matrix))}"
+            f".bins={bins}")
 
 
 def stencil_cache_arrays(cache):

@@ -28,13 +28,14 @@ Points take one of two regimes (d >= 2; 1D always scatters):
   on the points; it is computed on first use and kept on the cache.
   Pencils too large for one chunk are processed in pieces from one reused
   buffer, so the temporaries stay bounded however the points cluster.
-* **everything else: scatter / gather**, in bin-sorted chunks.  Spreading
-  indexes each window cell as a per-point ``base`` plus a fixed offset
-  table, builds the weights as a staged outer product with the strength
-  folded into the axis-0 factor, and accumulates them with one unbuffered
-  ``np.add.at`` per chunk; interpolation gathers each window through a
-  :func:`numpy.lib.stride_tricks.sliding_window_view` and contracts it one
-  axis at a time (``w^d -> w^(d-1) -> ... -> 1``).
+* **everything else: scatter / gather**, in chunks taken in the cache's
+  point order, which is bin-sort order (see :mod:`repro.core.stencil`).
+  Spreading indexes each window cell as a per-point ``base`` plus a fixed
+  offset table, builds the weights as a staged outer product with the
+  strength folded into the axis-0 factor, and accumulates them with one
+  unbuffered ``np.add.at`` per chunk; interpolation gathers each window
+  through a :func:`numpy.lib.stride_tricks.sliding_window_view` and
+  contracts it one axis at a time (``w^d -> w^(d-1) -> ... -> 1``).
 
 Spreading accumulates in complex128 and folds the periodic margins back onto
 the interior in place at the end; interpolation wrap-pads the grid once per
@@ -97,9 +98,18 @@ def _step(entries_per_point):
     return max(1, _CHUNK_ENTRIES // max(1, entries_per_point))
 
 
-def _chunks(n_points, entries_per_point):
+def _scatter_chunks(pencils, entries_per_point):
+    """The points left to the scatter / gather, in chunks of ``_step``.
+
+    Chunks follow the cache's point order: contiguous slices when no pencil
+    takes points, else ascending index arrays.
+    """
     step = _step(entries_per_point)
-    return range(0, n_points, step), step
+    if pencils.points.size == 0:
+        m = pencils.scatter.shape[0]
+        return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
+    rest = np.flatnonzero(pencils.scatter)
+    return [rest[lo:lo + step] for lo in range(0, rest.size, step)]
 
 
 def _pencils(cache):
@@ -141,15 +151,6 @@ def _pencil_blocks(pencils, step):
         for k in range(pieces):
             yield pencils.points[lo + (hi - lo) * k // pieces:
                                  lo + (hi - lo) * (k + 1) // pieces]
-
-
-def _scatter_order(pencils, order):
-    """The points of ``order`` left to the scatter / gather, in that order."""
-    if pencils.points.size == 0:
-        return order
-    if pencils.points.size == order.shape[0]:
-        return order[:0]
-    return order[pencils.scatter[order]]
 
 
 def _pencil_factors(cache, sel, before, axes, work):
@@ -206,13 +207,13 @@ def _fold_axis(a, axis, n, before):
     return part(before, before + n)
 
 
-def spread_windowed(strengths, cache, order, out):
+def spread_windowed(strengths, cache, out):
     """Spread a ``(B, M)`` strength block into ``out`` of shape ``(B, *fine)``.
 
-    ``order`` lists the points in the sequence to accumulate the scattered
-    ones in (the bin sort permutation keeps each chunk's span short; any
-    order gives the same sum up to rounding).  ``out`` may have any layout;
-    it is returned.
+    The strengths follow the cache's point order, which is also the order
+    the scattered points are accumulated in (bin-sorted points keep each
+    chunk's span short; any order gives the same sum up to rounding).
+    ``out`` may have any layout; it is returned.
     """
     _check_windows(cache)
     fine_shape = cache.fine_shape
@@ -252,7 +253,6 @@ def spread_windowed(strengths, cache, order, out):
     # Everything else: chunked scatter.  Flat index of window cell
     # (r_0, ..., r_{d-1}) relative to the window's first cell, axis 0
     # fastest; the weights below share that entry order.
-    scattered = _scatter_order(pencils, order)
     strides = np.cumprod((1,) + padded[:-1])
     offsets = np.zeros((1,) * ndim, dtype=np.int64)
     for d in range(ndim):
@@ -260,11 +260,9 @@ def spread_windowed(strengths, cache, order, out):
         shape[ndim - 1 - d] = w
         offsets = offsets + (np.arange(w, dtype=np.int64) * strides[d]).reshape(shape)
     offsets = offsets.reshape(-1)
-    starts, step = _chunks(scattered.shape[0], w ** ndim)
-    for start in starts:
-        sel = scattered[start:start + step]
-        m = sel.shape[0]
+    for sel in _scatter_chunks(pencils, w ** ndim):
         base = cache.i0[0][sel] + before
+        m = base.shape[0]
         for d in range(1, ndim):
             base = base + (cache.i0[d][sel] + before) * strides[d]
         idx = (base[:, None] + offsets).reshape(-1)
@@ -286,12 +284,12 @@ def spread_windowed(strengths, cache, order, out):
     return out
 
 
-def interp_windowed(grids, cache, order, out):
+def interp_windowed(grids, cache, out):
     """Interpolate a ``(B, *fine)`` grid block into ``out`` of shape ``(B, M)``.
 
-    ``order`` lists the gathered points in the sequence to visit them.  Every
-    product and contraction runs in the grid's precision; ``out`` may have
-    any layout and is returned.
+    ``out`` follows the cache's point order, which is also the order the
+    gathered points are visited in.  Every product and contraction runs in
+    the grid's precision; ``out`` may have any layout and is returned.
     """
     _check_windows(cache)
     fine_shape = cache.fine_shape
@@ -332,10 +330,7 @@ def interp_windowed(grids, cache, order, out):
 
     # Everything else: chunked window gather.
     windows = sliding_window_view(padded, (w,) * ndim, axis=tuple(range(1, ndim + 1)))
-    gathered_order = _scatter_order(pencils, order)
-    starts, step = _chunks(gathered_order.shape[0], n_trans * w ** ndim)
-    for start in starts:
-        sel = gathered_order[start:start + step]
+    for sel in _scatter_chunks(pencils, n_trans * w ** ndim):
         corner = tuple(cache.i0[d][sel] + before for d in range(ndim))
         gathered = windows[(slice(None),) + corner]  # (B, m, w, ..., w)
         # Contract axis 0 first on the real view (trailing re/im axis), so

@@ -367,6 +367,37 @@ class TestProducerRoundtrips:
                                  True) != base
         assert stencil_cache_key("d", (32, 32), kernel, "horner", 1 << 20,
                                  False) != base
+        assert stencil_cache_key("d", (32, 32), kernel, "horner", 1 << 20,
+                                 True, (8, 8)) != base
+        assert stencil_cache_key("d", (32, 32), kernel, "horner", 1 << 20,
+                                 True, (8, 8)) != stencil_cache_key(
+            "d", (32, 32), kernel, "horner", 1 << 20, True, (4, 4))
+
+    def test_bin_shapes_keep_separate_stencil_entries(self, tmp_path, rng):
+        """Plans differing only in ``bin_shape`` share a store, not entries.
+
+        The stencil cache lists the points in bin-sort order, so each bin
+        shape builds (cold) and loads (warm) its own entry, and each warm
+        output is bit-identical to its cold one.
+        """
+        x, y, _ = make_points_2d(rng, m=400)
+        c = rng.standard_normal((2, 400)) + 1j * rng.standard_normal((2, 400))
+        shapes = ((4, 4), (8, 8))
+        outputs, perms = {}, {}
+        for phase in ("cold", "warm"):
+            store = ArtifactStore(root=tmp_path)
+            for bins in shapes:
+                with Plan(1, (16, 16), n_trans=2, eps=1e-9, precision="double",
+                          bin_shape=bins, artifact_store=store) as plan:
+                    plan.set_pts(x, y)
+                    perms[bins] = plan._sort.permutation
+                    outputs[phase, bins] = plan.execute(c)
+            stats = store.stats.by_kind["stencil"]
+            assert stats["builds"] == (2 if phase == "cold" else 0)
+            assert stats["hits"] == (0 if phase == "cold" else 2)
+        assert not np.array_equal(*perms.values())
+        for bins in shapes:
+            assert np.array_equal(outputs["warm", bins], outputs["cold", bins])
 
     def test_psf_kernel_roundtrip(self, tmp_path, rng):
         x, y, _ = make_points_2d(rng, m=250)

@@ -8,7 +8,8 @@ order, so they must agree within the ``eps / 10`` backend-equivalence bound
 of ``tests/test_property_equivalence.py``.  The same bound holds between the
 windowed engine's two regimes (dense GEMM per crowded pencil, scatter /
 gather for the rest), which the tests below force by patching the pencil
-threshold.
+threshold, and between either engine over a plan's bin-sorted stencil cache
+and a CSR operator built in the caller's point order.
 """
 
 import tracemalloc
@@ -16,7 +17,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro import Plan, nudft_type1, nudft_type2
+from repro import Plan, nudft_type1, nudft_type2, nudft_type3
+from repro.backends import get_backend
 from repro.core import windowed
 from repro.core.binsort import bin_sort, to_grid_coordinates
 from repro.core.interp import interp_cached
@@ -28,6 +30,9 @@ from repro.workloads.distributions import cluster_points, mixture_points
 
 _EPS = {"single": 1e-4, "double": 1e-9}
 _TOL = {p: eps / 10.0 for p, eps in _EPS.items()}
+#: Delivered error may exceed the requested eps by this factor against the
+#: exact sums (the library-wide contract of ``tests/test_accuracy.py``).
+_SAFETY = 12.0
 _MODES = {1: (30,), 2: (12, 10), 3: (8, 6, 7)}
 #: Coordinates at the period edge: -1e-12 folds to just below 2*pi, the
 #: highest first-node index ``i0``; -pi and 0 sit exactly on grid nodes.
@@ -63,6 +68,8 @@ def _run(nufft_type, ndim, precision, n_trans, pts, targets, data, out=None, **o
 
 
 def _out_like(shape, dtype, layout):
+    if layout == "C":
+        return np.zeros(shape, dtype=dtype)
     if layout == "fortran":
         return np.zeros(shape, dtype=dtype, order="F")
     return np.zeros(shape[:-1] + (2 * shape[-1],), dtype=dtype)[..., ::2]
@@ -131,31 +138,107 @@ def test_windowed_writes_any_out_layout(layout, precision):
 
 
 # --------------------------------------------------------------------------- #
+# bin-sort point order: both engines against a user-order operator
+# --------------------------------------------------------------------------- #
+def _check_stage(plan, spreads, rng, layout):
+    """One stage of ``plan``, run by the cached backend into an ``out`` of
+    ``layout``, against a CSR operator built in the caller's point order
+    (its row ``j`` is the caller's point ``j``)."""
+    user = build_stencil_cache(plan._grid_coords, plan.fine_shape, plan.kernel,
+                               kernel_eval=plan.opts.kernel_eval)
+    cached = get_backend("cached")
+    dtype = plan.precision.complex_dtype
+    batch = (plan.n_trans,)
+    if spreads:
+        c = _random(rng, batch + (plan.n_points,), dtype)
+        out = _out_like(batch + plan.fine_shape, dtype, layout)
+        assert cached.spread(plan, c, None, out=out) is out
+        expected = spread_cached(plan.fine_shape, c, user, np.complex128)
+    else:
+        grid = _random(rng, batch + plan.fine_shape, dtype)
+        out = _out_like(batch + (plan.n_points,), dtype, layout)
+        assert cached.interp(plan, grid, None, out=out) is out
+        expected = interp_cached(grid, plan._grid_coords, user, np.complex128)
+    assert _error(out, expected) <= _TOL[plan.precision.value]
+
+
+@pytest.mark.parametrize("layout", ["C", "fortran", "strided"])
+@pytest.mark.parametrize("n_trans", [1, 3])
+@pytest.mark.parametrize("precision", ["single", "double"])
+@pytest.mark.parametrize("nufft_type", [1, 2, 3])
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_bin_ordered_plan_matches_user_order(ndim, nufft_type, precision, n_trans,
+                                             layout):
+    """Each stage of a plan (type 3: the outer spread and the inner type-2
+    interp) matches a user-order operator through either engine, and every
+    end-to-end output lands at the caller's index (checked against the
+    exact sums)."""
+    rng = np.random.default_rng([ndim, nufft_type, n_trans, len(layout)])
+    pts = _points(rng, ndim, "rand", 300, None)
+    m = pts[0].shape[0]
+    targets = [rng.uniform(-10.0, 10.0, 60) for _ in range(ndim)]
+    modes = ndim if nufft_type == 3 else _MODES[ndim]
+    shape = _MODES[ndim] if nufft_type == 2 else (m,)
+    out_shape = {1: _MODES[ndim], 2: (m,), 3: (60,)}[nufft_type]
+    # Bins far smaller than the defaults, so these small fine grids hold many
+    # and the bin sort reorders the points.
+    bins = (4,) * ndim
+    for budget in (None, 0):  # the CSR operator, then the windowed engine
+        opts = {} if budget is None else {"stencil_budget": budget}
+        with Plan(nufft_type, modes, n_trans=n_trans, eps=_EPS[precision],
+                  precision=precision, bin_shape=bins, **opts) as plan:
+            if nufft_type == 3:
+                plan.set_pts(*pts, *([None] * (3 - ndim)), *targets)
+            else:
+                plan.set_pts(*pts)
+            perm = plan._sort.permutation
+            assert not np.array_equal(perm, np.arange(m))
+            assert (plan._stencil.interp_matrix is None) == (budget == 0)
+            _check_stage(plan, nufft_type != 2, rng, layout)
+            if nufft_type == 3:
+                _check_stage(plan._t3_inner, False, rng, layout)
+
+            data = _random(rng, (n_trans,) + shape, plan.precision.complex_dtype)
+            out = _out_like((n_trans,) + out_shape, data.dtype, layout)
+            block, target = (data, out) if n_trans > 1 else (data[0], out[0])
+            assert plan.execute(block, out=target) is target
+        for t in range(n_trans):
+            if nufft_type == 1:
+                exact = nudft_type1(pts, data[t], _MODES[ndim])
+            elif nufft_type == 2:
+                exact = nudft_type2(pts, data[t])
+            else:
+                exact = nudft_type3(pts, data[t], targets)
+            assert _error(out[t], exact) <= _SAFETY * _EPS[precision]
+
+
+# --------------------------------------------------------------------------- #
 # engine level: grids narrower than the kernel, adjointness, bad windows
 # --------------------------------------------------------------------------- #
 def _engine_setup(rng, fine_shape, eps, m=200, dist="rand"):
+    """Bin-sorted grid coordinates and their stencil cache, as a plan builds it."""
     kernel = ESKernel.from_tolerance(eps)
     coords = _points(rng, len(fine_shape), dist, m, fine_shape)
     grid_coords = [to_grid_coordinates(c, n) for c, n in zip(coords, fine_shape)]
-    cache = build_stencil_cache(grid_coords, fine_shape, kernel)
     sort = bin_sort(grid_coords, fine_shape, (4,) * len(fine_shape))
-    return grid_coords, cache, sort.permutation
+    grid_coords = [g[sort.permutation] for g in grid_coords]
+    return grid_coords, build_stencil_cache(grid_coords, fine_shape, kernel)
 
 
 @pytest.mark.parametrize("fine_shape", [(3,), (5,), (5, 4), (2, 7), (4, 3, 5)])
 def test_margins_wider_than_grid(fine_shape):
     # Width-13 kernel on grids of 2..7 cells: every margin wraps several times.
     rng = np.random.default_rng(sum(fine_shape))
-    grid_coords, cache, order = _engine_setup(rng, fine_shape, 1e-12)
+    grid_coords, cache = _engine_setup(rng, fine_shape, 1e-12)
     assert cache.width > max(fine_shape)
     m = cache.n_points
     c = _random(rng, (2, m), np.complex128)
-    spread = spread_windowed(c, cache, order, np.zeros((2,) + fine_shape, complex))
+    spread = spread_windowed(c, cache, np.zeros((2,) + fine_shape, complex))
     expected = spread_cached(fine_shape, c, cache, np.complex128)
     np.testing.assert_allclose(spread, expected, rtol=1e-12, atol=1e-12)
 
     grid = _random(rng, (2,) + fine_shape, np.complex128)
-    values = interp_windowed(grid, cache, order, np.zeros((2, m), complex))
+    values = interp_windowed(grid, cache, np.zeros((2, m), complex))
     expected = interp_cached(grid, grid_coords, cache, np.complex128)
     np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12)
 
@@ -164,11 +247,11 @@ def test_margins_wider_than_grid(fine_shape):
 def test_spread_is_adjoint_of_interp(fine_shape):
     """<spread(c), g> == <c, interp(g)> to double-precision roundoff."""
     rng = np.random.default_rng(len(fine_shape))
-    _, cache, order = _engine_setup(rng, fine_shape, 1e-9)
+    _, cache = _engine_setup(rng, fine_shape, 1e-9)
     c = _random(rng, (1, cache.n_points), np.complex128)
     g = _random(rng, (1,) + fine_shape, np.complex128)
-    spread = spread_windowed(c, cache, order, np.zeros_like(g))
-    values = interp_windowed(g, cache, order, np.zeros_like(c))
+    spread = spread_windowed(c, cache, np.zeros_like(g))
+    values = interp_windowed(g, cache, np.zeros_like(c))
     lhs = np.vdot(g, spread)  # sum of spread * conj(g)
     rhs = np.vdot(values, c)  # sum of c * conj(interp(g))
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
@@ -176,13 +259,13 @@ def test_spread_is_adjoint_of_interp(fine_shape):
 
 def test_windows_outside_padded_grid_raise():
     rng = np.random.default_rng(3)
-    _, cache, order = _engine_setup(rng, (16, 16), 1e-6)
+    _, cache = _engine_setup(rng, (16, 16), 1e-6)
     cache.i0[1][5] = 16 + cache.width  # a window past the trailing margin
     c = np.ones((1, cache.n_points), complex)
     with pytest.raises(ValueError, match="axis 1"):
-        spread_windowed(c, cache, order, np.zeros((1, 16, 16), complex))
+        spread_windowed(c, cache, np.zeros((1, 16, 16), complex))
     with pytest.raises(ValueError, match="padded grid"):
-        interp_windowed(np.ones((1, 16, 16), complex), cache, order, c.copy())
+        interp_windowed(np.ones((1, 16, 16), complex), cache, c.copy())
 
 
 # --------------------------------------------------------------------------- #
@@ -190,9 +273,6 @@ def test_windows_outside_padded_grid_raise():
 # --------------------------------------------------------------------------- #
 #: Pencil thresholds (window entries) that send every point to one regime.
 _ALL_GEMM, _ALL_SCATTER = 1, 1 << 62
-#: Delivered error may exceed the requested eps by this factor against the
-#: exact sums (the library-wide contract of ``tests/test_accuracy.py``).
-_SAFETY = 12.0
 
 
 def _run_windowed(nufft_type, ndim, precision, n_trans, pts, data, out=None):
@@ -254,13 +334,13 @@ def test_pencil_regimes_agree(ndim, nufft_type, precision, n_trans, regime, dist
 def test_gemm_spread_is_adjoint_of_gemm_interp(fine_shape, regime, monkeypatch):
     """<spread(c), g> == <c, interp(g)> with crowded pencils on the GEMM path."""
     rng = np.random.default_rng(len(fine_shape))
-    _, cache, order = _engine_setup(rng, fine_shape, 1e-9, m=400, dist="cluster")
+    _, cache = _engine_setup(rng, fine_shape, 1e-9, m=400, dist="cluster")
     monkeypatch.setattr(windowed, "_PENCIL_MIN_ENTRIES",
                         _ALL_GEMM if regime == "gemm" else 8 * cache.width ** len(fine_shape))
     c = _random(rng, (2, cache.n_points), np.complex128)
     g = _random(rng, (2,) + fine_shape, np.complex128)
-    spread = spread_windowed(c, cache, order, np.zeros_like(g))
-    values = interp_windowed(g, cache, order, np.zeros_like(c))
+    spread = spread_windowed(c, cache, np.zeros_like(g))
+    values = interp_windowed(g, cache, np.zeros_like(c))
     n_gemm = cache.pencils.points.size
     assert n_gemm == cache.n_points if regime == "gemm" else 0 < n_gemm < cache.n_points
     lhs = np.vdot(g, spread)
@@ -271,18 +351,21 @@ def test_gemm_spread_is_adjoint_of_gemm_interp(fine_shape, regime, monkeypatch):
 def test_pencil_split_assigns_every_point_once():
     rng = np.random.default_rng(11)
     fine_shape = (40, 36, 32)
-    _, cache, order = _engine_setup(rng, fine_shape, 1e-6, m=3000, dist="mixture")
+    _, cache = _engine_setup(rng, fine_shape, 1e-6, m=3000, dist="mixture")
     pencils = windowed._pencils(cache)
     step = 10  # splits the crowded pencils into several pieces
     pieces = list(windowed._pencil_blocks(pencils, step))
     gemm = np.concatenate(pieces)
-    scattered = windowed._scatter_order(pencils, order)
     m = cache.n_points
+    per_point = windowed._CHUNK_ENTRIES // 100  # scatter chunks of 100 points
+    chunks = [np.arange(m)[sel] for sel in windowed._scatter_chunks(pencils, per_point)]
+    scattered = np.concatenate(chunks)
     assert 0 < gemm.size < m and len(pieces) > len(pencils.starts) - 1
     assert np.array_equal(gemm, pencils.points)
     assert np.array_equal(np.sort(np.concatenate([gemm, scattered])), np.arange(m))
-    # The scattered points keep their relative order in ``order``.
-    assert np.array_equal(scattered, order[np.isin(order, scattered)])
+    # The scattered points keep the cache's (bin-sort) order.
+    assert np.all(np.diff(scattered) > 0)
+    assert len(chunks) > 1 and all(0 < chunk.size <= 100 for chunk in chunks)
 
     before, _ = windowed._padding(cache.width)
     for piece in pieces:
@@ -311,16 +394,15 @@ def test_pencil_temporaries_stay_flat(monkeypatch):
         rng = np.random.default_rng(m)
         grid_coords = [rng.uniform(30.6, 30.9, m) for _ in fine_shape]
         cache = build_stencil_cache(grid_coords, fine_shape, kernel, build_matrix=False)
-        order = np.arange(m)
         c = _random(rng, (1, m), np.complex128)
         g = _random(rng, (1,) + fine_shape, np.complex128)
         spread, values = np.zeros_like(g), np.zeros_like(c)
-        spread_windowed(c, cache, order, spread)  # groups the points
+        spread_windowed(c, cache, spread)  # groups the points
         assert cache.pencils.points.size == m and cache.pencils.starts.size == 2
         tracemalloc.start()
         try:
-            spread_windowed(c, cache, order, spread)
-            interp_windowed(g, cache, order, values)
+            spread_windowed(c, cache, spread)
+            interp_windowed(g, cache, values)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
