@@ -385,11 +385,14 @@ class Plan:
         grid_coords = [
             to_grid_coordinates(coords[d], self.fine_shape[d]) for d in range(self.ndim)
         ]
+        # An equal point count gives an operator of equal size: the new
+        # stencil cache is then written into the old one's arrays.
+        previous = self._stencil if coords[0].shape[0] == self.n_points else None
         self._release_point_state()
         self.n_points = coords[0].shape[0]
         self._grid_coords = grid_coords
         self._upload_points(coords)
-        self._build_point_precompute()
+        self._build_point_precompute(recycle=previous)
         self._points_ready = True
         return self
 
@@ -453,11 +456,13 @@ class Plan:
             self._point_buffers.append(buf)
             self._setup_pipeline.add_transfer("h2d", buf.nbytes, f"points dim{d}")
 
-    def _build_point_precompute(self):
+    def _build_point_precompute(self, recycle=None):
         """Bin sort, stencil cache, subproblem split and setup profiles.
 
         Shared by every transform type; for type 3 it runs on the rescaled
-        source coordinates over the derived fine grid.
+        source coordinates over the derived fine grid.  ``recycle`` is the
+        previous point set's stencil cache, whose arrays the new one may
+        reuse (see :func:`~repro.core.stencil.build_stencil_cache`).
         """
         m = self.n_points
         # Bin statistics are always computed (the contention model needs them);
@@ -491,6 +496,7 @@ class Plan:
                 store=self.artifact_store,
                 points_digest=points_digest,
                 bin_shape=self.bin_shape,
+                recycle=recycle,
             )
         if self.method is SpreadMethod.SM and self.nufft_type != 2:
             self._subproblems = make_subproblems(self._sort, self.opts.max_subproblem_size)

@@ -113,39 +113,49 @@ class StencilCache:
         return int(total)
 
 
-def _tensor_stencil(idx_per_dim, vals_per_dim, fine_shape):
+def _tensor_stencil(idx_per_dim, vals_per_dim, fine_shape, index_dtype=np.int64,
+                    out=None):
     """Fuse per-dimension stencils into flat indices and product weights.
 
     Returns ``(flat_idx, weights)`` of shape ``(M, w^d)`` where ``flat_idx``
-    indexes the flattened fine grid and ``weights`` holds the separable kernel
-    tensor product.
+    (of ``index_dtype``) indexes the flattened fine grid and ``weights``
+    holds the separable kernel tensor product.  Each is written into one
+    array -- fresh, or the ``out`` pair of contiguous ``M * w^d`` buffers --
+    with no full-size temporaries: at ``M * w^d`` entries these are the
+    largest allocations of a ``set_pts``, and every new page costs a fault.
+    In 1D the inputs themselves are returned (``out`` unused).
     """
     ndim = len(fine_shape)
     m = idx_per_dim[0].shape[0]
     if ndim == 1:
-        return idx_per_dim[0].reshape(m, -1), vals_per_dim[0].reshape(m, -1)
-    if ndim == 2:
-        n2 = fine_shape[1]
-        flat_idx = idx_per_dim[0][:, :, None] * n2 + idx_per_dim[1][:, None, :]
-        weights = vals_per_dim[0][:, :, None] * vals_per_dim[1][:, None, :]
+        return (idx_per_dim[0].astype(index_dtype, copy=False).reshape(m, -1),
+                vals_per_dim[0].reshape(m, -1))
+    strides = np.cumprod((1,) + tuple(int(n) for n in fine_shape[:0:-1]))[::-1]
+    shape = (m,) + tuple(a.shape[1] for a in idx_per_dim)
+
+    def along(a, d):
+        view = [m] + [1] * ndim
+        view[d + 1] = a.shape[1]
+        return a.reshape(view)
+
+    if out is not None:
+        flat_idx, weights = (a.reshape(shape) for a in out)
     else:
-        n2, n3 = fine_shape[1], fine_shape[2]
-        flat_idx = (
-            idx_per_dim[0][:, :, None, None] * (n2 * n3)
-            + idx_per_dim[1][:, None, :, None] * n3
-            + idx_per_dim[2][:, None, None, :]
-        )
-        weights = (
-            vals_per_dim[0][:, :, None, None]
-            * vals_per_dim[1][:, None, :, None]
-            * vals_per_dim[2][:, None, None, :]
-        )
+        flat_idx = np.empty(shape, dtype=index_dtype)
+        weights = np.empty(shape, dtype=np.result_type(*vals_per_dim))
+    scaled = [(idx * int(st)).astype(index_dtype, copy=False)
+              for idx, st in zip(idx_per_dim, strides)]
+    np.add(along(scaled[0], 0), along(scaled[1], 1), out=flat_idx)
+    np.multiply(along(vals_per_dim[0], 0), along(vals_per_dim[1], 1), out=weights)
+    for d in range(2, ndim):
+        flat_idx += along(scaled[d], d)
+        weights *= along(vals_per_dim[d], d)
     return flat_idx.reshape(m, -1), weights.reshape(m, -1)
 
 
 def build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval="horner",
                         fuse_budget=DEFAULT_FUSE_BUDGET, build_matrix=True,
-                        store=None, points_digest=None, bin_shape=None):
+                        store=None, points_digest=None, bin_shape=None, recycle=None):
     """Build the stencil cache for one point set.
 
     Parameters
@@ -179,6 +189,12 @@ def build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval="horner",
         The bin shape ``grid_coords`` were bin-sorted by, when
         ``points_digest`` is of the points in the caller's order; part of
         the key, since the cache's point order depends on it.
+    recycle : StencilCache, optional
+        A cache the caller discards (the plan's previous point set).  When
+        its CSR operator has the new one's size, the new operator is written
+        into its arrays instead of fresh memory, which would page-fault on
+        first touch; ``recycle`` must not be used afterwards.  Ignored when
+        the store participates, whose entries may be shared.
     """
     if kernel_eval not in ("horner", "exact"):
         raise ValueError(f"kernel_eval must be 'horner' or 'exact', got {kernel_eval!r}")
@@ -197,12 +213,22 @@ def build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval="horner",
             return cache
         # Deserialization impossible (e.g. a matrix-bearing entry without
         # scipy): fall through to a fresh build.
+        recycle = None
     return _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
-                                fuse_budget, build_matrix, store=store)
+                                fuse_budget, build_matrix, store=store, recycle=recycle)
+
+
+def _recyclable_operator(recycle, nnz, index_dtype):
+    """``recycle``'s CSR operator when its arrays fit ``nnz`` entries."""
+    old = getattr(recycle, "interp_matrix", None)
+    if (old is None or old.data.shape != (nnz,) or old.data.dtype != np.float64
+            or old.indices.dtype != index_dtype):
+        return None
+    return old
 
 
 def _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
-                         fuse_budget, build_matrix, store=None):
+                         fuse_budget, build_matrix, store=None, recycle=None):
     """The actual build (no store lookup); see :func:`build_stencil_cache`."""
     ndim = len(fine_shape)
     w = kernel.width
@@ -224,10 +250,25 @@ def _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
     matrix = None
     if build_matrix and _sparse is not None and m * (w ** ndim) <= fuse_budget:
         offsets = np.arange(w, dtype=np.int64)
-        idx_list = [np.mod(i0[:, None] + offsets, n) for i0, n in zip(i0_list, fine_shape)]
-        flat_idx, weights = _tensor_stencil(idx_list, vals_list, fine_shape)
-        k = flat_idx.shape[1]
-        indptr = np.arange(0, (m + 1) * k, k, dtype=np.int64)
+        idx_list = []
+        for i0, n in zip(i0_list, fine_shape):
+            idx = i0[:, None] + offsets
+            np.mod(idx, n, out=idx)
+            idx_list.append(idx)
+        k = w ** ndim
+        # The index dtype scipy would pick anyway, so it keeps the arrays
+        # instead of converting (copying) them.
+        n_fine = int(np.prod(fine_shape))
+        index_dtype = (np.int32 if max(n_fine, m * k) <= np.iinfo(np.int32).max
+                       else np.int64)
+        old = _recyclable_operator(recycle, m * k, index_dtype)
+        flat_idx, weights = _tensor_stencil(
+            idx_list, vals_list, fine_shape, index_dtype,
+            out=None if old is None else (old.indices, old.data))
+        # Every row holds k entries, so an operator of equal size has this
+        # very indptr.
+        indptr = (np.arange(0, (m + 1) * k, k, dtype=index_dtype) if old is None
+                  else old.indptr)
         matrix = _sparse.csr_matrix(
             (weights.reshape(-1), flat_idx.reshape(-1), indptr),
             shape=(m, int(np.prod(fine_shape))),

@@ -234,6 +234,28 @@ class TestPlanBatchedEngine:
         plan.destroy()
         assert plan._stencil is None
 
+    @pytest.mark.parametrize("n_modes", [(20, 20), (10, 12, 8)])
+    def test_set_pts_of_equal_size_recycles_operator(self, rng, n_modes):
+        m = 500
+        first = [rng.uniform(-np.pi, np.pi, m) for _ in n_modes]
+        second = [rng.uniform(-np.pi, np.pi, m) for _ in n_modes]
+        c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        with Plan(1, n_modes, eps=1e-7, precision="double") as plan, \
+                Plan(1, n_modes, eps=1e-7, precision="double") as fresh:
+            plan.set_pts(*first)
+            old = plan._stencil.interp_matrix
+            plan.set_pts(*second)
+            fresh.set_pts(*second)
+            new, ref = plan._stencil.interp_matrix, fresh._stencil.interp_matrix
+            # Written into the previous operator's memory, equal to a fresh build.
+            assert np.shares_memory(new.data, old.data)
+            assert np.shares_memory(new.indices, old.indices)
+            for part in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(new, part), getattr(ref, part))
+            out = plan.execute(c)
+            np.testing.assert_array_equal(out, fresh.execute(c))
+        assert relative_l2_error(out, nudft_type1(second, c, n_modes)) < 1e-5
+
     def test_repeated_execute_reuses_cache(self, rng):
         x, y, c = make_points_2d(rng, m=400)
         d = rng.standard_normal(400) + 1j * rng.standard_normal(400)
