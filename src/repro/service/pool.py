@@ -8,9 +8,12 @@ exact point set the bin sort + stencil cache are skipped too.
 
 Entries are keyed by ``(plan_key, n_trans, device_id)`` -- a plan is bound to
 its device's memory pool, and ``n_trans`` is baked into a plan's batched
-buffers.  Eviction is least-recently-used by lease *or* release, bounded by
-``max_plans`` live plans; evicted plans are destroyed so their simulated
-device memory is returned.
+buffers.  Each key's bucket lists its idle plans in release order, so
+``bucket[0]`` is the least recently used.  Both victims are chosen by that
+order: a lease with no ``points_key`` (re-pointing a plan for a new point
+set) takes the least recently used idle plan, which leaves recently used --
+hot -- point sets in place; eviction beyond ``max_plans`` idle plans destroys
+the pool-wide least recently used one, returning its simulated device memory.
 """
 
 from __future__ import annotations
@@ -84,11 +87,14 @@ class PlanPool:
         When ``points_key`` is given and the bucket holds a plan already
         carrying that exact point set, that plan is preferred (its bin sort
         and stencil cache are still valid, so ``set_pts`` can be skipped).
+        Otherwise the victim is the least recently used plan of the bucket,
+        ``bucket[0]``: the caller re-points it, and the plan least likely to
+        be asked for its point set again is the one idle the longest.
         """
         bucket = self._idle.get(key)
         if not bucket:
             return None
-        index = len(bucket) - 1
+        index = 0
         if points_key is not None:
             for i, candidate in enumerate(bucket):
                 if candidate.points_key == points_key:
@@ -101,6 +107,19 @@ class PlanPool:
         entry.last_used = next(self._clock)
         entry.leases += 1
         return entry
+
+    def lru_key(self, keys):
+        """The key among ``keys`` holding the least recently used idle plan.
+
+        Compares each bucket's oldest entry (``bucket[0]``); ``None`` when
+        none of ``keys`` has an idle plan.
+        """
+        oldest, lru = None, None
+        for key in keys:
+            bucket = self._idle.get(key)
+            if bucket and (oldest is None or bucket[0].last_used < oldest):
+                oldest, lru = bucket[0].last_used, key
+        return lru
 
     def has_points(self, key, points_key):
         """Whether an idle plan for ``key`` already holds ``points_key``."""
@@ -139,14 +158,8 @@ class PlanPool:
             self._evict_lru()
 
     def _evict_lru(self):
-        lru_key, lru_index = None, None
-        lru_stamp = None
-        for key, bucket in self._idle.items():
-            for i, entry in enumerate(bucket):
-                if lru_stamp is None or entry.last_used < lru_stamp:
-                    lru_stamp = entry.last_used
-                    lru_key, lru_index = key, i
-        entry = self._idle[lru_key].pop(lru_index)
+        lru_key = self.lru_key(self._idle)
+        entry = self._idle[lru_key].pop(0)
         if not self._idle[lru_key]:
             del self._idle[lru_key]
         self.n_idle -= 1

@@ -888,8 +888,10 @@ class TransformService:
         With ``device`` pinned (multi-shard blocks), only that device's pool
         bucket is consulted.  Otherwise device choice balances cache affinity
         against load: first a device (in least-loaded order) whose pooled
-        plan already holds this exact point set, then any device with a
-        geometry match, then a fresh plan on the least-loaded device.
+        plan already holds this exact point set, then a device with an
+        unpointed plan, then -- at pool capacity -- the least recently used
+        pointed plan for the key across all candidate devices, re-pointed,
+        and otherwise a fresh plan on the least-loaded device.
         """
         if device is not None:
             ranked = [device]
@@ -913,11 +915,13 @@ class TransformService:
         # pooled plan (otherwise a single plan ping-pongs between point
         # sets, re-sorting forever).  External lessees (allow_repoint)
         # re-point the plan regardless, so for them any geometry hit wins.
+        # The victim is the pool-wide least recently used plan for the key:
+        # the most recent ones hold the hot point sets.
         if allow_repoint or 0 < self.pool.max_plans <= self.pool.n_idle:
-            for device in ranked:
-                entry = self.pool.lease((plan_key, n_trans, device.device_id))
-                if entry is not None:
-                    return entry, False
+            key = self.pool.lru_key([(plan_key, n_trans, device.device_id)
+                                     for device in ranked])
+            if key is not None:
+                return self.pool.lease(key), False
         device = ranked[0]
         plan = factory(device)
         entry = self.pool.make_entry(plan, (plan_key, n_trans, device.device_id))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import binsort
 from repro.core.binsort import (
     SpreadStats,
     bin_sort,
@@ -145,6 +146,28 @@ class TestBinSort:
         sort = bin_sort(grid_coords, fine, (32, 32))
         assert sort.n_occupied_cells <= 64
         assert sort.n_nonempty_bins == 1
+
+    @pytest.mark.parametrize("fine", [(40,), (24, 20), (12, 10, 8)])
+    @pytest.mark.parametrize("layout", ["cluster", "top-edge"])
+    def test_occupied_cell_count_same_in_both_branches(self, rng, monkeypatch, fine, layout):
+        m = 3000
+        if layout == "cluster":
+            # A few cells hold every point.
+            grid_coords = [rng.uniform(1.0, 3.5, m) for _ in fine]
+        else:
+            # Every point in the last cell of some axis, some exactly on the
+            # upper grid edge (clipped into that cell).
+            grid_coords = [rng.uniform(0.0, n, m) for n in fine]
+            for d, n in enumerate(fine):
+                rows = np.arange(d, m, len(fine))
+                grid_coords[d][rows] = n - rng.uniform(0.0, 0.5, rows.size)
+                grid_coords[d][rows[::7]] = float(n)
+        cells = {tuple(min(int(np.floor(g[i])), n - 1) for g, n in zip(grid_coords, fine))
+                 for i in range(m)}
+        bins = (4,) * len(fine)
+        counted = bin_sort(grid_coords, fine, bins).n_occupied_cells
+        monkeypatch.setattr(binsort, "_BINCOUNT_MAX_CELLS", 0)
+        assert bin_sort(grid_coords, fine, bins).n_occupied_cells == counted == len(cells)
 
     def test_3d_bin_sort(self, rng):
         fine = (32, 32, 16)

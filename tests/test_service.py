@@ -132,6 +132,53 @@ class TestPlanPool:
         assert plan._destroyed
         assert pool.lease(("k",)) is None
 
+    @staticmethod
+    def _released(pool, points_keys, key=("k",)):
+        """Release one entry per points key, in order; returns the entries."""
+        entries = []
+        for points_key in points_keys:
+            entry = pool.make_entry(Plan(1, (16,)), key)
+            entry.points_key = points_key
+            pool.release(entry)
+            entries.append(entry)
+        return entries
+
+    def test_lease_without_points_key_takes_earliest_released(self):
+        pool = PlanPool(max_plans=4)
+        entries = self._released(pool, ["a", "b", "c"])
+        assert pool.lease(("k",)) is entries[0]
+        assert pool.lease(("k",)) is entries[1]
+        pool.release(entries[0])
+        assert pool.lease(("k",)) is entries[2]
+        pool.clear()
+
+    def test_points_key_hit_wins_over_lru_order(self):
+        pool = PlanPool(max_plans=4)
+        entries = self._released(pool, ["a", "b", "c"])
+        assert pool.lease(("k",), points_key="c") is entries[2]
+        # A points key the pool does not hold falls back to the LRU plan.
+        assert pool.lease(("k",), points_key="zzz") is entries[0]
+        pool.clear()
+
+    def test_lease_unpointed_unchanged(self):
+        pool = PlanPool(max_plans=4)
+        entries = self._released(pool, ["a", None, "c", None])
+        assert pool.lease_unpointed(("k",)) is entries[1]
+        assert pool.lease_unpointed(("k",)) is entries[3]
+        assert pool.lease_unpointed(("k",)) is None
+        assert pool.lease_unpointed(("other",)) is None
+        assert pool.n_idle == 2
+        pool.clear()
+
+    def test_lru_key_compares_buckets(self):
+        pool = PlanPool(max_plans=4)
+        self._released(pool, ["a"], key=("k", 1))
+        self._released(pool, ["b"], key=("k", 0))
+        assert pool.lru_key([("k", 0), ("k", 1)]) == ("k", 1)
+        assert pool.lru_key([("k", 0), ("k", 2)]) == ("k", 0)
+        assert pool.lru_key([("k", 2)]) is None
+        pool.clear()
+
 
 # --------------------------------------------------------------------------- #
 # the service
@@ -313,6 +360,55 @@ class TestTransformService:
             _submit_mix(service, (x, y), [np.ones(m, complex)])
             r = service.flush()[0]
             assert r.plan_reused and r.setpts_reused
+
+
+class TestPoolAtCapacity:
+    """A pool with room for k hot point sets plus spares keeps them warm."""
+
+    n_hot = 4
+    m = 200
+
+    def _serve(self, service, x, y, data):
+        service.submit(nufft_type=1, n_modes=(16, 16), data=data, x=x, y=y)
+        (result,) = service.flush()
+        assert result.error is None
+        return result
+
+    def _run(self, rng, n_devices, rounds=6):
+        hot = [rng.uniform(-np.pi, np.pi, (2, self.m)) for _ in range(self.n_hot)]
+        data = np.ones(self.m, complex)
+        victims = []
+        with TransformService(n_devices=n_devices, max_plans=self.n_hot + 3) as service:
+            # Warm-up fills the pool: three spare plans, then one per hot set.
+            for x, y in [rng.uniform(-np.pi, np.pi, (2, self.m)) for _ in range(3)] + hot:
+                self._serve(service, x, y, data)
+            assert service.pool.n_idle == service.pool.max_plans
+            executed = service.stats.setpts_executed
+            n_fresh = 0
+            for _ in range(rounds):
+                for i, (x, y) in enumerate(hot):
+                    assert self._serve(service, x, y, data).setpts_reused
+                    if i % 2:
+                        idle = [e for bucket in service.pool._idle.values() for e in bucket]
+                        victim = min(idle, key=lambda e: e.last_used)
+                        x_new, y_new = rng.uniform(-np.pi, np.pi, (2, self.m))
+                        result = self._serve(service, x_new, y_new, data)
+                        n_fresh += 1
+                        assert not result.setpts_reused and result.plan_reused
+                        assert result.device_id == victim.device_id
+                        assert victim.points_key == TransformRequest(
+                            1, (16, 16), data, x=x_new, y=y_new).points_key()
+                        victims.append(victim.device_id)
+            assert service.stats.setpts_executed - executed == n_fresh
+            assert service.pool.n_idle == service.pool.max_plans
+        return victims
+
+    def test_fresh_points_never_evict_hot_sets(self, rng):
+        self._run(rng, n_devices=1)
+
+    def test_two_devices_repoint_pool_wide_lru(self, rng):
+        victims = self._run(rng, n_devices=2)
+        assert set(victims) == {0, 1}
 
 
 class TestFusedLaunchModel:
