@@ -240,7 +240,9 @@ class DeviceFleet:
         sequence of equal-cost placements round-robins naturally: each
         placement advances its device's frontier past its siblings'.  This is
         *the* placement order -- the service uses it for block pinning and
-        plan acquisition alike.
+        plan acquisition alike, with one exception: at pool capacity a plan
+        is re-pointed on whichever candidate device holds the least recently
+        used idle plan, so that hot point sets stay pooled.
 
         With ``healthy_only=True`` (the default) only admissible devices are
         returned -- open breakers, draining and evicted devices are skipped.

@@ -40,11 +40,6 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
-# Largest fine grid (in cells) whose occupied cells are counted with a
-# per-cell histogram: 2^22 int64 counts are 32 MiB.  Larger grids fall back
-# to ``np.unique``, which sorts the M cell indices instead.
-_BINCOUNT_MAX_CELLS = 1 << 22
-
 
 def fold_coordinates(x):
     """Fold coordinates into ``[0, 2*pi)``.
@@ -186,11 +181,11 @@ def bin_sort(grid_coords, fine_shape, bin_shape):
         np.clip(cell, 0, fine_shape[d] - 1, out=cell)
         cell_index = cell * stride if cell_index is None else cell_index + cell * stride
         stride *= int(fine_shape[d])
-    n_cells = stride
-    if n_cells <= _BINCOUNT_MAX_CELLS:
-        n_occupied_cells = int(np.count_nonzero(np.bincount(cell_index, minlength=n_cells)))
-    else:
-        n_occupied_cells = int(np.unique(cell_index).shape[0])
+    # An occupancy mask is one byte per cell, under 1/8 of the fine grid the
+    # plan allocates anyway, and avoids sorting the M cell indices.
+    occupied = np.zeros(stride, dtype=bool)
+    occupied[cell_index] = True
+    n_occupied_cells = int(np.count_nonzero(occupied))
 
     return BinSort(
         permutation=permutation,

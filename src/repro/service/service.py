@@ -890,8 +890,10 @@ class TransformService:
         against load: first a device (in least-loaded order) whose pooled
         plan already holds this exact point set, then a device with an
         unpointed plan, then -- at pool capacity -- the least recently used
-        pointed plan for the key across all candidate devices, re-pointed,
-        and otherwise a fresh plan on the least-loaded device.
+        pointed plan for the key across all candidate devices, re-pointed
+        (below capacity, external lessees take the first pointed plan in
+        least-loaded order), and otherwise a fresh plan on the least-loaded
+        device.
         """
         if device is not None:
             ranked = [device]
@@ -913,15 +915,21 @@ class TransformService:
         # which pays off only once the pool can no longer grow: below
         # capacity, distinct recurring point sets each deserve their own
         # pooled plan (otherwise a single plan ping-pongs between point
-        # sets, re-sorting forever).  External lessees (allow_repoint)
-        # re-point the plan regardless, so for them any geometry hit wins.
-        # The victim is the pool-wide least recently used plan for the key:
-        # the most recent ones hold the hot point sets.
-        if allow_repoint or 0 < self.pool.max_plans <= self.pool.n_idle:
+        # sets, re-sorting forever).  At capacity the victim is the least
+        # recently used plan for the key across the candidate devices, not
+        # the least-loaded device's: the most recent plans hold the hot point
+        # sets.  External lessees (allow_repoint) re-point the plan
+        # regardless, so below capacity any geometry hit wins, in load order.
+        if 0 < self.pool.max_plans <= self.pool.n_idle:
             key = self.pool.lru_key([(plan_key, n_trans, device.device_id)
                                      for device in ranked])
             if key is not None:
                 return self.pool.lease(key), False
+        elif allow_repoint:
+            for device in ranked:
+                entry = self.pool.lease((plan_key, n_trans, device.device_id))
+                if entry is not None:
+                    return entry, False
         device = ranked[0]
         plan = factory(device)
         entry = self.pool.make_entry(plan, (plan_key, n_trans, device.device_id))
@@ -1199,7 +1207,9 @@ class TransformService:
         ``isign`` selects the exponent sign (``None`` keeps the per-type
         default) and is part of the pool key.  ``device`` pins the lease to
         one fleet device (used by sharded solves); by default the
-        least-loaded device wins.
+        least-loaded device holding an idle plan wins, or -- once the pool
+        is at capacity -- the device holding the key's least recently used
+        idle plan, whatever its load.
         """
         self._require_open()
         plan_key = plan_key_for(nufft_type, n_modes, eps, precision, method,

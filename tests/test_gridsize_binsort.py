@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import binsort
 from repro.core.binsort import (
     SpreadStats,
     bin_sort,
@@ -149,7 +148,7 @@ class TestBinSort:
 
     @pytest.mark.parametrize("fine", [(40,), (24, 20), (12, 10, 8)])
     @pytest.mark.parametrize("layout", ["cluster", "top-edge"])
-    def test_occupied_cell_count_same_in_both_branches(self, rng, monkeypatch, fine, layout):
+    def test_occupied_cell_count_matches_set_of_cells(self, rng, fine, layout):
         m = 3000
         if layout == "cluster":
             # A few cells hold every point.
@@ -164,10 +163,8 @@ class TestBinSort:
                 grid_coords[d][rows[::7]] = float(n)
         cells = {tuple(min(int(np.floor(g[i])), n - 1) for g, n in zip(grid_coords, fine))
                  for i in range(m)}
-        bins = (4,) * len(fine)
-        counted = bin_sort(grid_coords, fine, bins).n_occupied_cells
-        monkeypatch.setattr(binsort, "_BINCOUNT_MAX_CELLS", 0)
-        assert bin_sort(grid_coords, fine, bins).n_occupied_cells == counted == len(cells)
+        sort = bin_sort(grid_coords, fine, (4,) * len(fine))
+        assert sort.n_occupied_cells == len(cells)
 
     def test_3d_bin_sort(self, rng):
         fine = (32, 32, 16)

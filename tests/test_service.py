@@ -410,6 +410,21 @@ class TestPoolAtCapacity:
         victims = self._run(rng, n_devices=2)
         assert set(victims) == {0, 1}
 
+    def test_lessee_below_capacity_takes_least_loaded_device(self, rng):
+        data = np.ones(self.m, complex)
+        with TransformService(n_devices=2) as service:
+            for _ in range(3):
+                self._serve(service, *rng.uniform(-np.pi, np.pi, (2, self.m)), data)
+            assert service.pool.n_idle < service.pool.max_plans
+            keys = list(service.pool._idle)
+            least_loaded = service.fleet.ranked()[0].device_id
+            # The pool-wide LRU plan sits on the busier device.
+            assert service.pool.lru_key(keys)[-1] != least_loaded
+            plan = service.lease_plan(1, (16, 16), precision="single")
+            assert service.stats.lease_hits == 1
+            assert plan.device.device_id == least_loaded
+            service.release_plan(plan)
+
 
 class TestFusedLaunchModel:
     def test_batched_exec_cheaper_than_looped(self, rng):
