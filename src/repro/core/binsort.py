@@ -64,6 +64,29 @@ def to_grid_coordinates(x, n_fine):
     return gx
 
 
+def _bin_index_and_cells(grid_coords, fine_shape, bin_shape):
+    """:func:`compute_bin_index`, plus each point's fine-grid cell per
+    dimension (floored, clipped to the grid), which the occupied-cell count
+    of :func:`bin_sort` reuses."""
+    ndim = len(fine_shape)
+    if len(grid_coords) != ndim or len(bin_shape) != ndim:
+        raise ValueError("grid_coords, fine_shape and bin_shape must have equal length")
+    bins_per_dim = tuple(-(-int(n) // int(m)) for n, m in zip(fine_shape, bin_shape))
+
+    cells = []
+    bin_index = None
+    stride = 1
+    for d in range(ndim):
+        cell = np.floor(grid_coords[d]).astype(np.int64)
+        np.clip(cell, 0, fine_shape[d] - 1, out=cell)
+        cells.append(cell)
+        b = cell // int(bin_shape[d])
+        contribution = b * stride
+        bin_index = contribution if bin_index is None else bin_index + contribution
+        stride *= bins_per_dim[d]
+    return bin_index, bins_per_dim, cells
+
+
 def compute_bin_index(grid_coords, fine_shape, bin_shape):
     """Bin index of each point, with the x axis fastest (paper Sec. III-A).
 
@@ -83,20 +106,7 @@ def compute_bin_index(grid_coords, fine_shape, bin_shape):
     bins_per_dim : tuple of int
         Number of bins along each dimension (``ceil(n_i / m_i)``).
     """
-    ndim = len(fine_shape)
-    if len(grid_coords) != ndim or len(bin_shape) != ndim:
-        raise ValueError("grid_coords, fine_shape and bin_shape must have equal length")
-    bins_per_dim = tuple(-(-int(n) // int(m)) for n, m in zip(fine_shape, bin_shape))
-
-    bin_index = None
-    stride = 1
-    for d in range(ndim):
-        cell = np.floor(grid_coords[d]).astype(np.int64)
-        np.clip(cell, 0, fine_shape[d] - 1, out=cell)
-        b = cell // int(bin_shape[d])
-        contribution = b * stride
-        bin_index = contribution if bin_index is None else bin_index + contribution
-        stride *= bins_per_dim[d]
+    bin_index, bins_per_dim, _ = _bin_index_and_cells(grid_coords, fine_shape, bin_shape)
     return bin_index, bins_per_dim
 
 
@@ -163,24 +173,25 @@ def bin_sort(grid_coords, fine_shape, bin_shape):
     construction in the paper.
     """
     m = grid_coords[0].shape[0]
-    bin_index, bins_per_dim = compute_bin_index(grid_coords, fine_shape, bin_shape)
+    bin_index, bins_per_dim, cells = _bin_index_and_cells(grid_coords, fine_shape, bin_shape)
     n_bins = int(np.prod(bins_per_dim))
     bin_counts = np.bincount(bin_index, minlength=n_bins).astype(np.int64)
     bin_starts = np.zeros(n_bins, dtype=np.int64)
     np.cumsum(bin_counts[:-1], out=bin_starts[1:])
     # Stable counting sort: argsort with a stable algorithm on the bin index.
-    permutation = np.argsort(bin_index, kind="stable").astype(np.int64)
+    # numpy's stable sort of integers of at most 16 bits is a radix sort, so
+    # the keys are narrowed when the bin count allows (same permutation).
+    keys = bin_index.astype(np.uint16) if n_bins <= 1 << 16 else bin_index
+    permutation = np.argsort(keys, kind="stable").astype(np.int64, copy=False)
     if permutation.shape[0] != m:
         raise AssertionError("permutation length mismatch")
 
     # Distinct fine-grid cells containing points (for the contention model).
     cell_index = None
     stride = 1
-    for d in range(len(fine_shape)):
-        cell = np.floor(grid_coords[d]).astype(np.int64)
-        np.clip(cell, 0, fine_shape[d] - 1, out=cell)
+    for cell, n in zip(cells, fine_shape):
         cell_index = cell * stride if cell_index is None else cell_index + cell * stride
-        stride *= int(fine_shape[d])
+        stride *= int(n)
     # An occupancy mask is one byte per cell, under 1/8 of the fine grid the
     # plan allocates anyway, and avoids sorting the M cell indices.
     occupied = np.zeros(stride, dtype=bool)

@@ -116,13 +116,12 @@ def _chunk_stencil(grid_coords, fine_shape, kernel, sel):
     Evaluates the exact stencils on the fly (the seed behaviour) and wraps
     the indices periodically.
     """
-    offsets = np.arange(kernel.width, dtype=np.int64)
-    idx_per_dim, vals_per_dim = [], []
+    starts, vals_per_dim = [], []
     for d in range(len(fine_shape)):
         i0, vals = compute_kernel_stencil(grid_coords[d][sel], fine_shape[d], kernel)
-        idx_per_dim.append(np.mod(i0[:, None] + offsets[None, :], fine_shape[d]))
+        starts.append(i0)
         vals_per_dim.append(vals)
-    return _tensor_stencil(idx_per_dim, vals_per_dim, fine_shape)
+    return _tensor_stencil(starts, vals_per_dim, fine_shape)
 
 
 def _accumulate_chunk(grid_real, grid_imag, flat_idx, weights_real, weights_imag):
@@ -298,7 +297,6 @@ def spread_sm(fine_shape, grid_coords, strengths, kernel, sort, subproblems,
     bins_per_dim = sort.bins_per_dim
     local_shape = padded_bin_shape(bin_shape, w)
     local_size = int(np.prod(local_shape))
-    offsets = np.arange(w, dtype=np.int64)
     t_offsets = (np.arange(n_trans, dtype=np.int64) * local_size)[:, None, None]
     t_ix = np.arange(n_trans)
 
@@ -317,20 +315,21 @@ def spread_sm(fine_shape, grid_coords, strengths, kernel, sort, subproblems,
             rem //= bins_per_dim[d]
         delta = [bcoords[d] * bin_shape[d] - pad for d in range(ndim)]
 
-        idx_per_dim = []
+        starts = []
         vals_per_dim = []
         for d in range(ndim):
             i0, vals = compute_kernel_stencil(grid_coords[d][sel], fine_shape[d], kernel)
-            local_idx = i0[:, None] + offsets[None, :] - delta[d]
-            if local_idx.min() < 0 or local_idx.max() >= local_shape[d]:
+            local_start = i0 - delta[d]
+            if local_start.min() < 0 or local_start.max() + w > local_shape[d]:
                 raise AssertionError(
                     "subproblem point writes outside its padded bin -- "
                     "bin assignment and padding are inconsistent"
                 )
-            idx_per_dim.append(local_idx)
+            starts.append(local_start)
             vals_per_dim.append(vals)
 
-        flat_idx, wprod = _tensor_stencil(idx_per_dim, vals_per_dim, local_shape)
+        # Inside the padded bin, so the periodic wrap onto it never applies.
+        flat_idx, wprod = _tensor_stencil(starts, vals_per_dim, local_shape)
         cw = block[:, sel]
         local = np.zeros((n_trans, local_size), dtype=np.complex128)
         local_real, local_imag = _grid_views(local)

@@ -19,6 +19,14 @@ available, the *fused* form:
   tensor-product kernel values of every point as a ``(M, n_fine)`` CSR sparse
   matrix, whose transpose is the spreading operator.
 
+Both are built with numpy passes over long runs of points, never over one
+point's ``w`` nodes: the Horner evaluation runs node-major (``(w, points)``
+blocks, see :meth:`~repro.kernels.es_kernel.ESKernel.evaluate_offsets_horner`),
+and the operator is assembled in cache-sized point blocks, each built
+node-major (``(w^d, points)``, indices wrapped through a per-axis lookup
+table) and transposed into its CSR rows (:func:`_tensor_stencil`).  The
+outputs are bit-identical to point-major evaluation and assembly.
+
 ``execute`` then never calls ``evaluate_offsets`` again: spreading becomes a
 single sparse mat-mat over the ``(n_trans, M)`` strength block and
 interpolation the transposed gather; without the operator, the windowed
@@ -50,8 +58,13 @@ __all__ = [
 
 #: Maximum number of fused stencil entries (``M * w^d``) materialized by the
 #: cache; above this only the per-dimension arrays are kept.  32M entries is
-#: ~256 MB for the int64 indices plus ~256 MB for the float64 weights.
+#: ~128 MB of int32 indices (int64, ~256 MB, only once the grid size or the
+#: entry count passes 2^31) plus ~256 MB of float64 weights.
 DEFAULT_FUSE_BUDGET = 1 << 25
+
+#: Stencil entries per assembly block: the block's node-major index and
+#: weight tensors (~0.8 MB at int32 indices) stay in cache while built.
+_BLOCK_ENTRIES = 1 << 16
 
 try:  # pragma: no cover - exercised indirectly everywhere scipy exists
     from scipy import sparse as _sparse
@@ -113,44 +126,69 @@ class StencilCache:
         return int(total)
 
 
-def _tensor_stencil(idx_per_dim, vals_per_dim, fine_shape, index_dtype=np.int64,
-                    out=None):
-    """Fuse per-dimension stencils into flat indices and product weights.
+def _tensor_stencil(starts, vals_per_dim, shape, index_dtype=np.int64, out=None):
+    """Flat indices and tensor-product weights of every point's ``w^d`` stencil.
 
-    Returns ``(flat_idx, weights)`` of shape ``(M, w^d)`` where ``flat_idx``
-    (of ``index_dtype``) indexes the flattened fine grid and ``weights``
-    holds the separable kernel tensor product.  Each is written into one
-    array -- fresh, or the ``out`` pair of contiguous ``M * w^d`` buffers --
-    with no full-size temporaries: at ``M * w^d`` entries these are the
-    largest allocations of a ``set_pts``, and every new page costs a fault.
-    In 1D the inputs themselves are returned (``out`` unused).
+    Point ``j`` covers the nodes ``starts[d][j] + r`` (``0 <= r < w``) of
+    axis ``d``, wrapped periodically onto ``shape``, with kernel values
+    ``vals_per_dim[d][j]``.  Returns ``(flat_idx, weights)`` of shape
+    ``(M, w^d)``, the last axis's node fastest: ``flat_idx`` (of
+    ``index_dtype``) indexes the flattened grid and ``weights`` holds the
+    products ``vals[0][j, r0] * vals[1][j, r1] * ...`` taken in axis order.
+
+    Points are assembled in blocks of about ``_BLOCK_ENTRIES`` entries.  A
+    block is built node-major, ``(w^d, points)``, so every numpy pass runs
+    over the block's points rather than over one point's ``w`` nodes, and is
+    then transposed into its rows of the output: fresh arrays, or the ``out``
+    pair of contiguous ``M * w^d`` buffers.  No temporary grows with ``M``:
+    at ``M * w^d`` entries the outputs are the largest allocations of a
+    ``set_pts``, and every new page costs a fault.
     """
-    ndim = len(fine_shape)
-    m = idx_per_dim[0].shape[0]
-    if ndim == 1:
-        return (idx_per_dim[0].astype(index_dtype, copy=False).reshape(m, -1),
-                vals_per_dim[0].reshape(m, -1))
-    strides = np.cumprod((1,) + tuple(int(n) for n in fine_shape[:0:-1]))[::-1]
-    shape = (m,) + tuple(a.shape[1] for a in idx_per_dim)
-
-    def along(a, d):
-        view = [m] + [1] * ndim
-        view[d + 1] = a.shape[1]
-        return a.reshape(view)
-
+    ndim = len(shape)
+    m = starts[0].shape[0]
+    w = vals_per_dim[0].shape[1]
+    k = w ** ndim
     if out is not None:
-        flat_idx, weights = (a.reshape(shape) for a in out)
+        flat_idx, weights = (a.reshape(m, k) for a in out)
     else:
-        flat_idx = np.empty(shape, dtype=index_dtype)
-        weights = np.empty(shape, dtype=np.result_type(*vals_per_dim))
-    scaled = [(idx * int(st)).astype(index_dtype, copy=False)
-              for idx, st in zip(idx_per_dim, strides)]
-    np.add(along(scaled[0], 0), along(scaled[1], 1), out=flat_idx)
-    np.multiply(along(vals_per_dim[0], 0), along(vals_per_dim[1], 1), out=weights)
-    for d in range(2, ndim):
-        flat_idx += along(scaled[d], d)
-        weights *= along(vals_per_dim[d], d)
-    return flat_idx.reshape(m, -1), weights.reshape(m, -1)
+        flat_idx = np.empty((m, k), dtype=index_dtype)
+        weights = np.empty((m, k), dtype=np.result_type(*vals_per_dim))
+    # Per axis, the wrapped and stride-scaled index of every node the points
+    # reach: one table lookup replaces a modulo per (point, node) pair.
+    strides = np.cumprod((1,) + tuple(int(n) for n in shape[:0:-1]))[::-1]
+    tables, node_offsets = [], []
+    for s0, n, st in zip(starts, shape, strides):
+        lo = int(s0.min(initial=0))
+        nodes = np.arange(lo, int(s0.max(initial=0)) + w, dtype=np.int64)
+        tables.append((nodes % int(n) * int(st)).astype(index_dtype))
+        node_offsets.append(np.arange(w, dtype=np.int64)[:, None] - lo)
+
+    block = max(1, _BLOCK_ENTRIES // k)
+    idx_block = np.empty((k, min(m, block)), dtype=index_dtype)
+    wt_block = np.empty((k, min(m, block)), dtype=weights.dtype)
+    for start in range(0, m, block):
+        rows = slice(start, min(m, start + block))
+        b = rows.stop - start
+        # ``idx`` / ``wt``: the stencil over the axes combined so far,
+        # node-major.  Kernel values are copied node-major first: strided
+        # inputs run the multiply at under half speed.
+        idx = np.take(tables[0], starts[0][rows] + node_offsets[0])
+        wt = vals_per_dim[0][rows].T.copy()
+        for d in range(1, ndim):
+            if d == ndim - 1:
+                idx_next, wt_next = idx_block[:, :b], wt_block[:, :b]
+            else:
+                idx_next = np.empty((idx.shape[0] * w, b), dtype=index_dtype)
+                wt_next = np.empty((idx.shape[0] * w, b), dtype=weights.dtype)
+            np.add(idx[:, None, :],
+                   np.take(tables[d], starts[d][rows] + node_offsets[d])[None],
+                   out=idx_next.reshape(-1, w, b))
+            np.multiply(wt[:, None, :], vals_per_dim[d][rows].T.copy()[None],
+                        out=wt_next.reshape(-1, w, b))
+            idx, wt = idx_next, wt_next
+        flat_idx[rows] = idx.T
+        weights[rows] = wt.T
+    return flat_idx, weights
 
 
 def build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval="horner",
@@ -249,12 +287,6 @@ def _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
     m = i0_list[0].shape[0]
     matrix = None
     if build_matrix and _sparse is not None and m * (w ** ndim) <= fuse_budget:
-        offsets = np.arange(w, dtype=np.int64)
-        idx_list = []
-        for i0, n in zip(i0_list, fine_shape):
-            idx = i0[:, None] + offsets
-            np.mod(idx, n, out=idx)
-            idx_list.append(idx)
         k = w ** ndim
         # The index dtype scipy would pick anyway, so it keeps the arrays
         # instead of converting (copying) them.
@@ -263,7 +295,7 @@ def _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
                        else np.int64)
         old = _recyclable_operator(recycle, m * k, index_dtype)
         flat_idx, weights = _tensor_stencil(
-            idx_list, vals_list, fine_shape, index_dtype,
+            i0_list, vals_list, fine_shape, index_dtype,
             out=None if old is None else (old.indices, old.data))
         # Every row holds k entries, so an operator of equal size has this
         # very indptr.
