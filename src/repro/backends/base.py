@@ -8,8 +8,9 @@ for type 3) where every stage is dispatched through an
 
 ``reference``
     Exact dense numpy numerics: the seed implementation's per-transform loop
-    with on-the-fly (exact) kernel evaluation and no stencil cache.  Slow but
-    dependency-free ground truth for the other backends.
+    with on-the-fly (exact) kernel evaluation and no stencil cache, through
+    the one cache-free spread/interp path whatever the spreading method.
+    Slow but dependency-free ground truth for the other backends.
 ``cached``
     The fast path: plan-level stencil cache and fused ``n_trans`` passes.
     Spread/interp use the CSR sparse operator within the fusion budget and
@@ -20,7 +21,8 @@ for type 3) where every stage is dispatched through an
     Wraps the numerics of ``cached`` (or ``reference`` when the stencil cache
     is disabled) and routes every stage through the simulated GPU kernel
     profiles, so the paper's cost-model timings (``exec`` / ``total`` /
-    ``total+mem``) stay attached to each execute call.  This is the default.
+    ``total+mem``) stay attached to each execute call.  The spreading method
+    changes only those profiles, never the numbers.  This is the default.
 
 The registry mirrors :mod:`repro.baselines.registry`: backends are selected
 by name (``Opts.backend``) and new ones can be plugged in with

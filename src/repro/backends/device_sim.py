@@ -2,18 +2,20 @@
 
 Numerically this backend delegates to the ``cached`` fast path (or to the
 ``reference`` per-transform loop when the plan carries no stencil cache, i.e.
-``cache_stencils=False``), then attaches the per-stage
+``cache_stencils=False``), whose numerics do not depend on the spreading
+method.  It then attaches the per-stage
 :class:`~repro.gpu.profiler.KernelProfile` records the paper's cost model
 prices: method-specific spread/interp kernels, the cuFFT launches (recorded by
 :class:`~repro.gpu.fft.DeviceFFT`), and the deconvolution passes.  Plans on
 this backend therefore report the paper's three timings (``exec``, ``total``,
 ``total+mem``) after every execute -- it is the default backend.
 
-The module-level :func:`spread_stage_profiles` / :func:`interp_stage_profiles`
-helpers are the single dispatch point from a spreading *method* to its kernel
-profiles; :mod:`repro.metrics.modeling` builds its paper-scale estimates
-through the same functions, so modelled benchmarks and executed plans can
-never disagree about what a method costs.
+The method reaches only the profiles, through
+:func:`~repro.core.spread.spread_kernel_profiles` /
+:func:`~repro.core.interp.interp_kernel_profiles`;
+:mod:`repro.metrics.modeling` builds its paper-scale estimates through the
+same two calls, so modelled benchmarks and executed plans can never disagree
+about what a method costs.
 """
 
 from __future__ import annotations
@@ -21,37 +23,10 @@ from __future__ import annotations
 from ..core.deconvolve import deconvolve_kernel_profile
 from ..core.interp import interp_kernel_profiles
 from ..core.options import SpreadMethod
-from ..core.spread import spread_kernel_profiles, spread_sm_kernel_profiles
+from ..core.spread import spread_kernel_profiles
 from .base import ExecutionBackend, get_backend
 
-__all__ = ["DeviceSimBackend", "spread_stage_profiles", "interp_stage_profiles"]
-
-
-def spread_stage_profiles(method, sort, kernel, precision, threads_per_block=128,
-                          spec=None, subproblems=None):
-    """Kernel profiles of one spreading pass for the given method.
-
-    ``sort`` may be a :class:`~repro.core.binsort.BinSort` or a
-    :class:`~repro.core.binsort.SpreadStats` (the paper-scale modelling path);
-    ``subproblems`` supplies the SM decomposition when the caller already has
-    one (a Plan, or an estimated count from a scaled histogram).
-    """
-    method = SpreadMethod.parse(method)
-    if method is SpreadMethod.SM and subproblems is not None:
-        return spread_sm_kernel_profiles(
-            sort, kernel, precision, subproblems, threads_per_block, spec
-        )
-    return spread_kernel_profiles(
-        method, sort, kernel, precision, threads_per_block, spec
-    )
-
-
-def interp_stage_profiles(method, sort, kernel, precision, threads_per_block=128,
-                          spec=None):
-    """Kernel profiles of one interpolation pass (SM falls back to GM-sort)."""
-    return interp_kernel_profiles(
-        method, sort, kernel, precision, threads_per_block, spec
-    )
+__all__ = ["DeviceSimBackend"]
 
 
 class DeviceSimBackend(ExecutionBackend):
@@ -90,7 +65,7 @@ class DeviceSimBackend(ExecutionBackend):
         subproblems = (
             plan._ensure_subproblems() if plan.method is SpreadMethod.SM else None
         )
-        profiles = spread_stage_profiles(
+        profiles = spread_kernel_profiles(
             plan.method, plan._sort, plan.kernel, plan.precision,
             plan.opts.threads_per_block, plan.device.spec, subproblems=subproblems,
         )
@@ -125,7 +100,7 @@ class DeviceSimBackend(ExecutionBackend):
 
     def interp(self, plan, fine, pipeline, out=None):
         result = self._numerics(plan).interp(plan, fine, pipeline, out=out)
-        profiles = interp_stage_profiles(
+        profiles = interp_kernel_profiles(
             plan.interp_method, plan._sort, plan.kernel, plan.precision,
             plan.opts.threads_per_block, plan.device.spec,
         )

@@ -4,7 +4,10 @@ This is the seed implementation's execution strategy (the ``cache_stencils=
 False, kernel_eval="exact"`` path of earlier revisions): every stage loops
 over the ``n_trans`` transforms, kernels are evaluated on the fly through the
 exact ``exp(beta*(sqrt(1-z^2)-1))`` form (no plan-level stencil cache), and no
-simulated-GPU profiles are recorded.  It is the ground truth the ``cached``
+simulated-GPU profiles are recorded.  Spread and interp run the one
+cache-free path (:func:`~repro.core.spread.spread_direct` /
+:func:`~repro.core.interp.interp_direct`) whatever the plan's method: GM,
+GM-sort and SM compute the same sum and differ only in their GPU cost.  It is the ground truth the ``cached``
 and ``device_sim`` backends are validated against, and the baseline the
 throughput benchmark measures speedups from.
 """
@@ -13,9 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.interp import interpolate
-from ..core.options import SpreadMethod
-from ..core.spread import spread_gm, spread_gm_sort, spread_sm
+from ..core.interp import interp_direct
+from ..core.spread import spread_direct
 from .base import ExecutionBackend
 
 __all__ = ["ReferenceBackend"]
@@ -31,17 +33,6 @@ class ReferenceBackend(ExecutionBackend):
         return False
 
     # ------------------------------------------------------------------ #
-    def _spread_one(self, plan, strengths):
-        cplx = plan.precision.complex_dtype
-        if plan.method is SpreadMethod.GM:
-            return spread_gm(plan.fine_shape, plan._grid_coords, strengths,
-                             plan.kernel, cplx)
-        if plan.method is SpreadMethod.GM_SORT:
-            return spread_gm_sort(plan.fine_shape, plan._grid_coords, strengths,
-                                  plan.kernel, plan._sort, cplx)
-        return spread_sm(plan.fine_shape, plan._grid_coords, strengths,
-                         plan.kernel, plan._sort, plan._ensure_subproblems(), cplx)
-
     @staticmethod
     def _stacked(parts, out):
         """Stack per-transform results, landing in ``out`` when provided.
@@ -57,8 +48,10 @@ class ReferenceBackend(ExecutionBackend):
         return np.stack(parts)
 
     def spread(self, plan, strengths, pipeline, out=None):
+        cplx = plan.precision.complex_dtype
         return self._stacked(
-            [self._spread_one(plan, strengths[t])
+            [spread_direct(plan.fine_shape, plan._grid_coords, strengths[t],
+                           plan.kernel, cplx)
              for t in range(strengths.shape[0])],
             out,
         )
@@ -92,10 +85,8 @@ class ReferenceBackend(ExecutionBackend):
 
     def interp(self, plan, fine, pipeline, out=None):
         cplx = plan.precision.complex_dtype
-        method = plan.interp_method
         return self._stacked(
-            [interpolate(fine[t], plan._grid_coords, plan.kernel, method,
-                         plan._sort, cplx)
+            [interp_direct(fine[t], plan._grid_coords, plan.kernel, cplx)
              for t in range(fine.shape[0])],
             out,
         )

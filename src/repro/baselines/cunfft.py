@@ -24,9 +24,9 @@ import numpy as np
 from ..core.binsort import to_grid_coordinates
 from ..core.deconvolve import CorrectionFactors
 from ..core.gridsize import fine_grid_shape
-from ..core.interp import interp_gm, interp_kernel_profiles
+from ..core.interp import interp_direct, interp_kernel_profiles
 from ..core.options import Precision, SpreadMethod
-from ..core.spread import spread_gm, spread_kernel_profiles
+from ..core.spread import spread_direct, spread_kernel_profiles
 from ..gpu.costmodel import CostModel
 from ..gpu.device import V100_SPEC
 from ..gpu.fft import fft_kernel_profile
@@ -73,11 +73,11 @@ class CunfftLibrary:
         return kernel, fine_shape, grid_coords, correction
 
     def type1(self, points, strengths, n_modes, eps, precision="double"):
-        """Type-1 transform with Gaussian gridding (GM spreading order)."""
+        """Type-1 transform with Gaussian gridding."""
         precision = Precision.parse(precision)
         kernel, fine_shape, grid_coords, correction = self._geometry(n_modes, eps, points)
         strengths = np.asarray(strengths).astype(np.complex128)
-        fine = spread_gm(fine_shape, grid_coords, strengths, kernel, dtype=np.complex128)
+        fine = spread_direct(fine_shape, grid_coords, strengths, kernel, np.complex128)
         fine_hat = np.fft.fftn(fine)
         return correction.truncate_and_scale(fine_hat, dtype=precision.complex_dtype)
 
@@ -88,7 +88,7 @@ class CunfftLibrary:
         kernel, fine_shape, grid_coords, correction = self._geometry(modes.shape, eps, points)
         fine = correction.pad_and_scale(modes, dtype=np.complex128)
         fine = np.fft.ifftn(fine) * float(np.prod(fine_shape))
-        return interp_gm(fine, grid_coords, kernel, dtype=precision.complex_dtype)
+        return interp_direct(fine, grid_coords, kernel, precision.complex_dtype)
 
     # ------------------------------------------------------------------ #
     # cost model

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.binsort import bin_sort, to_grid_coordinates
+from ..core.binsort import to_grid_coordinates
 from ..core.deconvolve import CorrectionFactors
 from ..core.gridsize import fine_grid_shape
-from ..core.interp import interp_gm_sort
+from ..core.interp import interp_direct
 from ..core.options import Precision
-from ..core.spread import spread_gm_sort
+from ..core.spread import spread_direct
 from ..kernels.es_kernel import ESKernel
 from ..metrics.modeling import ModelResult
 
@@ -94,10 +94,8 @@ class FinufftCPU:
         fine_shape = fine_grid_shape(n_modes, kernel.width)
         ndim = len(n_modes)
         grid_coords = [to_grid_coordinates(points[d], fine_shape[d]) for d in range(ndim)]
-        sort = bin_sort(grid_coords, fine_shape, tuple(16 for _ in range(ndim)))
         strengths = np.asarray(strengths).astype(np.complex128)
-        fine = spread_gm_sort(fine_shape, grid_coords, strengths, kernel, sort,
-                              dtype=np.complex128)
+        fine = spread_direct(fine_shape, grid_coords, strengths, kernel, np.complex128)
         fine_hat = np.fft.fftn(fine)
         correction = CorrectionFactors(kernel, n_modes, fine_shape)
         return correction.truncate_and_scale(fine_hat, dtype=precision.complex_dtype)
@@ -111,12 +109,10 @@ class FinufftCPU:
         fine_shape = fine_grid_shape(n_modes, kernel.width)
         ndim = len(n_modes)
         grid_coords = [to_grid_coordinates(points[d], fine_shape[d]) for d in range(ndim)]
-        sort = bin_sort(grid_coords, fine_shape, tuple(16 for _ in range(ndim)))
         correction = CorrectionFactors(kernel, n_modes, fine_shape)
         fine = correction.pad_and_scale(modes, dtype=np.complex128)
         fine = np.fft.ifftn(fine) * float(np.prod(fine_shape))
-        return interp_gm_sort(fine, grid_coords, kernel, sort,
-                              dtype=precision.complex_dtype)
+        return interp_direct(fine, grid_coords, kernel, precision.complex_dtype)
 
     # ------------------------------------------------------------------ #
     # cost model

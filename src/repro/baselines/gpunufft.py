@@ -31,9 +31,9 @@ import numpy as np
 from ..core.binsort import to_grid_coordinates
 from ..core.deconvolve import CorrectionFactors
 from ..core.gridsize import fine_grid_shape
-from ..core.interp import interp_gm
+from ..core.interp import interp_direct
 from ..core.options import Precision
-from ..core.spread import spread_gm
+from ..core.spread import spread_direct
 from ..kernels.kaiser_bessel import GPUNUFFT_ACCURACY_FLOOR, KaiserBesselKernel
 from ..metrics.modeling import ModelResult
 
@@ -123,7 +123,7 @@ class GpuNufftLibrary:
         precision = Precision.parse(precision)
         kernel, fine_shape, grid_coords, correction = self._geometry(n_modes, eps, points)
         strengths = np.asarray(strengths).astype(np.complex128)
-        fine = spread_gm(fine_shape, grid_coords, strengths, kernel, dtype=np.complex128)
+        fine = spread_direct(fine_shape, grid_coords, strengths, kernel, np.complex128)
         fine_hat = np.fft.fftn(fine)
         return correction.truncate_and_scale(fine_hat, dtype=precision.complex_dtype)
 
@@ -134,7 +134,7 @@ class GpuNufftLibrary:
         kernel, fine_shape, grid_coords, correction = self._geometry(modes.shape, eps, points)
         fine = correction.pad_and_scale(modes, dtype=np.complex128)
         fine = np.fft.ifftn(fine) * float(np.prod(fine_shape))
-        return interp_gm(fine, grid_coords, kernel, dtype=precision.complex_dtype)
+        return interp_direct(fine, grid_coords, kernel, precision.complex_dtype)
 
     # ------------------------------------------------------------------ #
     # cost model

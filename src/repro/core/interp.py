@@ -1,4 +1,4 @@
-"""Interpolation (type-2 step 3): GM and GM-sort methods.
+"""Interpolation (type-2 step 3): the numerics and the GM / GM-sort profiles.
 
 Interpolation evaluates, at every nonuniform target point, the kernel-weighted
 sum of the ``w^d`` fine-grid values around it (paper Sec. II-B step 3).  On
@@ -8,11 +8,13 @@ bin-sorted (GM-sort) threads read localized, cache-friendly regions.  There
 are no write conflicts (each thread owns its output ``c_j``), which is why the
 paper applies no SM-style scheme to interpolation.
 
-:func:`interp_gm` / :func:`interp_gm_sort` evaluate the kernel on the fly;
-the ``reference`` backend and the baselines run them, and tests compare the
-fast paths against them.  The ``cached`` backend interpolates through the CSR
-operator of :func:`interp_cached` when the stencil cache holds one, and
-through the windowed engine of :mod:`repro.core.windowed` otherwise.
+The visiting order reaches only :func:`interp_kernel_profiles`.  The numerics
+have one cache-free path, :func:`interp_direct` (exact kernel values evaluated
+on the fly, points in user order), run by the ``reference`` backend, the
+baselines and the slab-local distributed interp; and one cached path,
+:func:`interp_cached`, the CSR operator of a plan's stencil cache.  The
+``cached`` backend takes the windowed engine of :mod:`repro.core.windowed`
+when the cache holds no operator.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..gpu.profiler import KernelProfile
-from ..gpu.threadblock import padded_bin_shape
 from ..gpu.transactions import (
     l2_miss_fraction_localized,
     l2_miss_fraction_random,
@@ -30,16 +31,16 @@ from ..gpu.transactions import (
 from .options import SpreadMethod
 from .spread import (
     _chunk_stencil,
+    _gmsort_footprint,
+    _l2,
     _point_chunk,
     _point_read_bytes,
     _spread_flops,
 )
 
 __all__ = [
-    "interpolate",
     "interp_cached",
-    "interp_gm",
-    "interp_gm_sort",
+    "interp_direct",
     "interp_kernel_profiles",
 ]
 
@@ -57,8 +58,8 @@ def _as_grid_batch(grid, ndim):
     return (grid if batched else grid[None]), batched
 
 
-def _interp_points(grids, grid_coords, kernel, point_order, out):
-    """Interpolate the points listed in ``point_order`` (chunked, batched).
+def _interp_points(grids, grid_coords, kernel, out):
+    """Interpolate every point, in user order, in contiguous chunks.
 
     ``grids`` has shape ``(n_trans, *fine_shape)`` and ``out`` shape
     ``(n_trans, M)``; each chunk gathers the fine-grid values of all
@@ -70,8 +71,8 @@ def _interp_points(grids, grid_coords, kernel, point_order, out):
     flat = grids.reshape(n_trans, -1)
     chunk = _point_chunk(n_trans, kernel.width ** ndim)
 
-    for start in range(0, point_order.shape[0], chunk):
-        sel = point_order[start:start + chunk]
+    for start in range(0, out.shape[1], chunk):
+        sel = slice(start, start + chunk)
         flat_idx, wprod = _chunk_stencil(grid_coords, fine_shape, kernel, sel)
         gathered = flat[:, flat_idx]  # (n_trans, m, w^d)
         out[:, sel] = np.einsum("tmk,mk->tm", gathered, wprod)
@@ -112,56 +113,32 @@ def interp_cached(grid, grid_coords, cache, dtype=np.complex64, out=None):
     return result[0]
 
 
-def _interp_ordered(grid, grid_coords, kernel, point_order, dtype, out=None):
+def interp_direct(grid, grid_coords, kernel, dtype, out=None):
+    """Cache-free interpolation: exact kernel values, points in user order.
+
+    The transpose of :func:`~repro.core.spread.spread_direct`.  ``grid`` may
+    be ``(*fine_shape)`` or a stacked ``(n_trans, *fine_shape)`` block; the
+    output gains a matching leading axis, or lands in ``out`` (a
+    ``(n_trans, M)`` array) and is returned.
+    """
     ndim = len(grid_coords)
     grids, batched = _as_grid_batch(grid, ndim)
     m = grid_coords[0].shape[0]
-    values = out if out is not None else np.zeros((grids.shape[0], m), dtype=dtype)
-    _interp_points(grids, grid_coords, kernel, point_order, values)
+    values = out if out is not None else np.empty((grids.shape[0], m), dtype=dtype)
+    _interp_points(grids, grid_coords, kernel, values)
     if out is not None:
         return out
     return values if batched else values[0]
 
 
-def interp_gm(grid, grid_coords, kernel, dtype=np.complex64, out=None):
-    """GM interpolation: targets visited in their user-supplied order.
-
-    ``grid`` may be ``(*fine_shape)`` or a stacked ``(n_trans, *fine_shape)``
-    block; the output gains a matching leading axis (or lands in ``out``).
-    """
-    m = grid_coords[0].shape[0]
-    order = np.arange(m, dtype=np.int64)
-    return _interp_ordered(grid, grid_coords, kernel, order, dtype, out=out)
-
-
-def interp_gm_sort(grid, grid_coords, kernel, sort, dtype=np.complex64, out=None):
-    """GM-sort interpolation: targets visited in bin-sorted order.
-
-    The permuted visiting order only changes memory locality; the value
-    written to each ``c_j`` is identical to GM up to floating point.
-    """
-    return _interp_ordered(grid, grid_coords, kernel, sort.permutation, dtype,
-                           out=out)
-
-
-def interpolate(grid, grid_coords, kernel, method, sort=None, dtype=np.complex64,
-                out=None):
-    """Dispatch to the requested interpolation method."""
-    method = SpreadMethod.parse(method)
-    if method is SpreadMethod.GM:
-        return interp_gm(grid, grid_coords, kernel, dtype, out=out)
-    if method in (SpreadMethod.GM_SORT, SpreadMethod.SM):
-        # The paper notes an SM-style scheme brings little benefit for
-        # interpolation; SM requests fall back to GM-sort (same as the code).
-        if sort is None:
-            raise ValueError("GM-sort interpolation requires a BinSort")
-        return interp_gm_sort(grid, grid_coords, kernel, sort, dtype, out=out)
-    raise ValueError(f"cannot interpolate with method {method!r}")
-
-
 def interp_kernel_profiles(method, sort, kernel, precision, threads_per_block=128,
                            spec=None):
-    """Exec-phase kernel profiles for one interpolation pass."""
+    """Exec-phase kernel profiles for one interpolation pass.
+
+    The interpolation counterpart of
+    :func:`~repro.core.spread.spread_kernel_profiles`; an SM request is
+    priced as GM-sort, since the paper applies no SM scheme to interpolation.
+    """
     method = SpreadMethod.parse(method)
     if method is SpreadMethod.SM:
         method = SpreadMethod.GM_SORT
@@ -172,13 +149,7 @@ def interp_kernel_profiles(method, sort, kernel, precision, threads_per_block=12
     cplx_sz = precision.complex_itemsize
     grid_bytes = float(np.prod(sort.fine_shape)) * cplx_sz
     reads = float(m) * (w ** ndim)
-
-    if spec is not None:
-        l2 = spec.l2_cache_bytes
-    else:
-        from ..gpu.device import V100_SPEC
-
-        l2 = V100_SPEC.l2_cache_bytes
+    l2 = _l2(spec)
 
     if method is SpreadMethod.GM:
         profile = KernelProfile(
@@ -194,9 +165,7 @@ def interp_kernel_profiles(method, sort, kernel, precision, threads_per_block=12
 
     rows = float(m) * (w ** (ndim - 1))
     sector_ops = localized_sector_ops(rows, w, cplx_sz, reuse_factor=1.5)
-    active_bins = min(sort.n_nonempty_bins, 2 * 80)
-    padded_cells = float(np.prod(padded_bin_shape(sort.bin_shape, w)))
-    footprint = active_bins * padded_cells * cplx_sz
+    footprint = _gmsort_footprint(sort, w, cplx_sz, spec)
     profile = KernelProfile(
         name=f"interp_{ndim}d_gmsort",
         grid_blocks=max(1.0, m / threads_per_block),

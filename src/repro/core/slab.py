@@ -10,8 +10,8 @@ rows -- contributions that belong to neighbouring slabs, with periodic wrap
 
 This module holds the rank-agnostic geometry and the slab-local
 spread/interp entry points; everything here is plain host-side NumPy reusing
-the single-node :func:`~repro.core.spread.spread` /
-:func:`~repro.core.interp.interpolate` machinery (including their ``out=``
+the single-node :func:`~repro.core.spread.spread_direct` /
+:func:`~repro.core.interp.interp_direct` machinery (including their ``out=``
 destinations), so the distributed numerics are, per point, bit-identical to
 the single-plan pipeline's accumulation terms.
 """
@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .interp import interpolate
-from .spread import spread
+from .interp import interp_direct
+from .spread import spread_direct
 
 __all__ = [
     "slab_partition",
@@ -145,8 +145,7 @@ def spread_to_slab(fine_shape, grid_coords, strengths, kernel, slab, out=None,
             return out
         return np.zeros((strengths.shape[0],) + local_shape, dtype=dtype)
     local = _local_coords(grid_coords, slab, kernel.width)
-    return spread(local_shape, local, strengths, kernel, "GM", dtype=dtype,
-                  out=out)
+    return spread_direct(local_shape, local, strengths, kernel, dtype, out=out)
 
 
 def interp_from_slab(padded_block, grid_coords, kernel, slab, out=None,
@@ -163,7 +162,7 @@ def interp_from_slab(padded_block, grid_coords, kernel, slab, out=None,
             return out
         return np.zeros(shape, dtype=dtype)
     local = _local_coords(grid_coords, slab, kernel.width)
-    return interpolate(padded_block, local, kernel, "GM", dtype=dtype, out=out)
+    return interp_direct(padded_block, local, kernel, dtype, out=out)
 
 
 def halo_row_map(fine_shape, slabs, rank, width):

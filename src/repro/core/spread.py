@@ -1,13 +1,13 @@
-"""Spreading (type-1 step 1): GM, GM-sort and SM methods.
+"""Spreading (type-1 step 1): the numerics and the GM, GM-sort and SM profiles.
 
-Numerically all three methods compute the same fine-grid array
+All three of the paper's spreading methods compute the same fine-grid array
 
 .. math::
 
     b_{l} = \\sum_{j=1}^{M} c_j\\, \\psi_{per}(l h - x_j)
 
-(paper Eq. (7)); they differ in *how* the work is organized on the GPU, which
-is what the cost profiles capture:
+(paper Eq. (7)); they differ only in *how* the work is organized on the GPU,
+which is what the cost profiles capture:
 
 ``GM``
     one thread per point in user order, atomic adds straight to global memory
@@ -20,13 +20,13 @@ is what the cost profiles capture:
     each subproblem accumulates into a *padded bin* copy in shared memory and
     then adds that copy back to global memory once (paper Fig. 1).
 
-The functions here are the cache-free numerics of those three methods: the
-``reference`` backend and the baselines run them, evaluating the kernel on the
-fly, and tests compare the fast paths against them.  The ``cached`` backend
-never calls them: it spreads through the CSR operator of
-:func:`spread_cached` when the stencil cache holds one, and through the
-windowed engine of :mod:`repro.core.windowed` otherwise.  A method's GPU cost
-comes from its kernel profiles below, not from which numpy loop ran.
+So the method reaches only :func:`spread_kernel_profiles`.  The numerics have
+one cache-free path, :func:`spread_direct` (exact kernel values evaluated on
+the fly, points in user order), run by the ``reference`` backend, the
+baselines and the slab-local distributed spread; and one cached path,
+:func:`spread_cached`, the CSR operator of a plan's stencil cache.  The
+``cached`` backend takes the windowed engine of :mod:`repro.core.windowed`
+when the cache holds no operator.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..gpu.atomics import dilated_occupied_cells, occupied_cells_estimate
+from ..gpu.device import V100_SPEC
 from ..gpu.profiler import KernelProfile
 from ..gpu.threadblock import check_shared_memory_fit, padded_bin_shape
 from ..gpu.transactions import (
@@ -49,11 +50,8 @@ from .stencil import _tensor_stencil
 
 __all__ = [
     "compute_kernel_stencil",
-    "spread",
     "spread_cached",
-    "spread_gm",
-    "spread_gm_sort",
-    "spread_sm",
+    "spread_direct",
     "spread_kernel_profiles",
 ]
 
@@ -152,8 +150,8 @@ def _grid_views(grids):
     return flat.real, flat.imag
 
 
-def _spread_points(grids, grid_coords, strengths, kernel, point_order):
-    """Spread the points listed in ``point_order`` (chunked, any order).
+def _spread_points(grids, grid_coords, strengths, kernel):
+    """Spread every point, in user order, in contiguous chunks.
 
     ``grids`` has shape ``(n_trans, *fine_shape)`` and ``strengths`` shape
     ``(n_trans, M)``; all transforms are accumulated in one fused
@@ -169,8 +167,8 @@ def _spread_points(grids, grid_coords, strengths, kernel, point_order):
     chunk = _point_chunk(n_trans, k_entries)
     t_offsets = (np.arange(n_trans, dtype=np.int64) * size)[:, None, None]
 
-    for start in range(0, point_order.shape[0], chunk):
-        sel = point_order[start:start + chunk]
+    for start in range(0, strengths.shape[1], chunk):
+        sel = slice(start, start + chunk)
         flat_idx, wprod = _chunk_stencil(grid_coords, fine_shape, kernel, sel)
         cw = strengths[:, sel]
         if n_trans == 1:
@@ -227,15 +225,23 @@ def spread_cached(fine_shape, strengths, cache, dtype=np.complex64, out=None):
     return result[0]
 
 
-def _spread_ordered(fine_shape, grid_coords, strengths, kernel, point_order, dtype,
-                    out=None):
+def spread_direct(fine_shape, grid_coords, strengths, kernel, dtype, out=None):
+    """Cache-free spreading: exact kernel values, points in user order.
+
+    Evaluates every point's stencil on the fly (no plan-level cache), so it
+    serves any geometry -- the ``reference`` backend, the baselines and the
+    slab-local distributed spread.  ``strengths`` may be ``(M,)`` or a
+    stacked ``(n_trans, M)`` block; the output gains a matching leading axis,
+    or is written into ``out`` (a ``(n_trans, *fine_shape)`` array of any
+    layout) and returned.
+    """
     block, batched = _as_strength_batch(strengths)
     if out is not None and not out.flags.c_contiguous:
         # The fused bincount pass needs flat C-order views of the grid;
         # accumulate into a contiguous scratch and assign through the
         # destination's strides at the end.
         grids = np.zeros(out.shape, dtype=out.dtype)
-        _spread_points(grids, grid_coords, block, kernel, point_order)
+        _spread_points(grids, grid_coords, block, kernel)
         out[...] = grids
         return out
     if out is not None:
@@ -243,137 +249,10 @@ def _spread_ordered(fine_shape, grid_coords, strengths, kernel, point_order, dty
         grids.fill(0)
     else:
         grids = np.zeros((block.shape[0],) + tuple(fine_shape), dtype=dtype)
-    _spread_points(grids, grid_coords, block, kernel, point_order)
+    _spread_points(grids, grid_coords, block, kernel)
     if out is not None:
         return out
     return grids if batched else grids[0]
-
-
-def spread_gm(fine_shape, grid_coords, strengths, kernel, dtype=np.complex64,
-              out=None):
-    """GM spreading: points processed in their user-supplied order.
-
-    ``strengths`` may be ``(M,)`` or a stacked ``(n_trans, M)`` block; the
-    output gains a matching leading axis (or is written into ``out``).
-    """
-    m = np.asarray(strengths).shape[-1]
-    order = np.arange(m, dtype=np.int64)
-    return _spread_ordered(fine_shape, grid_coords, strengths, kernel, order, dtype,
-                           out=out)
-
-
-def spread_gm_sort(fine_shape, grid_coords, strengths, kernel, sort, dtype=np.complex64,
-                   out=None):
-    """GM-sort spreading: points processed in bin-sorted (permuted) order."""
-    return _spread_ordered(fine_shape, grid_coords, strengths, kernel,
-                           sort.permutation, dtype, out=out)
-
-
-def spread_sm(fine_shape, grid_coords, strengths, kernel, sort, subproblems,
-              dtype=np.complex64, out=None):
-    """SM spreading: per-subproblem padded-bin accumulation then write-back.
-
-    Follows paper Fig. 1 steps 2-3 exactly: each subproblem spreads its points
-    into a local padded-bin array ("shared memory"), indexed by local
-    coordinates ``s = l - Delta`` where ``Delta`` is the padded bin's offset in
-    the fine grid, and the padded bin is then added back into the global grid
-    with periodic wrapping ``l(s) = (s + Delta) mod n``.
-
-    ``strengths`` may be ``(M,)`` or a ``(n_trans, M)`` block; all transforms
-    of a subproblem share one fused accumulation pass into a
-    ``(n_trans, padded_bin)`` local buffer.
-    """
-    ndim = len(fine_shape)
-    block, batched = _as_strength_batch(strengths)
-    n_trans = block.shape[0]
-    if out is not None:
-        grids = out
-        grids.fill(0)
-    else:
-        grids = np.zeros((n_trans,) + tuple(fine_shape), dtype=dtype)
-    w = kernel.width
-    pad = int(np.ceil(w / 2.0))
-    bin_shape = sort.bin_shape
-    bins_per_dim = sort.bins_per_dim
-    local_shape = padded_bin_shape(bin_shape, w)
-    local_size = int(np.prod(local_shape))
-    t_offsets = (np.arange(n_trans, dtype=np.int64) * local_size)[:, None, None]
-    t_ix = np.arange(n_trans)
-
-    perm = sort.permutation
-    for k in range(subproblems.n_subproblems):
-        b = int(subproblems.bin_ids[k])
-        start = int(subproblems.offsets[k])
-        count = int(subproblems.counts[k])
-        sel = perm[start:start + count]
-
-        # Bin coordinates (x fastest) and padded-bin origin Delta.
-        bcoords = []
-        rem = b
-        for d in range(ndim):
-            bcoords.append(rem % bins_per_dim[d])
-            rem //= bins_per_dim[d]
-        delta = [bcoords[d] * bin_shape[d] - pad for d in range(ndim)]
-
-        starts = []
-        vals_per_dim = []
-        for d in range(ndim):
-            i0, vals = compute_kernel_stencil(grid_coords[d][sel], fine_shape[d], kernel)
-            local_start = i0 - delta[d]
-            if local_start.min() < 0 or local_start.max() + w > local_shape[d]:
-                raise AssertionError(
-                    "subproblem point writes outside its padded bin -- "
-                    "bin assignment and padding are inconsistent"
-                )
-            starts.append(local_start)
-            vals_per_dim.append(vals)
-
-        # Inside the padded bin, so the periodic wrap onto it never applies.
-        flat_idx, wprod = _tensor_stencil(starts, vals_per_dim, local_shape)
-        cw = block[:, sel]
-        local = np.zeros((n_trans, local_size), dtype=np.complex128)
-        local_real, local_imag = _grid_views(local)
-        big_idx = flat_idx[None, :, :] + t_offsets if n_trans > 1 else flat_idx
-        _accumulate_chunk(local_real, local_imag, big_idx,
-                          cw.real[:, :, None] * wprod[None, :, :],
-                          cw.imag[:, :, None] * wprod[None, :, :])
-
-        # Step 3: atomic add the padded bin back into global memory, with wrap.
-        # np.add.at (not fancy-index +=) so that padded cells aliasing the same
-        # fine cell -- which happens when the padded bin is wider than the fine
-        # grid itself, e.g. tiny grids with wide kernels -- all accumulate.
-        wrapped = [
-            np.mod(delta[d] + np.arange(local_shape[d], dtype=np.int64), fine_shape[d])
-            for d in range(ndim)
-        ]
-        np.add.at(grids, np.ix_(t_ix, *wrapped),
-                  local.reshape((n_trans,) + tuple(local_shape)))
-
-    if out is not None:
-        return out
-    return grids if batched else grids[0]
-
-
-def spread(fine_shape, grid_coords, strengths, kernel, method, sort=None,
-           max_subproblem_size=1024, dtype=np.complex64, out=None):
-    """Dispatch to the requested spreading method.
-
-    ``sort`` (a :class:`~repro.core.binsort.BinSort`) is required for GM-sort
-    and SM.  ``out``, when given, receives the batched fine grid in place.
-    """
-    method = SpreadMethod.parse(method)
-    if method is SpreadMethod.GM:
-        return spread_gm(fine_shape, grid_coords, strengths, kernel, dtype, out=out)
-    if sort is None:
-        raise ValueError(f"method {method.value} requires a BinSort")
-    if method is SpreadMethod.GM_SORT:
-        return spread_gm_sort(fine_shape, grid_coords, strengths, kernel, sort, dtype,
-                              out=out)
-    if method is SpreadMethod.SM:
-        subproblems = make_subproblems(sort, max_subproblem_size)
-        return spread_sm(fine_shape, grid_coords, strengths, kernel, sort, subproblems,
-                         dtype, out=out)
-    raise ValueError(f"cannot spread with method {method!r}")
 
 
 # --------------------------------------------------------------------------- #
@@ -417,14 +296,19 @@ def _occupancy_stats(sort, kernel_width, complex_itemsize):
 
 
 def spread_kernel_profiles(method, sort, kernel, precision, threads_per_block=128,
-                           spec=None):
+                           spec=None, subproblems=None):
     """Exec-phase kernel profiles for one spreading pass.
+
+    This is the one dispatch from a spreading method to what it costs: the
+    ``device_sim`` backend, :mod:`repro.metrics.modeling` and the baselines
+    all price spreading through it, so executed plans and paper-scale models
+    cannot disagree.
 
     Parameters
     ----------
     method : SpreadMethod
         GM, GM_SORT or SM (AUTO must be resolved by the caller).
-    sort : BinSort
+    sort : BinSort or SpreadStats
         Bin statistics of the nonuniform points (computed for every method --
         GM does not *use* the permutation, but its contention estimate needs
         the occupancy histogram).
@@ -435,7 +319,13 @@ def spread_kernel_profiles(method, sort, kernel, precision, threads_per_block=12
     threads_per_block : int
         Launch geometry for the cost model.
     spec : DeviceSpec, optional
-        Needed by the SM method to validate the shared-memory fit.
+        Device whose L2 size and SM count the estimates use (the V100 when
+        omitted); the SM method also validates its shared-memory fit on it.
+    subproblems : Subproblems, optional
+        The SM split of the points (anything with ``n_subproblems``: a
+        plan's own split, or an estimated count from a scaled histogram).
+        Defaults to ``make_subproblems(sort, 1024)``, paper Remark 1's Msub.
+        Ignored by GM and GM-sort.
 
     Returns
     -------
@@ -469,9 +359,7 @@ def spread_kernel_profiles(method, sort, kernel, precision, threads_per_block=12
         # Localized writes: each point writes w^(d-1) contiguous rows of w cells.
         rows = float(m) * (w ** (ndim - 1))
         sector_ops = localized_sector_ops(rows, w, cplx_sz, reuse_factor=1.5)
-        active_bins = min(sort.n_nonempty_bins, 2 * 80)  # blocks in flight
-        padded_cells = float(np.prod(padded_bin_shape(sort.bin_shape, w)))
-        footprint = active_bins * padded_cells * cplx_sz
+        footprint = _gmsort_footprint(sort, w, cplx_sz, spec)
         profile = KernelProfile(
             name=f"spread_{ndim}d_gmsort",
             grid_blocks=max(1.0, m / threads_per_block),
@@ -488,20 +376,18 @@ def spread_kernel_profiles(method, sort, kernel, precision, threads_per_block=12
         return [profile]
 
     if method is SpreadMethod.SM:
-        # Default Msub = 1024 (paper Remark 1); callers with a different cap
-        # (the Plan, the Msub ablation bench) call spread_sm_kernel_profiles
-        # directly with their own subproblem split.
-        subproblems = make_subproblems(sort, 1024)
-        return spread_sm_kernel_profiles(
+        if subproblems is None:
+            subproblems = make_subproblems(sort, 1024)
+        return _sm_kernel_profiles(
             sort, kernel, precision, subproblems, threads_per_block, spec
         )
 
     raise ValueError(f"cannot profile method {method!r}")
 
 
-def spread_sm_kernel_profiles(sort, kernel, precision, subproblems,
-                              threads_per_block=128, spec=None):
-    """Exec-phase profiles for the SM spreader with an explicit subproblem split."""
+def _sm_kernel_profiles(sort, kernel, precision, subproblems, threads_per_block,
+                        spec):
+    """Exec-phase profiles of the SM spreader for a given subproblem split."""
     ndim = len(sort.fine_shape)
     w = kernel.width
     m = sort.n_points
@@ -562,10 +448,22 @@ def spread_sm_kernel_profiles(sort, kernel, precision, subproblems,
     return [spread_profile, writeback_profile]
 
 
+def _device_spec(spec):
+    """The given device spec, defaulting to the V100."""
+    return spec if spec is not None else V100_SPEC
+
+
 def _l2(spec):
     """L2 size of the given spec, defaulting to the V100."""
-    if spec is not None:
-        return spec.l2_cache_bytes
-    from ..gpu.device import V100_SPEC
+    return _device_spec(spec).l2_cache_bytes
 
-    return V100_SPEC.l2_cache_bytes
+
+def _gmsort_footprint(sort, kernel_width, complex_itemsize, spec):
+    """L2 footprint of the padded bins GM-sort blocks in flight touch.
+
+    Two resident blocks per SM work on distinct nonempty bins at a time;
+    GM-sort spreading and interpolation share this estimate.
+    """
+    active_bins = min(sort.n_nonempty_bins, 2 * _device_spec(spec).sm_count)
+    padded_cells = float(np.prod(padded_bin_shape(sort.bin_shape, kernel_width)))
+    return active_bins * padded_cells * complex_itemsize

@@ -8,7 +8,7 @@ layers, while :mod:`repro.core.plan` itself imports the dependency-free
 from . import allocs
 from .allocs import AllocStats, track_allocs
 from .tables import format_table, speedup
-from .timing import WallClock, ns_per_point
+from .timing import ns_per_point
 
 __all__ = [
     "allocs",
@@ -19,7 +19,6 @@ __all__ = [
     "sample_spread_stats",
     "format_table",
     "speedup",
-    "WallClock",
     "ns_per_point",
 ]
 

@@ -28,7 +28,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from ..backends import get_backend
-from ..backends.device_sim import interp_stage_profiles, spread_stage_profiles
 from ..core.binsort import (
     SpreadStats,
     bin_sort,
@@ -38,8 +37,10 @@ from ..core.binsort import (
 )
 from ..core.deconvolve import deconvolve_kernel_profile
 from ..core.gridsize import fine_grid_shape, next_smooth_even_235
+from ..core.interp import interp_kernel_profiles
 from ..core.options import Opts, Precision, SpreadMethod
 from ..core.plan import CUDA_CONTEXT_MB
+from ..core.spread import spread_kernel_profiles
 from ..gpu.costmodel import CostModel
 from ..gpu.device import V100_SPEC
 from ..gpu.fft import fft_kernel_profile
@@ -174,7 +175,7 @@ def _model_type3(n_modes, n_points, eps, method, distribution, precision,
             stats_src.bin_counts, base_opts.max_subproblem_size
         )
         subproblems = SimpleNamespace(n_subproblems=max(1, n_sub))
-    for prof in spread_stage_profiles(
+    for prof in spread_kernel_profiles(
         method, stats_src, kernel, precision, tpb, spec, subproblems=subproblems
     ):
         pipeline.add_kernel(prof, phase="exec")
@@ -182,7 +183,7 @@ def _model_type3(n_modes, n_points, eps, method, distribution, precision,
         deconvolve_kernel_profile(t3_grid, cplx, name="precorrect"), phase="exec"
     )
     pipeline.add_kernel(fft_kernel_profile(inner_fine, cplx), phase="exec")
-    for prof in interp_stage_profiles(
+    for prof in interp_kernel_profiles(
         interp_method, stats_tgt, kernel, precision, tpb, spec
     ):
         pipeline.add_kernel(prof, phase="exec")
@@ -254,9 +255,10 @@ def model_cufinufft(nufft_type, n_modes, n_points, eps, method="auto",
     deconvolution, assuming as many targets as sources.
 
     The kernel profiles are assembled through the same
-    :mod:`repro.backends.device_sim` stage dispatch an executed plan uses, so
-    modelled and measured pipelines can never diverge.  ``backend`` must
-    therefore name a profile-recording backend (``"device_sim"`` or
+    :func:`~repro.core.spread.spread_kernel_profiles` /
+    :func:`~repro.core.interp.interp_kernel_profiles` calls the ``device_sim``
+    backend makes for an executed plan, so modelled and measured pipelines
+    can never diverge.  ``backend`` must name a profile-recording backend (``"device_sim"`` or
     ``"auto"``); the pure-numerics backends have no modelled device time.
 
     Returns
@@ -321,12 +323,12 @@ def model_cufinufft(nufft_type, n_modes, n_points, eps, method="auto",
         if method is SpreadMethod.SM:
             n_sub = estimate_subproblem_count(stats.bin_counts, base_opts.max_subproblem_size)
             subproblems = SimpleNamespace(n_subproblems=max(1, n_sub))
-        profiles = spread_stage_profiles(
+        profiles = spread_kernel_profiles(
             method, stats, kernel, precision, base_opts.threads_per_block, spec,
             subproblems=subproblems,
         )
     else:
-        profiles = interp_stage_profiles(
+        profiles = interp_kernel_profiles(
             method, stats, kernel, precision, base_opts.threads_per_block, spec
         )
     for prof in profiles:

@@ -1,16 +1,11 @@
-"""Wall-clock timing helpers and unit conversions.
+"""Unit conversions for reported timings.
 
-The paper reports execution time *per nonuniform point* in nanoseconds; the
-benchmark harness reports both that quantity (from the device cost model) and
-the wall-clock time of the simulation itself (via pytest-benchmark).
+The paper reports execution time *per nonuniform point* in nanoseconds.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-
-__all__ = ["WallClock", "ns_per_point"]
+__all__ = ["ns_per_point"]
 
 
 def ns_per_point(seconds, n_points, n_trans=1):
@@ -20,44 +15,3 @@ def ns_per_point(seconds, n_points, n_trans=1):
     if n_trans <= 0:
         raise ValueError("n_trans must be positive")
     return 1e9 * float(seconds) / (float(n_points) * float(n_trans))
-
-
-@dataclass
-class WallClock:
-    """Accumulating stopwatch with named laps.
-
-    >>> clock = WallClock()
-    >>> with clock.lap("spread"):
-    ...     pass
-    >>> "spread" in clock.laps
-    True
-    """
-
-    laps: dict = field(default_factory=dict)
-
-    class _Lap:
-        def __init__(self, clock, name):
-            self.clock = clock
-            self.name = name
-            self.start = None
-
-        def __enter__(self):
-            self.start = time.perf_counter()
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            elapsed = time.perf_counter() - self.start
-            self.clock.laps[self.name] = self.clock.laps.get(self.name, 0.0) + elapsed
-            return False
-
-    def lap(self, name):
-        """Context manager accumulating elapsed time under ``name``."""
-        return WallClock._Lap(self, name)
-
-    def total(self):
-        return sum(self.laps.values())
-
-    def report(self):
-        lines = [f"  {name:30s} {seconds * 1e3:10.3f} ms" for name, seconds in self.laps.items()]
-        lines.append(f"  {'total':30s} {self.total() * 1e3:10.3f} ms")
-        return "\n".join(lines)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from repro import Plan, nudft_type1, nufft2d1, nufft2d2, relative_l2_error
-from repro.core.binsort import bin_sort, make_subproblems, to_grid_coordinates
-from repro.core.interp import interp_gm_sort
-from repro.core.spread import spread_gm_sort, spread_sm
+from repro.core.binsort import to_grid_coordinates
+from repro.core.interp import interp_direct
+from repro.core.spread import spread_direct
 from repro.core.stencil import build_stencil_cache
 from repro.kernels import ESKernel
 from repro.kernels.es_kernel import (
@@ -25,9 +25,7 @@ def _grid_setup(rng, fine_shape, m, eps=1e-6):
     kernel = ESKernel.from_tolerance(eps)
     coords = [rng.uniform(-np.pi, np.pi, m) for _ in fine_shape]
     grid_coords = [to_grid_coordinates(c, n) for c, n in zip(coords, fine_shape)]
-    bins = (32, 32) if len(fine_shape) == 2 else (16, 16, 2)
-    sort = bin_sort(grid_coords, fine_shape, bins)
-    return kernel, grid_coords, sort
+    return kernel, grid_coords
 
 
 # --------------------------------------------------------------------------- #
@@ -112,7 +110,7 @@ class TestStencilCache:
 
     def test_budget_disables_fused_form(self, rng):
         fine_shape = (32, 32)
-        kernel, grid_coords, _ = _grid_setup(rng, fine_shape, 500)
+        kernel, grid_coords = _grid_setup(rng, fine_shape, 500)
         fused = build_stencil_cache(grid_coords, fine_shape, kernel)
         lean = build_stencil_cache(grid_coords, fine_shape, kernel, fuse_budget=0)
         assert fused.interp_matrix is not None
@@ -139,37 +137,29 @@ class TestStencilCache:
 class TestBatchedFunctions:
     @pytest.mark.parametrize("fine_shape", [(40, 36), (24, 20, 16)])
     def test_batched_spread_equals_loop(self, rng, fine_shape):
-        kernel, grid_coords, sort = _grid_setup(rng, fine_shape, 1500)
+        kernel, grid_coords = _grid_setup(rng, fine_shape, 1500)
         block = rng.standard_normal((4, 1500)) + 1j * rng.standard_normal((4, 1500))
-        batched = spread_gm_sort(fine_shape, grid_coords, block, kernel, sort,
-                                 np.complex128)
+        batched = spread_direct(fine_shape, grid_coords, block, kernel, np.complex128)
         assert batched.shape == (4,) + fine_shape
+        # A strided destination takes the same grids.
+        strided = np.zeros((4,) + fine_shape, dtype=np.complex128, order="F")
+        assert spread_direct(fine_shape, grid_coords, block, kernel, np.complex128,
+                             out=strided) is strided
+        np.testing.assert_array_equal(strided, batched)
         for t in range(4):
-            single = spread_gm_sort(fine_shape, grid_coords, block[t], kernel, sort,
-                                    np.complex128)
-            np.testing.assert_allclose(batched[t], single, rtol=1e-11, atol=1e-11)
-
-    def test_batched_sm_spread_equals_loop(self, rng):
-        fine_shape = (48, 48)
-        kernel, grid_coords, sort = _grid_setup(rng, fine_shape, 1200)
-        subs = make_subproblems(sort, 200)
-        block = rng.standard_normal((3, 1200)) + 1j * rng.standard_normal((3, 1200))
-        batched = spread_sm(fine_shape, grid_coords, block, kernel, sort, subs,
-                            np.complex128)
-        for t in range(3):
-            single = spread_sm(fine_shape, grid_coords, block[t], kernel, sort, subs,
-                               np.complex128)
+            single = spread_direct(fine_shape, grid_coords, block[t], kernel,
+                                   np.complex128)
             np.testing.assert_allclose(batched[t], single, rtol=1e-11, atol=1e-11)
 
     @pytest.mark.parametrize("fine_shape", [(40, 36), (20, 18, 16)])
     def test_batched_interp_equals_loop(self, rng, fine_shape):
-        kernel, grid_coords, sort = _grid_setup(rng, fine_shape, 1100)
+        kernel, grid_coords = _grid_setup(rng, fine_shape, 1100)
         grids = (rng.standard_normal((3,) + fine_shape)
                  + 1j * rng.standard_normal((3,) + fine_shape))
-        batched = interp_gm_sort(grids, grid_coords, kernel, sort, np.complex128)
+        batched = interp_direct(grids, grid_coords, kernel, np.complex128)
         assert batched.shape == (3, 1100)
         for t in range(3):
-            single = interp_gm_sort(grids[t], grid_coords, kernel, sort, np.complex128)
+            single = interp_direct(grids[t], grid_coords, kernel, np.complex128)
             np.testing.assert_allclose(batched[t], single, rtol=1e-12, atol=1e-12)
 
 

@@ -15,6 +15,9 @@ from repro.core.binsort import (
     to_grid_coordinates,
 )
 from repro.core.gridsize import fine_grid_shape, fine_grid_size, is_smooth_235, next_smooth_235
+from repro.core.spread import compute_kernel_stencil
+from repro.gpu.threadblock import padded_bin_shape
+from repro.kernels import ESKernel
 
 
 # --------------------------------------------------------------------------- #
@@ -203,6 +206,38 @@ class TestSubproblems:
         for msub in (16, 100, 1024):
             subs = make_subproblems(sort, msub)
             assert subs.n_subproblems == estimate_subproblem_count(sort.bin_counts, msub)
+
+    @pytest.mark.parametrize("fine,bins", [((64, 48), (16, 16)),
+                                           ((32, 24, 20), (8, 8, 4))])
+    @pytest.mark.parametrize("cluster", [False, True])
+    def test_stencils_stay_inside_padded_bin(self, rng, fine, bins, cluster):
+        # SM accumulates each subproblem in its padded bin (paper Fig. 1),
+        # indexed from Delta = bin origin - ceil(w/2): every point's stencil
+        # must land inside it, including points on a bin's far edge.
+        m = 3000
+        if cluster:
+            coords = [rng.uniform(-np.pi, -np.pi + 0.4, m) for _ in fine]
+        else:
+            coords = [rng.uniform(-np.pi, np.pi, m) for _ in fine]
+        grid_coords = [to_grid_coordinates(c, n) for c, n in zip(coords, fine)]
+        sort = bin_sort(grid_coords, fine, bins)
+        kernel = ESKernel.from_tolerance(1e-6)
+        w = kernel.width
+        pad = int(np.ceil(w / 2.0))
+        local_shape = padded_bin_shape(bins, w)
+        starts = [compute_kernel_stencil(grid_coords[d], fine[d], kernel)[0]
+                  for d in range(len(fine))]
+        for msub in (1, 37, 256, 1024):
+            subs = make_subproblems(sort, msub)
+            for k in range(subs.n_subproblems):
+                sel = sort.permutation[subs.offsets[k]:subs.offsets[k] + subs.counts[k]]
+                rem = int(subs.bin_ids[k])
+                for d in range(len(fine)):
+                    delta = (rem % sort.bins_per_dim[d]) * bins[d] - pad
+                    rem //= sort.bins_per_dim[d]
+                    local = starts[d][sel] - delta
+                    assert local.min() >= 0
+                    assert local.max() + w <= local_shape[d]
 
     def test_invalid_msub(self, rng):
         sort, _ = _random_sort(rng, m=100)

@@ -4,19 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import Plan
 from repro.core.binsort import bin_sort, make_subproblems, to_grid_coordinates
-from repro.core.interp import interp_gm, interp_gm_sort, interp_kernel_profiles, interpolate
+from repro.core.interp import interp_direct, interp_kernel_profiles
 from repro.core.options import Precision, SpreadMethod
 from repro.core.spread import (
     compute_kernel_stencil,
-    spread,
-    spread_gm,
-    spread_gm_sort,
+    spread_direct,
     spread_kernel_profiles,
-    spread_sm,
-    spread_sm_kernel_profiles,
 )
-from repro.gpu.device import V100_SPEC
+from repro.gpu.device import V100_SPEC, DeviceSpec
 from repro.kernels import ESKernel
 
 
@@ -32,6 +29,25 @@ def _setup(rng, fine_shape, m, bins=None, cluster=False):
     sort = bin_sort(grid_coords, fine_shape, bins)
     c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     return grid_coords, sort, c
+
+
+def _plan_points(rng, ndim, m, cluster=False):
+    """Points in ``[-pi, pi)``, uniform or packed into a corner."""
+    if cluster:
+        return [rng.uniform(-np.pi, -np.pi + 0.5, m) for _ in range(ndim)]
+    return [rng.uniform(-np.pi, np.pi, m) for _ in range(ndim)]
+
+
+def _method_outputs(backend, nufft_type, n_modes, points, data, **opts):
+    """Spread-only output of one plan per method, and the last plan's geometry."""
+    outputs = {}
+    for method in ("GM", "GM-sort", "SM"):
+        with Plan(nufft_type, n_modes, eps=1e-6, precision="double", method=method,
+                  spread_only=True, backend=backend, **opts) as plan:
+            plan.set_pts(*points)
+            outputs[method] = plan.execute(data)
+            geometry = (plan.fine_shape, plan._grid_coords, plan.kernel)
+    return outputs, geometry
 
 
 # --------------------------------------------------------------------------- #
@@ -63,30 +79,49 @@ class TestStencil:
 
 
 # --------------------------------------------------------------------------- #
-# numerical agreement of the three spreading methods
+# the one cache-free spreading path; the method reaches only the profiles
 # --------------------------------------------------------------------------- #
 class TestSpreadMethodsAgree:
     @pytest.mark.parametrize("fine_shape", [(64, 48), (32, 32, 20)])
     @pytest.mark.parametrize("cluster", [False, True])
     def test_gm_gmsort_sm_identical(self, rng, fine_shape, cluster):
-        kernel = ESKernel.from_tolerance(1e-6)
-        grid_coords, sort, c = _setup(rng, fine_shape, 3000, cluster=cluster)
-        gm = spread_gm(fine_shape, grid_coords, c, kernel, np.complex128)
-        gms = spread_gm_sort(fine_shape, grid_coords, c, kernel, sort, np.complex128)
-        subs = make_subproblems(sort, 256)
-        sm = spread_sm(fine_shape, grid_coords, c, kernel, sort, subs, np.complex128)
-        np.testing.assert_allclose(gms, gm, rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(sm, gm, rtol=1e-10, atol=1e-10)
+        # GM, GM-sort and SM plans spread to the same grid, bit for bit, on
+        # the reference and the default backend; the reference grid is
+        # spread_direct's, and the default engine agrees with it.
+        ndim = len(fine_shape)
+        points = _plan_points(rng, ndim, 3000, cluster)
+        c = rng.standard_normal(3000) + 1j * rng.standard_normal(3000)
+        n_modes = tuple(n // 2 for n in fine_shape)
+        ref, (shape, grid_coords, kernel) = _method_outputs(
+            "reference", 1, n_modes, points, c)
+        dev, _ = _method_outputs("device_sim", 1, n_modes, points, c,
+                                 kernel_eval="exact")
+        for method in ("GM-sort", "SM"):
+            np.testing.assert_array_equal(ref[method], ref["GM"])
+            np.testing.assert_array_equal(dev[method], dev["GM"])
+        direct = spread_direct(shape, grid_coords, c, kernel, np.complex128)
+        np.testing.assert_array_equal(ref["GM"], direct)
+        np.testing.assert_allclose(dev["GM"], direct, rtol=1e-10, atol=1e-10)
 
     def test_dispatch_function(self, rng):
+        # spread_kernel_profiles is the one dispatch from a method to its
+        # kernels; SM defaults to the Msub = 1024 split.
         fine_shape = (48, 48)
         kernel = ESKernel.from_tolerance(1e-4)
-        grid_coords, sort, c = _setup(rng, fine_shape, 1000)
-        a = spread(fine_shape, grid_coords, c, kernel, "GM")
-        b = spread(fine_shape, grid_coords, c, kernel, "SM", sort=sort)
-        np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5)
+        _, sort, _ = _setup(rng, fine_shape, 3000)
+        names = {
+            method: [p.name for p in spread_kernel_profiles(
+                method, sort, kernel, Precision.SINGLE)]
+            for method in ("GM", "GM-sort", "SM")
+        }
+        assert names == {"GM": ["spread_2d_gm"], "GM-sort": ["spread_2d_gmsort"],
+                         "SM": ["spread_2d_sm", "spread_2d_sm_writeback"]}
+        default = spread_kernel_profiles("SM", sort, kernel, Precision.SINGLE)
+        explicit = spread_kernel_profiles("SM", sort, kernel, Precision.SINGLE,
+                                          subproblems=make_subproblems(sort, 1024))
+        assert default == explicit
         with pytest.raises(ValueError):
-            spread(fine_shape, grid_coords, c, kernel, "GM-sort")  # missing sort
+            spread_kernel_profiles("auto", sort, kernel, Precision.SINGLE)
 
     def test_mass_conservation(self, rng):
         # the grid total equals the direct sum of each point's strength times
@@ -94,7 +129,7 @@ class TestSpreadMethodsAgree:
         fine_shape = (40, 40)
         kernel = ESKernel.from_tolerance(1e-3)
         grid_coords, sort, c = _setup(rng, fine_shape, 500)
-        grid = spread_gm(fine_shape, grid_coords, c, kernel, np.complex128)
+        grid = spread_direct(fine_shape, grid_coords, c, kernel, np.complex128)
         expected = 0.0 + 0.0j
         for j in range(500):
             _, vx = compute_kernel_stencil(grid_coords[0][j:j + 1], fine_shape[0], kernel)
@@ -108,7 +143,7 @@ class TestSpreadMethodsAgree:
         kernel = ESKernel.from_tolerance(1e-5)
         grid_coords = [np.array([0.1]), np.array([31.9])]
         c = np.array([1.0 + 0j])
-        grid = spread_gm(fine_shape, grid_coords, c, kernel, np.complex128)
+        grid = spread_direct(fine_shape, grid_coords, c, kernel, np.complex128)
         # mass must appear on both sides of the wrap in y
         assert np.abs(grid[:, :4]).sum() > 0
         assert np.abs(grid[:, -3:]).sum() > 0
@@ -119,22 +154,35 @@ class TestSpreadMethodsAgree:
 # --------------------------------------------------------------------------- #
 class TestInterp:
     def test_gm_and_gmsort_identical(self, rng):
-        fine_shape = (64, 48)
-        kernel = ESKernel.from_tolerance(1e-6)
-        grid_coords, sort, _ = _setup(rng, fine_shape, 2500)
+        # GM, GM-sort and SM type-2 plans interpolate to the same values, bit
+        # for bit, on the reference and the default backend; the reference
+        # values are interp_direct's.
+        points = _plan_points(rng, 2, 2500)
+        n_modes = (32, 24)
+        with Plan(2, n_modes, eps=1e-6, spread_only=True) as probe:
+            fine_shape = probe.fine_shape
         grid = rng.standard_normal(fine_shape) + 1j * rng.standard_normal(fine_shape)
-        a = interp_gm(grid, grid_coords, kernel, np.complex128)
-        b = interp_gm_sort(grid, grid_coords, kernel, sort, np.complex128)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+        ref, (_, grid_coords, kernel) = _method_outputs(
+            "reference", 2, n_modes, points, grid)
+        dev, _ = _method_outputs("device_sim", 2, n_modes, points, grid,
+                                 kernel_eval="exact")
+        for method in ("GM-sort", "SM"):
+            np.testing.assert_array_equal(ref[method], ref["GM"])
+            np.testing.assert_array_equal(dev[method], dev["GM"])
+        direct = interp_direct(grid, grid_coords, kernel, np.complex128)
+        np.testing.assert_array_equal(ref["GM"], direct)
+        np.testing.assert_allclose(dev["GM"], direct, rtol=1e-12, atol=1e-12)
 
     def test_sm_request_falls_back_to_gmsort(self, rng):
+        # The paper applies no SM scheme to interpolation: SM is priced as
+        # GM-sort.
         fine_shape = (32, 32)
         kernel = ESKernel.from_tolerance(1e-4)
-        grid_coords, sort, _ = _setup(rng, fine_shape, 500)
-        grid = rng.standard_normal(fine_shape) + 0j
-        a = interpolate(grid, grid_coords, kernel, "SM", sort)
-        b = interpolate(grid, grid_coords, kernel, "GM-sort", sort)
-        np.testing.assert_allclose(a, b)
+        _, sort, _ = _setup(rng, fine_shape, 500)
+        sm = interp_kernel_profiles("SM", sort, kernel, Precision.SINGLE)
+        gms = interp_kernel_profiles("GM-sort", sort, kernel, Precision.SINGLE)
+        assert sm == gms
+        assert [p.name for p in sm] == ["interp_2d_gmsort"]
 
     def test_spread_interp_adjointness(self, rng):
         # <spread(c), g> == <c, interp(g)> : spreading and interpolation with
@@ -143,8 +191,8 @@ class TestInterp:
         kernel = ESKernel.from_tolerance(1e-7)
         grid_coords, sort, c = _setup(rng, fine_shape, 800)
         g = rng.standard_normal(fine_shape) + 1j * rng.standard_normal(fine_shape)
-        spread_c = spread_gm(fine_shape, grid_coords, c, kernel, np.complex128)
-        interp_g = interp_gm(g, grid_coords, kernel, np.complex128)
+        spread_c = spread_direct(fine_shape, grid_coords, c, kernel, np.complex128)
+        interp_g = interp_direct(g, grid_coords, kernel, np.complex128)
         lhs = np.vdot(g, spread_c)
         rhs = np.vdot(interp_g, c)
         assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -178,8 +226,9 @@ class TestSpreadProfiles:
         kernel = ESKernel.from_tolerance(1e-5)
         _, sort, _ = _setup(rng, fine_shape, 4000)
         subs = make_subproblems(sort, 1024)
-        profiles = spread_sm_kernel_profiles(sort, kernel, Precision.SINGLE, subs,
-                                             spec=V100_SPEC)
+        profiles = spread_kernel_profiles(SpreadMethod.SM, sort, kernel,
+                                          Precision.SINGLE, spec=V100_SPEC,
+                                          subproblems=subs)
         names = [p.name for p in profiles]
         assert any("writeback" in n for n in names)
         spread_prof = profiles[0]
@@ -195,7 +244,8 @@ class TestSpreadProfiles:
         _, sort, _ = _setup(rng, fine_shape, 2000, bins=(16, 16, 2))
         subs = make_subproblems(sort, 1024)
         with pytest.raises(LaunchConfigError):
-            spread_sm_kernel_profiles(sort, kernel, Precision.DOUBLE, subs, spec=V100_SPEC)
+            spread_kernel_profiles(SpreadMethod.SM, sort, kernel, Precision.DOUBLE,
+                                   spec=V100_SPEC, subproblems=subs)
 
     def test_interp_profiles_have_no_atomics(self, rng):
         fine_shape = (128, 128)
@@ -218,3 +268,36 @@ class TestSpreadProfiles:
             p_cluster.global_atomic_distinct_addresses
             < 0.05 * p_rand.global_atomic_distinct_addresses
         )
+
+    def test_gmsort_footprint_follows_sm_count(self, rng):
+        # GM-sort keeps two blocks per SM in flight: on an 8-SM device their
+        # padded bins fit in L2, on the V100 (80 SMs) they do not.
+        fine_shape = (128, 128, 64)
+        kernel = ESKernel.from_tolerance(1e-6)
+        _, sort, _ = _setup(rng, fine_shape, 20000)
+        assert sort.n_nonempty_bins > 2 * V100_SPEC.sm_count
+        small = DeviceSpec(sm_count=8)
+        for profiles, field in ((spread_kernel_profiles, "global_atomic_miss_fraction"),
+                                (interp_kernel_profiles, "gather_miss_fraction")):
+            (v100,) = profiles(SpreadMethod.GM_SORT, sort, kernel, Precision.SINGLE,
+                               spec=V100_SPEC)
+            (default,) = profiles(SpreadMethod.GM_SORT, sort, kernel, Precision.SINGLE)
+            (few_sms,) = profiles(SpreadMethod.GM_SORT, sort, kernel, Precision.SINGLE,
+                                  spec=small)
+            assert getattr(default, field) == getattr(v100, field)
+            assert getattr(few_sms, field) < getattr(v100, field)
+
+    def test_device_sim_sm_plan_prices_its_own_split(self, rng):
+        # A plan's own Msub reaches the recorded SM profile, not the default.
+        x, y = _plan_points(rng, 2, 6000, cluster=True)
+        c = rng.standard_normal(6000) + 1j * rng.standard_normal(6000)
+        with Plan(1, (64, 64), eps=1e-5, method="SM",
+                  max_subproblem_size=256) as plan:
+            plan.set_pts(x, y)
+            plan.execute(c)
+            n_sub = plan._ensure_subproblems().n_subproblems
+            default = make_subproblems(plan._sort, 1024).n_subproblems
+            (sm,) = [k for k in plan._exec_pipeline.exec_kernels()
+                     if k.name == "spread_2d_sm"]
+        assert n_sub > default
+        assert sm.grid_blocks == n_sub
