@@ -19,15 +19,13 @@ problems flip to GM/GM-sort, dense 3D problems prefer cubic bins and a
 different ``Msub``, ...).
 
 Results are printed as a table, saved to ``results/autotune.txt`` and merged
-into ``BENCH_throughput.json`` under the ``"autotune"`` key, which CI gates:
-geomean speedup >= 1.0, strictly > 1.0 on at least 3 classes, accuracy
-unchanged.  ``--quick`` shrinks the sampling caps for the CI smoke run;
+into ``BENCH_throughput.json`` under the ``"autotune"`` key; every run checks
+``GATES``.  ``--quick`` shrinks the sampling caps for the CI smoke run;
 ``--measure`` re-ranks finalists by measured execution (slower).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 
@@ -37,14 +35,20 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if REPO_ROOT not in sys.path:  # allow `python benchmarks/bench_autotune.py`
     sys.path.insert(0, REPO_ROOT)
 
-from benchmarks.common import emit  # noqa: E402
+from benchmarks.common import emit, record  # noqa: E402
 from repro import Plan  # noqa: E402
 from repro.core.exact import nudft_type1, nudft_type2, nudft_type3  # noqa: E402
 from repro.core.errors import relative_l2_error  # noqa: E402
 from repro.core.options import Opts  # noqa: E402
 from repro.tuning import Autotuner, TuningProblem  # noqa: E402
 
-JSON_PATH = os.path.join(REPO_ROOT, "BENCH_throughput.json")
+SECTION = "autotune"
+
+GATES = [
+    ("geomean tuned-vs-AUTO speedup", lambda s: s["geomean_speedup"], ">=", 1.0),
+    ("classes strictly improved", lambda s: s["n_improved"], ">=", 3),
+    ("max tuned/default error ratio", lambda s: s["max_error_ratio"], "<=", 1.05),
+]
 
 #: Tolerance for "strictly improved" (guards against float round-off).
 IMPROVED_EPS = 1e-6
@@ -161,14 +165,6 @@ def run_autotune(quick=False, mode="model"):
         "max_error_ratio": float(max_error_ratio),
     }
 
-    existing = {}
-    if os.path.exists(JSON_PATH):
-        with open(JSON_PATH) as fh:
-            existing = json.load(fh)
-    existing["autotune"] = summary
-    with open(JSON_PATH, "w") as fh:
-        json.dump(existing, fh, indent=2)
-
     rows = [
         [r["name"], r["n_points"],
          f"{r['tuned']['method']} {tuple(r['tuned']['bin_shape'])} "
@@ -184,9 +180,7 @@ def run_autotune(quick=False, mode="model"):
          "err ratio"],
         rows,
     )
-    print(f"\nwrote {JSON_PATH} (autotune section)")
-    print(f"geomean speedup: {geomean:.3f}x, improved on {n_improved}/"
-          f"{len(records)} classes, max accuracy ratio {max_error_ratio:.3f}")
+    record(SECTION, summary, GATES)
     return summary
 
 

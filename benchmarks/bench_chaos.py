@@ -17,14 +17,12 @@ flaky simulated hardware:
 Everything is deterministic under ``REPRO_FAULT_SEED`` (the schedule, the
 backoff jitter, the modelled timelines), so the numbers are exactly
 reproducible.  Results merge into ``BENCH_throughput.json`` under the
-``"chaos"`` key.  ``--quick`` selects the CI smoke configuration, which
-gates availability >= 0.99 at a 10% transient rate, zero wrong results,
-and <= 35% throughput degradation (with zero errors) after a hard death.
+``"chaos"`` key; every run checks ``GATES``.  ``--quick`` selects the CI
+smoke configuration.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 
@@ -34,12 +32,26 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if REPO_ROOT not in sys.path:  # allow `python benchmarks/bench_chaos.py`
     sys.path.insert(0, REPO_ROOT)
 
-from benchmarks.common import emit  # noqa: E402
+from benchmarks.common import emit, record  # noqa: E402
 from repro.core.env import bench_sample_size  # noqa: E402
 from repro.faults import FaultInjector, FaultSpec, fault_seed_from_env  # noqa: E402
 from repro.service import RetryPolicy, TransformService  # noqa: E402
 
-JSON_PATH = os.path.join(REPO_ROOT, "BENCH_throughput.json")
+SECTION = "chaos"
+
+GATES = [
+    ("availability at 10% transient rate",
+     lambda s: next(p for p in s["sweep"]
+                    if abs(p["fault_rate"] - 0.10) < 1e-12)["availability"],
+     ">=", 0.99),
+    ("max wrong results across sweep",
+     lambda s: max(p["wrong_results"] for p in s["sweep"]), "==", 0),
+    ("hard death: max of wrong results and errors",
+     lambda s: max(s["hard_death"]["wrong_results"], s["hard_death"]["errors"]),
+     "==", 0),
+    ("hard death: throughput degradation",
+     lambda s: s["hard_death"]["throughput_degradation"], "<=", 0.35),
+]
 
 N_DEVICES = 4
 MAX_ATTEMPTS = 8
@@ -151,14 +163,6 @@ def run_chaos_bench(quick=False):
         "hard_death": death,
     }
 
-    existing = {}
-    if os.path.exists(JSON_PATH):
-        with open(JSON_PATH) as fh:
-            existing = json.load(fh)
-    existing["chaos"] = summary
-    with open(JSON_PATH, "w") as fh:
-        json.dump(existing, fh, indent=2)
-
     emit(
         "chaos_availability",
         f"Availability vs transient-fault rate (M={m}, "
@@ -179,27 +183,7 @@ def run_chaos_bench(quick=False):
           death["throughput_degradation"], 1e3 * death["makespan_s"],
           1e3 * death["healthy_makespan_s"]]],
     )
-    print(f"\nwrote {JSON_PATH} (chaos section)")
-
-    at_10 = next(p for p in sweep if abs(p["fault_rate"] - 0.10) < 1e-12)
-    print(f"availability at 10% fault rate: {at_10['availability']:.4f} "
-          f"({at_10['retries']} retries, {at_10['wrong_results']} wrong)")
-    print(f"hard death: availability {death['availability']:.4f}, "
-          f"degradation {death['throughput_degradation']:.1%}")
-
-    if quick:
-        # CI smoke gates (see .github/workflows/ci.yml).
-        assert at_10["availability"] >= 0.99, (
-            f"availability {at_10['availability']:.4f} < 0.99 at 10% rate"
-        )
-        assert all(p["wrong_results"] == 0 for p in sweep), "wrong results"
-        assert death["wrong_results"] == 0, "wrong results after death"
-        assert death["errors"] == 0, f"{death['errors']} errors after death"
-        assert death["throughput_degradation"] <= 0.35, (
-            f"degradation {death['throughput_degradation']:.1%} > 35%"
-        )
-        print("quick gates passed: availability >= 0.99 at 10% rate, "
-              "0 wrong results, death degradation <= 35% with 0 errors")
+    record(SECTION, summary, GATES)
     return summary
 
 

@@ -24,22 +24,21 @@ Results merge into ``BENCH_throughput.json`` under the ``"coldstart"`` key::
       "quick": bool,
       "cold_first_request_s": float,     # median across repeats
       "warm_first_request_s": float,
-      "speedup": float,                  # cold / warm  (gate: >= 3)
-      "bit_identical": bool,             # warm output == cold output (gate)
-      "warm_builds": int,                # artifact builds on warm path (gate: 0)
+      "speedup": float,                  # cold / warm
+      "bit_identical": bool,             # warm output == cold output
+      "warm_builds": int,                # artifact builds on warm path
       "plans_prewarmed": int,            # pool entries recreated at startup
       "roundtrip_t1": bool,              # per-type Plan store round-trips
-      "roundtrip_t2": bool,              # (gate: all true)
+      "roundtrip_t2": bool,
       "roundtrip_t3": bool,
     }
 
-``--quick`` shrinks the problem for the CI smoke run; the gates are
-identical at every scale.
+Every run checks ``GATES``; ``--quick`` shrinks the problem for the CI
+smoke run.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import sys
@@ -52,12 +51,22 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if REPO_ROOT not in sys.path:  # allow `python benchmarks/bench_coldstart.py`
     sys.path.insert(0, REPO_ROOT)
 
-from benchmarks.common import emit  # noqa: E402
+from benchmarks.common import emit, record  # noqa: E402
 from repro.artifacts import ArtifactStore  # noqa: E402
 from repro.core.plan import Plan  # noqa: E402
 from repro.service import TransformService  # noqa: E402
 
-JSON_PATH = os.path.join(REPO_ROOT, "BENCH_throughput.json")
+SECTION = "coldstart"
+
+GATES = [
+    ("warm vs cold first-request speedup", lambda s: s["speedup"], ">=", 3.0),
+    ("warm first response bit-identical to cold",
+     lambda s: bool(s["bit_identical"]), "==", True),
+    ("artifact builds on the warm path", lambda s: s["warm_builds"], "==", 0),
+    ("per-type Plan store round-trips exact",
+     lambda s: bool(s["roundtrip_t1"] and s["roundtrip_t2"] and s["roundtrip_t3"]),
+     "==", True),
+]
 
 #: Cold/warm pairs timed per configuration; the medians cancel stragglers.
 REPEATS = 3
@@ -176,14 +185,6 @@ def run_coldstart_bench(quick=False):
         "roundtrip_t3": roundtrips[3],
     }
 
-    existing = {}
-    if os.path.exists(JSON_PATH):
-        with open(JSON_PATH) as fh:
-            existing = json.load(fh)
-    existing["coldstart"] = summary
-    with open(JSON_PATH, "w") as fh:
-        json.dump(existing, fh, indent=2)
-
     emit(
         "coldstart",
         f"Process start -> first request burst (M={m}, modes {'+'.join('x'.join(map(str, nm)) for nm in mode_sizes)}, tuned)",
@@ -191,10 +192,7 @@ def run_coldstart_bench(quick=False):
         [["cold", f"{1e3 * cold_med:.1f}", "-", 0],
          ["warm", f"{1e3 * warm_med:.1f}", warm_builds, prewarmed]],
     )
-    print(f"\nwrote {JSON_PATH} (coldstart section)")
-    print(f"cold {1e3 * cold_med:.1f} ms -> warm {1e3 * warm_med:.1f} ms "
-          f"({speedup:.2f}x), bit-identical: {identical}, "
-          f"round-trips t1/t2/t3: {roundtrips[1]}/{roundtrips[2]}/{roundtrips[3]}")
+    record(SECTION, summary, GATES)
     return summary
 
 

@@ -9,17 +9,13 @@ halo-behind-local-FFT overlap credit, the resulting makespan, the
 strong-scaling efficiency relative to one rank, and the exact halo volume.
 
 Results merge into ``BENCH_throughput.json`` under the ``"distributed"``
-key.  ``--quick`` selects the CI smoke configuration, which gates:
-
-* 4-rank strong-scaling efficiency >= 0.7;
-* every rank count's output within ``10 * eps`` of the single-plan
-  reference;
-* measured halo bytes == the analytic halo-volume formula, exactly.
+key; every run checks ``GATES``.  Measured halo bytes must equal the
+analytic halo-volume formula exactly; that is asserted per point.
+``--quick`` selects the CI smoke configuration.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 
@@ -29,13 +25,21 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if REPO_ROOT not in sys.path:  # allow `python benchmarks/bench_distributed.py`
     sys.path.insert(0, REPO_ROOT)
 
-from benchmarks.common import emit  # noqa: E402
+from benchmarks.common import emit, record  # noqa: E402
 from repro.cluster import run_strong_scaling_multinode  # noqa: E402
 from repro.core.gridsize import fine_grid_shape  # noqa: E402
 from repro.core.slab import analytic_halo_bytes  # noqa: E402
 from repro.kernels import ESKernel  # noqa: E402
 
-JSON_PATH = os.path.join(REPO_ROOT, "BENCH_throughput.json")
+SECTION = "distributed"
+
+GATES = [
+    ("4-rank strong-scaling efficiency", lambda s: s["min_efficiency_4_ranks"], ">=", 0.7),
+    ("max distributed-vs-single-plan rel err / eps",
+     lambda s: s["max_rel_err"] / s["eps"], "<=", 10),
+    ("halo bytes equal the analytic formula",
+     lambda s: bool(s["halo_bytes_exact"]), "==", True),
+]
 
 
 def _sweeps(quick):
@@ -124,23 +128,12 @@ def run_distributed_bench(quick=False):
         "halo_bytes_exact": True,  # asserted per point in _sweep_record
     }
 
-    existing = {}
-    if os.path.exists(JSON_PATH):
-        with open(JSON_PATH) as fh:
-            existing = json.load(fh)
-    existing["distributed"] = summary
-    with open(JSON_PATH, "w") as fh:
-        json.dump(existing, fh, indent=2)
-
-    print(f"\nwrote {JSON_PATH} (distributed section)")
-    print(f"4-rank strong-scaling efficiency: {min(eff_at_4):.3f}")
-    print(f"max |distributed - single plan| rel err: {max_rel_err:.2e} "
-          f"(10*eps = {10 * summary['eps']:.0e})")
     for r in records:
         hidden = np.mean([p["comm_hidden_fraction"] for p in r["points"]
                           if p["n_ranks"] > 1]) if len(r["points"]) > 1 else 0.0
         print(f"{r['label']}: mean comm hidden behind local FFTs "
               f"{hidden:.1%} (ranks > 1)")
+    record(SECTION, summary, GATES)
     return summary
 
 

@@ -8,16 +8,14 @@ Three measurements back the PR's memory-path claims:
   copy, no terminal copy, no output allocation.  The
   :class:`~repro.metrics.allocs.AllocStats` attached to each execute's
   pipeline profile counts every such event; this benchmark reports the
-  steady-state count per transform type (gate: exactly 0).
+  steady-state count per transform type.
 * **Throughput vs the churn baseline** -- the same problem run with
   ``reuse_workspace=False`` (every execute reallocates its fine grid and
   FFT buffer, the pre-refactor behaviour).  Reported as wall-clock
-  executes/second and the reuse/churn ratio (gate: >= 1.0; reuse must never
-  lose).
+  executes/second and the reuse/churn ratio (reuse must never lose).
 * **Facade fidelity** -- an upstream-style script run verbatim through
   :mod:`repro.finufft` and :mod:`repro.cufinufft` must produce
-  **bit-identical** results to the native API at matching settings (gate:
-  true).
+  **bit-identical** results to the native API at matching settings.
 
 Results merge into ``BENCH_throughput.json`` under the ``"interop"`` key::
 
@@ -31,13 +29,12 @@ Results merge into ``BENCH_throughput.json`` under the ``"interop"`` key::
       "facade_bit_identical": bool,
     }
 
-``--quick`` shrinks the problem for the CI smoke run; the gates are
-identical at every scale.
+Every run checks ``GATES``; ``--quick`` shrinks the problem for the CI
+smoke run.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
@@ -48,10 +45,22 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if REPO_ROOT not in sys.path:  # allow `python benchmarks/bench_interop.py`
     sys.path.insert(0, REPO_ROOT)
 
-from benchmarks.common import emit  # noqa: E402
+from benchmarks.common import emit, record  # noqa: E402
 from repro.core.plan import Plan  # noqa: E402
 
-JSON_PATH = os.path.join(REPO_ROOT, "BENCH_throughput.json")
+SECTION = "interop"
+
+GATES = [
+    ("max hot-path events per execute with out=",
+     lambda s: max(s["hot_path_events"].values()), "==", 0),
+    ("every execute without out= allocates exactly one output block",
+     lambda s: all(v == 1 for v in s["no_out_allocs"].values()), "==", True),
+    ("min churn-baseline allocs per execute",
+     lambda s: min(s["churn_allocs"].values()), ">=", 2),
+    ("reuse/churn wall-clock throughput ratio", lambda s: s["throughput"]["ratio"], ">=", 1.0),
+    ("facades bit-identical to the native API",
+     lambda s: bool(s["facade_bit_identical"]), "==", True),
+]
 
 #: Steady state needs a couple of warm-up executes: the first run allocates
 #: workspace views and (for type 3) the inner plan's buffers.
@@ -226,14 +235,6 @@ def run_interop_bench(quick=False):
         "facade_bit_identical": facade_ok,
     }
 
-    existing = {}
-    if os.path.exists(JSON_PATH):
-        with open(JSON_PATH) as fh:
-            existing = json.load(fh)
-    existing["interop"] = summary
-    with open(JSON_PATH, "w") as fh:
-        json.dump(existing, fh, indent=2)
-
     emit(
         "interop",
         f"Zero-copy execute path (M={m}, modes {n_modes}, single)",
@@ -241,10 +242,9 @@ def run_interop_bench(quick=False):
          "events (churn baseline)"],
         [[k, hot_path[k], no_out[k], churn[k]] for k in sorted(hot_path)],
     )
-    print(f"\nwrote {JSON_PATH} (interop section)")
     print(f"throughput: reuse {reuse_rate:.1f} exec/s vs churn "
-          f"{churn_rate:.1f} exec/s ({ratio:.2f}x)")
-    print(f"facade bit-identical: {facade_ok}")
+          f"{churn_rate:.1f} exec/s")
+    record(SECTION, summary, GATES)
     return summary
 
 

@@ -21,15 +21,13 @@ request data, and the benchmark asserts their outputs are **bit-identical**
 (``charge_plan_creation=False``) and the pool is pre-warmed: this is a
 steady-state serving measurement, the regime the front-end targets.
 
-Results merge into ``BENCH_throughput.json`` under the ``"qos"`` key.
-``--quick`` selects the CI smoke configuration, which gates windowed
-throughput at >= 2x per-request on the uniform trace and the light tenant's
-max queue wait under the skewed trace.
+Results merge into ``BENCH_throughput.json`` under the ``"qos"`` key; every
+run checks ``GATES``.  ``--quick`` selects the CI smoke configuration.
 """
 
 from __future__ import annotations
 
-import json
+import math
 import os
 import sys
 
@@ -39,11 +37,25 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if REPO_ROOT not in sys.path:  # allow `python benchmarks/bench_qos.py`
     sys.path.insert(0, REPO_ROOT)
 
-from benchmarks.common import emit  # noqa: E402
+from benchmarks.common import emit, record  # noqa: E402
 from repro.core.env import bench_sample_size  # noqa: E402
 from repro.service import AsyncFrontend, TransformRequest, TransformService  # noqa: E402
 
-JSON_PATH = os.path.join(REPO_ROOT, "BENCH_throughput.json")
+SECTION = "qos"
+
+GATES = [
+    ("windowed vs per-request modelled speedup (uniform trace)",
+     lambda s: s["speedup_windowed_uniform"], ">=", 2.0),
+    ("windowed outputs bit-identical to per-request",
+     lambda s: bool(s["bit_identical"]), "==", True),
+    ("every trace's p99 finite and positive",
+     lambda s: all(math.isfinite(r["p99_e2e_s"]) and r["p99_e2e_s"] > 0
+                   for r in s["traces"]), "==", True),
+    ("light tenant's max queue wait within its fair-share bound",
+     lambda s: bool(s["fair_share_ok"]
+                    and s["light_max_queue_wait_s"] <= s["light_wait_bound_s"]),
+     "==", True),
+]
 
 #: Front-end knobs shared by every windowed run.
 MAX_BATCH = 16
@@ -198,8 +210,8 @@ def run_qos_bench(quick=False):
     outputs = {}
     for trace, arrival_fn in traces:
         for mode in ("windowed", "per_request"):
-            record, outs, _ = _run_trace(trace, mode, quick, seed, arrival_fn)
-            records.append(record)
+            trace_record, outs, _ = _run_trace(trace, mode, quick, seed, arrival_fn)
+            records.append(trace_record)
             outputs[(trace, mode)] = outs
 
     # Fusion must not change a single bit of any output.
@@ -254,16 +266,6 @@ def run_qos_bench(quick=False):
         "fair_share_ok": fair_share_ok,
     }
 
-    # Merge under "qos" so the sections written by bench_throughput.py and
-    # bench_service.py survive in the same report file.
-    existing = {}
-    if os.path.exists(JSON_PATH):
-        with open(JSON_PATH) as fh:
-            existing = json.load(fh)
-    existing["qos"] = summary
-    with open(JSON_PATH, "w") as fh:
-        json.dump(existing, fh, indent=2)
-
     emit(
         "qos_throughput",
         f"Async front-end (M={m}, modes {n_modes}, max_batch={MAX_BATCH})",
@@ -284,12 +286,11 @@ def run_qos_bench(quick=False):
           1e3 * kinds["queue_wait"]["p99"], 1e3 * kinds["queue_wait"]["max"]]
          for tenant, kinds in sorted(per_tenant.items())],
     )
-    print(f"\nwrote {JSON_PATH} (qos section)")
-    print(f"windowed vs per-request: uniform {speedups['uniform']:.1f}x, "
-          f"bursty {speedups['bursty']:.1f}x modelled throughput "
-          f"(bit-identical outputs: {bit_identical})")
+    print(f"windowed vs per-request (bursty trace): {speedups['bursty']:.1f}x "
+          f"modelled throughput")
     print(f"light tenant max queue wait {1e3 * light_max_wait:.3f} ms "
-          f"(bound {1e3 * wait_bound:.3f} ms, fair_share_ok={fair_share_ok})")
+          f"(bound {1e3 * wait_bound:.3f} ms)")
+    record(SECTION, summary, GATES)
     return summary
 
 

@@ -20,14 +20,12 @@ engine, and mean per-device exec utilization.  A second sweep weak-scales the
 service from 1 to 4 devices at fixed per-device load (the serving analogue of
 the paper's Fig. 9) and reports scaling efficiency.
 
-Results merge into ``BENCH_throughput.json`` under the ``"service"`` key.
-``--quick`` selects the CI smoke configuration, which gates
-pooled+coalesced modelled throughput at >= 2x unpooled.
+Results merge into ``BENCH_throughput.json`` under the ``"service"`` key;
+every run checks ``GATES``.  ``--quick`` selects the CI smoke configuration.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
@@ -38,12 +36,18 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if REPO_ROOT not in sys.path:  # allow `python benchmarks/bench_service.py`
     sys.path.insert(0, REPO_ROOT)
 
-from benchmarks.common import emit  # noqa: E402
+from benchmarks.common import emit, record  # noqa: E402
 from repro.core.env import bench_sample_size  # noqa: E402
 from repro.cluster import run_weak_scaling_fleet  # noqa: E402
 from repro.service import TransformService  # noqa: E402
 
-JSON_PATH = os.path.join(REPO_ROOT, "BENCH_throughput.json")
+SECTION = "service"
+
+GATES = [
+    ("pooled+coalesced vs unpooled modelled speedup",
+     lambda s: s["speedup_pooled_coalesced"], ">=", 2.0),
+    ("fleet efficiency at 4 devices", lambda s: s["fleet_efficiency"][-1], ">=", 0.7),
+]
 
 #: Serving configurations swept by the benchmark.
 SCENARIOS = (
@@ -181,16 +185,6 @@ def run_service_bench(quick=False):
         "fleet_efficiency": efficiency,
     }
 
-    # Merge under "service" so the batched-engine numbers written by
-    # bench_throughput.py survive in the same report file.
-    existing = {}
-    if os.path.exists(JSON_PATH):
-        with open(JSON_PATH) as fh:
-            existing = json.load(fh)
-    existing["service"] = summary
-    with open(JSON_PATH, "w") as fh:
-        json.dump(existing, fh, indent=2)
-
     emit(
         "service_throughput",
         f"Transform service (M={m}, {records[0]['n_requests']} mixed requests)",
@@ -207,11 +201,10 @@ def run_service_bench(quick=False):
         ["devices", "requests", "makespan ms", "req/s", "util", "efficiency"],
         [list(row) for row in fleet.rows()],
     )
-    print(f"\nwrote {JSON_PATH} (service section)")
-    print(f"pooled+coalesced vs unpooled: {speedup:.1f}x modelled throughput "
-          f"(pooling alone: {pooled_speedup:.1f}x)")
+    print(f"pooling alone vs unpooled: {pooled_speedup:.1f}x modelled throughput")
     print("fleet efficiency 1->4 devices: "
           + ", ".join(f"{e:.2f}" for e in efficiency))
+    record(SECTION, summary, GATES)
     return summary
 
 

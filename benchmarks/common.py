@@ -9,11 +9,19 @@ output is the printed/saved table.
 Scale control: set the environment variable ``REPRO_BENCH_SAMPLE`` to change
 the number of nonuniform points actually sampled per configuration (default
 2^18; the statistics are rescaled to the paper-scale point counts).
+
+The engine benchmarks also hand their summary to :func:`record`, which
+merges it into ``BENCH_throughput.json`` and checks the bench's ``GATES``
+table: rows ``(label, value_fn, op, bound)`` with ``op`` one of ``>=``,
+``<=`` or ``==`` and ``value_fn`` reading the summary.
 """
 
 from __future__ import annotations
 
+import json
+import operator
 import os
+import sys
 
 from repro.baselines import get_library
 from repro.core.env import bench_sample_size as env_bench_sample_size
@@ -23,11 +31,17 @@ from repro.kernels import ESKernel
 from repro.metrics import format_table, sample_spread_stats
 from repro.metrics.tables import write_results
 
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+JSON_PATH = os.path.join(REPO_ROOT, "BENCH_throughput.json")
+
+_OPS = {">=": operator.ge, "<=": operator.le, "==": operator.eq}
+
 __all__ = [
     "bench_sample_size",
     "stats_for",
     "library_times",
     "emit",
+    "record",
 ]
 
 
@@ -70,3 +84,36 @@ def emit(name, title, headers, rows, floatfmt=".3g"):
     print("\n" + text)
     write_results(name, text)
     return text
+
+
+def record(section, summary, gates):
+    """Merge ``summary`` into ``BENCH_throughput.json``, then check ``gates``.
+
+    ``section=None`` merges the summary's keys at the top level; otherwise
+    the summary replaces ``section``.  Every other key of the file is kept.
+    Each gate row prints as label, value, comparison, bound and verdict;
+    the file is written first, so a failed run can still be inspected.
+    Exits non-zero naming every failed row.
+    """
+    data = {}
+    if os.path.exists(JSON_PATH):
+        with open(JSON_PATH) as fh:
+            data = json.load(fh)
+    if section is None:
+        data.update(summary)
+    else:
+        data[section] = summary
+    with open(JSON_PATH, "w") as fh:
+        json.dump(data, fh, indent=2)
+    print(f"\nwrote {JSON_PATH}" + (f" ({section} section)" if section else ""))
+
+    failed = []
+    for label, value_fn, op, bound in gates:
+        value = value_fn(summary)
+        ok = _OPS[op](value, bound)
+        shown = f"{value:.4g}" if isinstance(value, float) else value
+        print(f"gate {label}: {shown} {op} {bound} -> {'pass' if ok else 'FAIL'}")
+        if not ok:
+            failed.append(label)
+    if failed:
+        sys.exit(f"failed gates: {'; '.join(failed)}")

@@ -133,7 +133,10 @@ class Plan:
             self.n_modes = None
             self.ndim = ndim
         else:
-            n_modes = tuple(int(n) for n in n_modes)
+            modes_f = tuple(float(n) for n in n_modes)
+            if not all(np.isfinite(n) and n == int(n) for n in modes_f):
+                raise ValueError(f"mode counts must be integral, got {modes_f}")
+            n_modes = tuple(int(n) for n in modes_f)
             if len(n_modes) not in (1, 2, 3):
                 raise ValueError(
                     f"only 1D, 2D and 3D transforms are supported, got n_modes={n_modes}"
@@ -397,12 +400,17 @@ class Plan:
         return self
 
     def _validated_arrays(self, arrays, names, what):
-        """Check that exactly the first ``ndim`` arrays are given, 1-D, equal."""
+        """Check that exactly the first ``ndim`` arrays are given, real, 1-D, equal."""
         for d in range(self.ndim):
             if arrays[d] is None:
                 raise ValueError(
                     f"{self.ndim}D plan requires {what} arrays "
                     f"{', '.join(names[:self.ndim])}"
+                )
+            if np.iscomplexobj(arrays[d]):
+                raise TypeError(
+                    f"{what} array {names[d]!r} is complex; nonuniform points "
+                    "must be real"
                 )
         for d in range(self.ndim, len(arrays)):
             if arrays[d] is not None:

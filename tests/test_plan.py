@@ -360,6 +360,23 @@ class TestValidationAndAtomicity:
             Plan(1, (16,), n_trans=float("nan"))
         assert Plan(1, (16,), n_trans=2.0).n_trans == 2
 
+    def test_non_integral_mode_counts_rejected(self):
+        # Previously Plan(1, (16.5, 16)) silently ran as (16, 16).
+        with pytest.raises(ValueError, match="integral"):
+            Plan(1, (16.5, 16))
+        assert Plan(1, (16.0, 16)).n_modes == (16, 16)
+
+    def test_complex_coordinates_rejected(self, rng):
+        # Previously the imaginary part was dropped with only a ComplexWarning.
+        x, y, c = make_points_2d(rng, m=50)
+        with pytest.raises(TypeError, match="'x'"):
+            nufft2d1(x + 1j, y, c, (16, 16))
+
+    def test_complex_type3_targets_rejected(self, rng):
+        x = rng.uniform(-np.pi, np.pi, 50)
+        with pytest.raises(TypeError, match="'s'"):
+            Plan(3, 1).set_pts(x, s=x + 1j)
+
     def test_eps_must_be_finite_positive(self):
         for bad in (0.0, -1e-6, np.nan, np.inf):
             with pytest.raises(ValueError, match="eps"):
