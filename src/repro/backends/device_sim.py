@@ -41,35 +41,44 @@ class DeviceSimBackend(ExecutionBackend):
         return get_backend("cached" if plan._stencil is not None else "reference")
 
     @staticmethod
-    def _add_fused_stage(plan, pipeline, profiles, n_trans):
+    def _launch_stage(plan, pipeline, stage, n_trans, build):
         """Record one fused launch per stage kernel.
 
-        The batched engine processes all ``n_trans`` transforms of a stage in
-        a single pass, so the *work* scales with the batch but the launch
-        does not -- matching cuFINUFFT's batched kernels.  (``n_trans=1``
-        records the profiles unchanged.)
+        ``build()`` returns the stage's per-transform kernel profiles.  The
+        batched engine processes all ``n_trans`` transforms of a stage in a
+        single pass, so the *work* scales with the batch but the launch does
+        not -- matching cuFINUFFT's batched kernels.  The scaled profiles
+        depend only on the plan and its point set, so they are built on the
+        first execute and kept with the point set
+        (:meth:`~repro.core.plan.Plan._point_state_value`).
 
         Each launch first passes the device's fault gate
-        (:meth:`~repro.gpu.device.Device.check_launch`): an attached
-        :class:`~repro.faults.FaultInjector` may raise a transient kernel
-        failure, an injected OOM or a device-lost error here -- the stage
-        boundary where a real ``cudaGetLastError`` would report them.
+        (:meth:`~repro.gpu.device.Device.check_launch`), on every execute: an
+        attached :class:`~repro.faults.FaultInjector` may raise a transient
+        kernel failure, an injected OOM or a device-lost error here -- the
+        stage boundary where a real ``cudaGetLastError`` would report them.
         """
+        profiles = plan._point_state_value(
+            (stage, n_trans), lambda: [prof.scaled(n_trans) for prof in build()]
+        )
         for prof in profiles:
             plan.device.check_launch(prof.name)
-            pipeline.add_kernel(prof.scaled(n_trans), phase="exec")
+            pipeline.add_kernel(prof, phase="exec")
 
     # ------------------------------------------------------------------ #
     def spread(self, plan, strengths, pipeline, out=None):
         fine = self._numerics(plan).spread(plan, strengths, pipeline, out=out)
-        subproblems = (
-            plan._ensure_subproblems() if plan.method is SpreadMethod.SM else None
-        )
-        profiles = spread_kernel_profiles(
-            plan.method, plan._sort, plan.kernel, plan.precision,
-            plan.opts.threads_per_block, plan.device.spec, subproblems=subproblems,
-        )
-        self._add_fused_stage(plan, pipeline, profiles, strengths.shape[0])
+
+        def build():
+            subproblems = (plan._ensure_subproblems()
+                           if plan.method is SpreadMethod.SM else None)
+            return spread_kernel_profiles(
+                plan.method, plan._sort, plan.kernel, plan.precision,
+                plan.opts.threads_per_block, plan.device.spec,
+                subproblems=subproblems,
+            )
+
+        self._launch_stage(plan, pipeline, "spread", strengths.shape[0], build)
         return fine
 
     def fft_forward(self, plan, fine, pipeline):
@@ -84,25 +93,29 @@ class DeviceSimBackend(ExecutionBackend):
 
     def deconvolve(self, plan, fine_hat, pipeline, out=None):
         modes = self._numerics(plan).deconvolve(plan, fine_hat, pipeline, out=out)
-        profile = deconvolve_kernel_profile(
-            plan.n_modes, plan.precision.complex_itemsize
+        self._launch_stage(
+            plan, pipeline, "deconvolve", fine_hat.shape[0],
+            lambda: [deconvolve_kernel_profile(
+                plan.n_modes, plan.precision.complex_itemsize)],
         )
-        self._add_fused_stage(plan, pipeline, [profile], fine_hat.shape[0])
         return modes
 
     def precorrect(self, plan, modes, pipeline, out=None):
         fine = self._numerics(plan).precorrect(plan, modes, pipeline, out=out)
-        profile = deconvolve_kernel_profile(
-            plan.n_modes, plan.precision.complex_itemsize, name="precorrect"
+        self._launch_stage(
+            plan, pipeline, "precorrect", modes.shape[0],
+            lambda: [deconvolve_kernel_profile(
+                plan.n_modes, plan.precision.complex_itemsize, name="precorrect")],
         )
-        self._add_fused_stage(plan, pipeline, [profile], modes.shape[0])
         return fine
 
     def interp(self, plan, fine, pipeline, out=None):
         result = self._numerics(plan).interp(plan, fine, pipeline, out=out)
-        profiles = interp_kernel_profiles(
-            plan.interp_method, plan._sort, plan.kernel, plan.precision,
-            plan.opts.threads_per_block, plan.device.spec,
+        self._launch_stage(
+            plan, pipeline, "interp", fine.shape[0],
+            lambda: interp_kernel_profiles(
+                plan.interp_method, plan._sort, plan.kernel, plan.precision,
+                plan.opts.threads_per_block, plan.device.spec,
+            ),
         )
-        self._add_fused_stage(plan, pipeline, profiles, fine.shape[0])
         return result

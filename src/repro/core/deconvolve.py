@@ -66,6 +66,8 @@ class CorrectionFactors:
             correction_factors_1d(kernel, nf, nm)
             for nm, nf in zip(self.modes_shape, self.fine_shape)
         ]
+        self._mode_index = None
+        self._broadcast = {}  # real dtype -> as_broadcast_factors(dtype)
 
     def as_dense(self, dtype=np.float64):
         """Full tensor-product factor array (for tests / small problems)."""
@@ -83,11 +85,20 @@ class CorrectionFactors:
         ``(k + n_fine) mod n_fine``.  We return, per dimension, the index
         vector in *ascending k* order.
         """
-        idx = []
-        for nm, nf in zip(self.modes_shape, self.fine_shape):
-            k = np.arange(-(nm // 2), (nm + 1) // 2, dtype=np.int64)
-            idx.append(np.mod(k, nf))
-        return idx
+        return [ix.ravel() for ix in self._open_mode_index()]
+
+    def _open_mode_index(self):
+        """``np.ix_`` of :meth:`_mode_slices`, built once (read-only arrays)."""
+        if self._mode_index is None:
+            idx = []
+            for nm, nf in zip(self.modes_shape, self.fine_shape):
+                k = np.arange(-(nm // 2), (nm + 1) // 2, dtype=np.int64)
+                idx.append(np.mod(k, nf))
+            index = np.ix_(*idx)
+            for ix in index:
+                ix.flags.writeable = False
+            self._mode_index = index
+        return self._mode_index
 
     def truncate_and_scale(self, fine_hat, dtype=None, out=None):
         """Type-1 step 3: select the central modes and apply the factors.
@@ -115,9 +126,8 @@ class CorrectionFactors:
             raise ValueError(
                 f"fine_hat has shape {fine_hat.shape}, expected {self.fine_shape}"
             )
-        idx = self._mode_slices()
         lead = (slice(None),) if batched else ()
-        gathered = fine_hat[lead + tuple(np.ix_(*idx))]
+        gathered = fine_hat[lead + self._open_mode_index()]
         if out is not None:
             np.multiply(gathered, self.as_broadcast_factors(out.dtype), out=out)
             return out
@@ -148,21 +158,27 @@ class CorrectionFactors:
             dtype = out.dtype
         else:
             fine = np.zeros(lead_shape + self.fine_shape, dtype=dtype)
-        idx = self._mode_slices()
         lead = (slice(None),) if batched else ()
-        fine[lead + tuple(np.ix_(*idx))] = modes * self.as_broadcast_factors(dtype)
+        fine[lead + self._open_mode_index()] = modes * self.as_broadcast_factors(dtype)
         return fine
 
     def as_broadcast_factors(self, dtype):
-        """Tensor product of the 1-D factors via broadcasting (no big temp)."""
-        out = None
-        for d in range(self.ndim):
-            shape = [1] * self.ndim
-            shape[d] = self.modes_shape[d]
-            f = self.factors[d].reshape(shape)
-            out = f if out is None else out * f
+        """Tensor product of the 1-D factors via broadcasting (no big temp).
+
+        Built once per real dtype and returned read-only.
+        """
         real_dtype = np.real(np.zeros(1, dtype=dtype)).dtype
-        return out.astype(real_dtype, copy=False)
+        out = self._broadcast.get(real_dtype)
+        if out is None:
+            for d in range(self.ndim):
+                shape = [1] * self.ndim
+                shape[d] = self.modes_shape[d]
+                f = self.factors[d].reshape(shape)
+                out = f if out is None else out * f
+            out = out.astype(real_dtype)
+            out.flags.writeable = False
+            self._broadcast[real_dtype] = out
+        return out
 
 
 def type1_deconvolve(fine_hat, factors, dtype=None):

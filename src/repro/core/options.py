@@ -14,12 +14,13 @@ options.  Defaults follow the paper:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = ["SpreadMethod", "Precision", "Opts", "default_bin_shape",
-           "validate_isign"]
+           "validate_isign", "integral_mode_counts"]
 
 
 def validate_isign(value, allow_none=False):
@@ -38,6 +39,19 @@ def validate_isign(value, allow_none=False):
         suffix = " or None (per-type default)" if allow_none else ""
         raise ValueError(f"isign must be +1, -1{suffix}, got {value!r}")
     return int(value_f)
+
+
+def integral_mode_counts(n_modes):
+    """Mode counts as a tuple of ints; non-integral or non-finite ones raise.
+
+    The one check behind ``Plan`` and the service's requests and plan keys,
+    so ``(16.7, 16)`` is rejected everywhere instead of truncated to
+    ``(16, 16)``; ``(16.0, 16)`` is the same geometry as ``(16, 16)``.
+    """
+    modes_f = tuple(float(n) for n in n_modes)
+    if not all(math.isfinite(n) and n == int(n) for n in modes_f):
+        raise ValueError(f"mode counts must be integral, got {modes_f}")
+    return tuple(int(n) for n in modes_f)
 
 
 class SpreadMethod(enum.Enum):

@@ -46,7 +46,7 @@ from .binsort import (
 )
 from .deconvolve import CorrectionFactors
 from .gridsize import fine_grid_shape, next_smooth_even_235
-from .options import Opts, SpreadMethod
+from .options import Opts, SpreadMethod, integral_mode_counts
 from .stencil import build_stencil_cache
 from .workspace import Workspace
 
@@ -133,10 +133,7 @@ class Plan:
             self.n_modes = None
             self.ndim = ndim
         else:
-            modes_f = tuple(float(n) for n in n_modes)
-            if not all(np.isfinite(n) and n == int(n) for n in modes_f):
-                raise ValueError(f"mode counts must be integral, got {modes_f}")
-            n_modes = tuple(int(n) for n in modes_f)
+            n_modes = integral_mode_counts(n_modes)
             if len(n_modes) not in (1, 2, 3):
                 raise ValueError(
                     f"only 1D, 2D and 3D transforms are supported, got n_modes={n_modes}"
@@ -235,6 +232,7 @@ class Plan:
         self._subproblems = None
         self._stencil = None
         self._point_buffers = []
+        self._derived = {}
         self.n_points = 0
         self.n_targets = 0
 
@@ -284,6 +282,21 @@ class Plan:
         self._require_live()
         if not self._points_ready:
             raise RuntimeError("set_pts must be called before execute")
+
+    def _point_state_value(self, key, build):
+        """``build()``, computed once per point set and kept until the next one.
+
+        Holds what the plan and its current point set fix -- the modelled
+        kernel profiles of each stage, the service's price of an execute --
+        so a warm execute does not re-derive them.  :meth:`_release_point_state`
+        drops every value, so each ``set_pts`` (the equal-size ``recycle``
+        path included) starts empty.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build()
+            return value
 
     def _ensure_subproblems(self):
         """SM subproblem decomposition, built on first use after set_pts."""
@@ -446,6 +459,7 @@ class Plan:
         for buf in self._point_buffers:
             buf.free()
         self._point_buffers = []
+        self._derived = {}
         self._setup_pipeline = PipelineProfile()
         self._grid_coords = None
         self._sort = None
@@ -866,8 +880,8 @@ class Plan:
 
     def _record_execute_transfers(self, data, output, pipeline):
         cplx_sz = self.precision.complex_itemsize
-        in_elems = int(np.prod(data.shape))
-        out_elems = int(np.prod(np.shape(output)))
+        in_elems = data.size
+        out_elems = np.size(output)
         pipeline.add_transfer("h2d", in_elems * cplx_sz, "input data")
         pipeline.add_transfer("d2h", out_elems * cplx_sz, "output data")
 
@@ -999,6 +1013,7 @@ class Plan:
         self._point_buffers = []
         self._buffers = []
         self._stencil = None
+        self._derived = {}
         self._destroyed = True
 
     def __enter__(self):

@@ -210,7 +210,7 @@ def spread_cached(fine_shape, strengths, cache, dtype=np.complex64, out=None):
     result = out
     if result is None:
         result = np.empty((n_trans,) + tuple(fine_shape), dtype=dtype)
-    spread_op = cache.interp_matrix.T  # (n_fine, M), CSC view: no copy
+    spread_op = cache.spread_operator()  # (n_fine, M), CSC view: no copy
     if n_trans > 1:
         pairs = np.empty((block.shape[1], n_trans), dtype=np.complex128)
         pairs[...] = block.T

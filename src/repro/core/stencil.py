@@ -106,6 +106,18 @@ class StencilCache:
     interp_matrix: object = None
     kernel_eval: str = "horner"
     pencils: object = field(default=None, repr=False, compare=False)
+    _spread_operator: object = field(default=None, repr=False, compare=False)
+
+    def spread_operator(self):
+        """``interp_matrix.T``, the CSC spreading operator, built on first use.
+
+        A view over the CSR arrays (no copy), kept so that each spread does
+        not pay scipy's constructor and format checks again.  A new point
+        set gets a new cache, so the view never outlives its operator.
+        """
+        if self._spread_operator is None:
+            self._spread_operator = self.interp_matrix.T
+        return self._spread_operator
 
     @property
     def n_points(self):

@@ -24,7 +24,7 @@ Public entry points
 * :class:`repro.gpu.costmodel.CostModel` -- converts profiles to seconds.
 * :mod:`repro.gpu.transactions`, :mod:`repro.gpu.atomics` -- the memory and
   atomic models used by the spreading/interpolation cost estimators.
-* :mod:`repro.gpu.fft` -- cuFFT-like wrapper over ``numpy.fft`` with cost
+* :mod:`repro.gpu.fft` -- cuFFT-like wrapper over ``scipy.fft`` with cost
   accounting.
 """
 

@@ -1,9 +1,9 @@
 """cuFFT-like FFT execution on the simulated device.
 
 The NUFFT pipelines use a plain d-dimensional (inverse) FFT of the fine grid
-(paper Step 2).  Numerically we delegate to ``numpy.fft`` (pocketfft), which
-is exact for our purposes; the *cost* is modelled the way cuFFT behaves on a
-V100:
+(paper Step 2).  Numerically we delegate to ``scipy.fft`` (pocketfft), which
+transforms single precision natively and is exact for our purposes; the
+*cost* is modelled the way cuFFT behaves on a V100:
 
 * an arithmetic term ``~5 N log2 N`` flops for a size-``N`` complex
   transform,
@@ -17,6 +17,7 @@ V100:
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft
 
 from .profiler import KernelProfile
 
@@ -64,13 +65,21 @@ class DeviceFFT:
         self.pipeline = pipeline
         self.warm = warm
         self.startup_pending = not warm
+        # The last recorded profile and its key: a plan transforms one
+        # geometry over and over, so it is built once, not per execute.
+        self._last_profile = (None, None)
 
     def _record(self, shape, dtype, name, count=1):
         if self.pipeline is not None:
-            profile = fft_kernel_profile(shape, np.dtype(dtype).itemsize, name=name)
-            # cuFFT's batch API runs all ``count`` transforms behind a single
-            # launch: the work scales with the batch, the launch does not.
-            self.pipeline.add_kernel(profile.scaled(count), phase="exec")
+            key = (shape, np.dtype(dtype).itemsize, name, count)
+            last_key, profile = self._last_profile
+            if key != last_key:
+                # cuFFT's batch API runs all ``count`` transforms behind a
+                # single launch: the work scales with the batch, the launch
+                # does not.
+                profile = fft_kernel_profile(shape, key[1], name=name).scaled(count)
+                self._last_profile = (key, profile)
+            self.pipeline.add_kernel(profile, phase="exec")
 
     @staticmethod
     def _batch_geometry(grid, axes):
@@ -89,7 +98,7 @@ class DeviceFFT:
         """Forward FFT of a complex fine grid (paper Eq. (9)).
 
         Note the sign convention: the paper's type-1 step 2 uses
-        ``exp(-2 pi i l k / n)`` which matches ``numpy.fft.fftn``.
+        ``exp(-2 pi i l k / n)`` which matches ``scipy.fft.fftn``.
 
         ``axes`` restricts the transform to those axes (cuFFT's batched
         execution over a leading ``n_trans`` axis); one *fused* kernel
@@ -102,15 +111,14 @@ class DeviceFFT:
         shape, batch = self._batch_geometry(grid, axes)
         self._record(shape, grid.dtype, "cufft_forward", count=batch)
         self.startup_pending = False
-        return np.fft.fftn(grid, axes=axes).astype(grid.dtype, copy=False)
+        return scipy.fft.fftn(grid, axes=axes).astype(grid.dtype, copy=False)
 
     def inverse(self, grid, axes=None):
         """Unnormalized inverse FFT (paper Eq. (12)): plain conjugate-sign sum.
 
         cuFFT's inverse is unnormalized (no 1/N factor), and the type-2
-        algorithm wants exactly that, so we multiply numpy's normalized
-        ``ifftn`` back by N (the size of the transformed axes only, for
-        batched transforms).
+        algorithm wants exactly that: ``norm="forward"`` puts the 1/N on the
+        forward transform and leaves the inverse a plain sum.
         """
         grid = np.asarray(grid)
         if not np.iscomplexobj(grid):
@@ -118,5 +126,6 @@ class DeviceFFT:
         shape, batch = self._batch_geometry(grid, axes)
         self._record(shape, grid.dtype, "cufft_inverse", count=batch)
         self.startup_pending = False
-        n_total = int(np.prod(shape))
-        return (np.fft.ifftn(grid, axes=axes) * n_total).astype(grid.dtype, copy=False)
+        return scipy.fft.ifftn(grid, axes=axes, norm="forward").astype(
+            grid.dtype, copy=False
+        )

@@ -17,9 +17,26 @@ near machine accuracy for all mode indices we ever need.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["quadrature_kernel_ft", "kernel_fourier_series"]
+
+
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre_unit(n_quad):
+    """Gauss-Legendre nodes and weights mapped to ``[0, 1]`` (read-only).
+
+    ``leggauss`` solves an eigenproblem of order ``n_quad``; memoizing it
+    keeps that cost out of every plan construction.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    z = 0.5 * (nodes + 1.0)
+    wq = 0.5 * weights
+    z.flags.writeable = False
+    wq.flags.writeable = False
+    return z, wq
 
 
 def _default_n_quad(kernel_width, max_abs_xi):
@@ -59,9 +76,7 @@ def quadrature_kernel_ft(kernel, xi, n_quad=None):
         n_quad = _default_n_quad(width, float(np.max(np.abs(xi))) if xi.size else 0.0)
 
     # Gauss-Legendre on [0, 1]; kernel is even so FT = 2 * int_0^1 phi cos(xi z) dz.
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
-    z = 0.5 * (nodes + 1.0)
-    wq = 0.5 * weights
+    z, wq = _gauss_legendre_unit(int(n_quad))
     phi_vals = kernel(z)  # (n_quad,)
     # (len(xi), n_quad) cosine matrix; fine for the sizes used here.
     cos_mat = np.cos(np.outer(xi.ravel(), z))

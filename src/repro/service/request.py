@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.options import Opts, Precision, SpreadMethod
+from ..core.options import Opts, Precision, SpreadMethod, integral_mode_counts
 
 __all__ = ["TransformRequest", "TransformResult", "plan_key_for"]
 
@@ -43,7 +43,7 @@ def plan_key_for(nufft_type, n_modes, eps, precision, method, backend, isign=Non
         ndim = int(n_modes) if np.isscalar(n_modes) else len(tuple(n_modes))
         modes_key = ("ndim", ndim)
     else:
-        modes_key = tuple(int(n) for n in np.atleast_1d(n_modes))
+        modes_key = integral_mode_counts(np.atleast_1d(n_modes))
     isign_key = Opts(isign=isign).resolve_isign(nufft_type)
     return (nufft_type, modes_key, float(eps), Precision.parse(precision).value,
             SpreadMethod.parse(method).value, str(backend).strip().lower(),
@@ -51,6 +51,11 @@ def plan_key_for(nufft_type, n_modes, eps, precision, method, backend, isign=Non
 
 
 def _as_point_array(value, name):
+    if np.iscomplexobj(value):
+        raise TypeError(
+            f"{name} is complex; nonuniform points and target frequencies "
+            "must be real"
+        )
     arr = np.asarray(value, dtype=np.float64)
     if arr.ndim != 1 or arr.shape[0] == 0:
         raise ValueError(f"{name} must be a non-empty 1-D array, got shape {arr.shape}")
@@ -99,10 +104,11 @@ class TransformRequest:
         dispatch; a request whose completion would land past it fails with
         :class:`~repro.service.DeadlineExceededError`.
 
-    Validation is eager: malformed shapes and non-finite points raise
-    ``ValueError`` here, *before* the request can reach a (possibly shared,
-    possibly coalesced) plan, so one bad request can never poison a fused
-    block serving other callers.
+    Validation is eager: malformed shapes, non-integral mode counts and
+    non-finite points raise ``ValueError`` here, complex points or targets
+    ``TypeError`` (as :class:`~repro.core.plan.Plan` does), *before* the
+    request can reach a (possibly shared, possibly coalesced) plan, so one
+    bad request can never poison a fused block serving other callers.
 
     Requests carry arrays, so they compare by identity (``eq=False``), not
     element-wise; group by :meth:`plan_key` / :meth:`points_key` instead.
@@ -127,6 +133,9 @@ class TransformRequest:
     priority: int = 0
     deadline_s: float = None
     _points_digest: str = field(default=None, repr=False, compare=False)
+    _plan_key: tuple = field(default=None, init=False, repr=False, compare=False)
+    _signature_label: str = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         if self.nufft_type not in (1, 2, 3):
@@ -139,19 +148,23 @@ class TransformRequest:
             self.n_modes = None
             self.ndim = ndim
         else:
-            self.n_modes = tuple(int(n) for n in np.atleast_1d(self.n_modes))
+            self.n_modes = integral_mode_counts(np.atleast_1d(self.n_modes))
             if len(self.n_modes) not in (1, 2, 3) or any(n < 1 for n in self.n_modes):
                 raise ValueError(f"invalid n_modes {self.n_modes}")
             self.ndim = len(self.n_modes)
-        self.eps = float(self.eps)
-        if not np.isfinite(self.eps) or self.eps <= 0.0:
-            raise ValueError(f"eps must be a finite positive tolerance, got {self.eps}")
-        self.precision = Precision.parse(self.precision).value
-        self.method = SpreadMethod.parse(self.method).value
-        self.backend = str(self.backend).strip().lower()
-        # Normalize isign eagerly (front-door validation): None resolves to
-        # the per-type convention, anything else must be +-1.
-        self.isign = Opts(isign=self.isign).resolve_isign(self.nufft_type)
+        eps = float(self.eps)
+        if not np.isfinite(eps) or eps <= 0.0:
+            raise ValueError(f"eps must be a finite positive tolerance, got {eps}")
+        # The plan key is the one normalization of the geometry fields
+        # (isign=None resolves to the per-type convention, anything else
+        # must be +-1); the request keeps the normalized values.
+        self._plan_key = plan_key_for(
+            self.nufft_type, self.ndim if self.nufft_type == 3 else self.n_modes,
+            eps, self.precision, self.method, self.backend, self.isign,
+        )
+        _, _, self.eps, self.precision, self.method, self.backend, self.isign = (
+            self._plan_key
+        )
         self.tenant = str(self.tenant)
         if not self.tenant:
             raise ValueError("tenant must be a non-empty identifier")
@@ -249,10 +262,11 @@ class TransformRequest:
     # grouping keys
     # ------------------------------------------------------------------ #
     def plan_key(self):
-        """Geometry key: requests with equal keys can share one pooled plan."""
-        modes = self.n_modes if self.nufft_type != 3 else self.ndim
-        return plan_key_for(self.nufft_type, modes, self.eps, self.precision,
-                            self.method, self.backend, self.isign)
+        """Geometry key: requests with equal keys can share one pooled plan.
+
+        Computed once, at construction, by :func:`plan_key_for`.
+        """
+        return self._plan_key
 
     def points_key(self):
         """Digest of the nonuniform points (and type-3 targets).
@@ -289,10 +303,14 @@ class TransformRequest:
         the key :class:`~repro.service.ServiceStats` breaks pool hit/miss
         counts and latency percentiles down by.
         """
-        modes = (f"{self.ndim}d" if self.nufft_type == 3
-                 else "x".join(str(n) for n in self.n_modes))
-        return (f"t{self.nufft_type}:{modes}:eps{self.eps:g}:{self.precision}"
-                f":isign{self.isign:+d}:pts={self.points_key()[:8]}")
+        if self._signature_label is None:
+            modes = (f"{self.ndim}d" if self.nufft_type == 3
+                     else "x".join(str(n) for n in self.n_modes))
+            self._signature_label = (
+                f"t{self.nufft_type}:{modes}:eps{self.eps:g}:{self.precision}"
+                f":isign{self.isign:+d}:pts={self.points_key()[:8]}"
+            )
+        return self._signature_label
 
     def setpts_kwargs(self):
         """Keyword arguments for ``Plan.set_pts``."""

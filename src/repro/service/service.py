@@ -788,7 +788,13 @@ class TransformService:
             stacked = np.stack([req.data for _, req in shard])
             output = plan.execute(stacked)
             outputs = list(output)
-        exec_seconds = _engine_seconds(plan, plan._exec_pipeline)
+        # Warm executes of one plan and point set record the same profiles
+        # and transfers, so the first execute's price stands for all of them
+        # (dropped with the point set on the next set_pts).
+        exec_seconds = plan._point_state_value(
+            ("engine seconds", n_trans),
+            lambda: _engine_seconds(plan, plan._exec_pipeline),
+        )
 
         plan_setup_s = 0.0
         if created and self.charge_plan_creation:

@@ -10,6 +10,7 @@ from repro.cluster.node import CORI_GPU_NODE
 from repro.gpu import Device
 from repro.mtip import MTIPConfig, MTIPReconstruction
 from repro.service import PlanPool, TransformRequest, TransformService
+from repro.service.request import plan_key_for
 
 
 # --------------------------------------------------------------------------- #
@@ -96,6 +97,29 @@ class TestTransformRequest:
         with pytest.raises(ValueError):  # type 3 requires targets
             TransformRequest(nufft_type=3, n_modes=1, data=np.ones(4, complex),
                              x=np.array([0.1, 0.2, 0.3, 0.4]))
+
+    def test_complex_points_and_targets_rejected(self):
+        x = np.array([0.1, 0.2, 0.3, 0.4])
+        with pytest.raises(TypeError, match="^x is complex"):
+            TransformRequest(nufft_type=1, n_modes=(16,),
+                             data=np.ones(4, complex), x=x + 0.5j)
+        with pytest.raises(TypeError, match="^t is complex"):
+            TransformRequest(nufft_type=3, n_modes=2, data=np.ones(4, complex),
+                             x=x, y=x, s=x, t=x.astype(complex))
+
+    def test_non_integral_mode_counts_rejected(self):
+        x = np.array([0.1, 0.2, 0.3, 0.4])
+        with pytest.raises(ValueError, match="integral"):
+            TransformRequest(nufft_type=2, n_modes=(16.7, 16),
+                             data=np.ones((16, 16), complex), x=x, y=x)
+        with pytest.raises(ValueError, match="integral"):
+            plan_key_for(1, (16.7, 16), 1e-6, "single", "auto", "auto")
+        with TransformService() as service, pytest.raises(ValueError,
+                                                          match="integral"):
+            service.lease_plan(1, (16.5,))
+        # An integral float is the same geometry as the int.
+        assert (plan_key_for(1, (16.0, 16), 1e-6, "single", "auto", "auto")
+                == plan_key_for(1, (16, 16), 1e-6, "single", "auto", "auto"))
 
     def test_grouping_keys(self):
         x = np.array([0.1, 0.2, 0.3])
