@@ -18,8 +18,7 @@ for type 3) where every stage is dispatched through an
     plan's spreading method.  Pure numerics -- no simulated-GPU profiling
     overhead.
 ``device_sim``
-    Wraps the numerics of ``cached`` (or ``reference`` when the stencil cache
-    is disabled) and routes every stage through the simulated GPU kernel
+    Runs the numerics of ``cached`` and routes every stage through the simulated GPU kernel
     profiles, so the paper's cost-model timings (``exec`` / ``total`` /
     ``total+mem``) stay attached to each execute call.  The spreading method
     changes only those profiles, never the numbers.  This is the default.
@@ -44,8 +43,9 @@ class ExecutionBackend:
     """Protocol for one execution strategy of the transform stages.
 
     Every stage receives the owning :class:`~repro.core.plan.Plan` (which
-    carries the geometry: kernel, fine grid, bin sort, stencil cache,
-    correction factors), the batched data block, and the
+    carries the geometry: kernel, fine grid, correction factors, and the
+    :class:`~repro.core.pointset.PointSet` with the bin sort and stencils),
+    the batched data block, and the
     :class:`~repro.gpu.profiler.PipelineProfile` of the current execute call
     (ignored by backends that do not record profiles).
 
@@ -74,9 +74,9 @@ class ExecutionBackend:
     #: execute pipeline (drives ``Plan.timings`` / ``spread_fraction``).
     records_profiles = False
 
-    def wants_stencil_cache(self, opts):
+    def wants_stencil_cache(self):
         """Whether ``Plan.set_pts`` should precompute the stencil cache."""
-        return bool(opts.cache_stencils)
+        return True
 
     # Stage hooks -------------------------------------------------------- #
     def spread(self, plan, strengths, pipeline, out=None):

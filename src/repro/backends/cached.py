@@ -4,7 +4,8 @@ The fast path introduced by the batched execution engine: ``set_pts``
 precomputes the per-point kernel stencils (and, within budget, the CSR sparse
 spread/interp operator), and every stage then processes the whole ``n_trans``
 block in one fused pass.  Spreading and interpolation take one of two
-engines, chosen by what the cache holds:
+engines, chosen by what the plan's :class:`~repro.core.pointset.PointSet`
+holds:
 
 * the CSR operator (within the fusion budget): a sparse mat-mat for
   spreading, the transposed sparse gather for interpolation, one real
@@ -43,21 +44,15 @@ class CachedBackend(ExecutionBackend):
     name = "cached"
     records_profiles = False
 
-    def wants_stencil_cache(self, opts):
-        # The cache *is* this backend; build it even when the generic
-        # ``cache_stencils`` switch was turned off.
-        return True
-
-    # ------------------------------------------------------------------ #
     def spread(self, plan, strengths, pipeline, out=None):
-        cache = plan._stencil
+        points = plan.point_set
         if out is None:
             out = np.empty((strengths.shape[0],) + plan.fine_shape,
                            dtype=plan.precision.complex_dtype)
-        strengths = np.take(strengths, plan._sort.permutation, axis=1)
-        if cache.interp_matrix is not None:
-            return spread_cached(plan.fine_shape, strengths, cache, out=out)
-        return spread_windowed(strengths, cache, out)
+        strengths = np.take(strengths, points.sort.permutation, axis=1)
+        if points.stencil.interp_matrix is not None:
+            return spread_cached(strengths, points, out=out)
+        return spread_windowed(strengths, points.stencil, out, points.pencils())
 
     def fft_forward(self, plan, fine, pipeline):
         # Native precision end to end: pocketfft transforms complex64 blocks
@@ -80,13 +75,14 @@ class CachedBackend(ExecutionBackend):
         )
 
     def interp(self, plan, fine, pipeline, out=None):
-        cache = plan._stencil
+        points = plan.point_set
         cplx = plan.precision.complex_dtype
         if out is None:
-            out = np.empty((fine.shape[0], cache.n_points), dtype=cplx)
-        if cache.interp_matrix is not None:
-            values = interp_cached(fine, plan._grid_coords, cache, cplx)
+            out = np.empty((fine.shape[0], points.n_points), dtype=cplx)
+        if points.stencil.interp_matrix is not None:
+            values = interp_cached(fine, points, cplx)
         else:
-            values = interp_windowed(fine, cache, np.empty(out.shape, dtype=cplx))
-        out[:, plan._sort.permutation] = values
+            values = interp_windowed(fine, points.stencil,
+                                     np.empty(out.shape, dtype=cplx), points.pencils())
+        out[:, points.sort.permutation] = values
         return out

@@ -1,9 +1,7 @@
 """Device-sim backend: real numerics plus simulated-GPU kernel profiles.
 
-Numerically this backend delegates to the ``cached`` fast path (or to the
-``reference`` per-transform loop when the plan carries no stencil cache, i.e.
-``cache_stencils=False``), whose numerics do not depend on the spreading
-method.  It then attaches the per-stage
+Numerically this backend is the ``cached`` fast path, whose numerics do not
+depend on the spreading method.  It then attaches the per-stage
 :class:`~repro.gpu.profiler.KernelProfile` records the paper's cost model
 prices: method-specific spread/interp kernels, the cuFFT launches (recorded by
 :class:`~repro.gpu.fft.DeviceFFT`), and the deconvolution passes.  Plans on
@@ -24,21 +22,16 @@ from ..core.deconvolve import deconvolve_kernel_profile
 from ..core.interp import interp_kernel_profiles
 from ..core.options import SpreadMethod
 from ..core.spread import spread_kernel_profiles
-from .base import ExecutionBackend, get_backend
+from .cached import CachedBackend
 
 __all__ = ["DeviceSimBackend"]
 
 
-class DeviceSimBackend(ExecutionBackend):
+class DeviceSimBackend(CachedBackend):
     """Profiled execution on the simulated device; see module docstring."""
 
     name = "device_sim"
     records_profiles = True
-
-    @staticmethod
-    def _numerics(plan):
-        """Numeric engine: cached fast path when a stencil cache exists."""
-        return get_backend("cached" if plan._stencil is not None else "reference")
 
     @staticmethod
     def _launch_stage(plan, pipeline, stage, n_trans, build):
@@ -67,13 +60,14 @@ class DeviceSimBackend(ExecutionBackend):
 
     # ------------------------------------------------------------------ #
     def spread(self, plan, strengths, pipeline, out=None):
-        fine = self._numerics(plan).spread(plan, strengths, pipeline, out=out)
+        fine = super().spread(plan, strengths, pipeline, out=out)
 
         def build():
-            subproblems = (plan._ensure_subproblems()
+            points = plan.point_set
+            subproblems = (points.subproblems(plan.opts.max_subproblem_size)
                            if plan.method is SpreadMethod.SM else None)
             return spread_kernel_profiles(
-                plan.method, plan._sort, plan.kernel, plan.precision,
+                plan.method, points.sort, plan.kernel, plan.precision,
                 plan.opts.threads_per_block, plan.device.spec,
                 subproblems=subproblems,
             )
@@ -85,14 +79,14 @@ class DeviceSimBackend(ExecutionBackend):
         # DeviceFFT records one fused batched-cufft profile by itself; the
         # launch still passes the device's fault gate like every stage.
         plan.device.check_launch("cufft_forward")
-        return self._numerics(plan).fft_forward(plan, fine, pipeline)
+        return super().fft_forward(plan, fine, pipeline)
 
     def fft_inverse(self, plan, fine, pipeline):
         plan.device.check_launch("cufft_inverse")
-        return self._numerics(plan).fft_inverse(plan, fine, pipeline)
+        return super().fft_inverse(plan, fine, pipeline)
 
     def deconvolve(self, plan, fine_hat, pipeline, out=None):
-        modes = self._numerics(plan).deconvolve(plan, fine_hat, pipeline, out=out)
+        modes = super().deconvolve(plan, fine_hat, pipeline, out=out)
         self._launch_stage(
             plan, pipeline, "deconvolve", fine_hat.shape[0],
             lambda: [deconvolve_kernel_profile(
@@ -101,7 +95,7 @@ class DeviceSimBackend(ExecutionBackend):
         return modes
 
     def precorrect(self, plan, modes, pipeline, out=None):
-        fine = self._numerics(plan).precorrect(plan, modes, pipeline, out=out)
+        fine = super().precorrect(plan, modes, pipeline, out=out)
         self._launch_stage(
             plan, pipeline, "precorrect", modes.shape[0],
             lambda: [deconvolve_kernel_profile(
@@ -110,11 +104,11 @@ class DeviceSimBackend(ExecutionBackend):
         return fine
 
     def interp(self, plan, fine, pipeline, out=None):
-        result = self._numerics(plan).interp(plan, fine, pipeline, out=out)
+        result = super().interp(plan, fine, pipeline, out=out)
         self._launch_stage(
             plan, pipeline, "interp", fine.shape[0],
             lambda: interp_kernel_profiles(
-                plan.interp_method, plan._sort, plan.kernel, plan.precision,
+                plan.interp_method, plan.point_set.sort, plan.kernel, plan.precision,
                 plan.opts.threads_per_block, plan.device.spec,
             ),
         )

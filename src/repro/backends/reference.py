@@ -1,7 +1,6 @@
 """Reference backend: exact dense numpy numerics, one transform at a time.
 
-This is the seed implementation's execution strategy (the ``cache_stencils=
-False, kernel_eval="exact"`` path of earlier revisions): every stage loops
+This is the seed implementation's execution strategy: every stage loops
 over the ``n_trans`` transforms, kernels are evaluated on the fly through the
 exact ``exp(beta*(sqrt(1-z^2)-1))`` form (no plan-level stencil cache), and no
 simulated-GPU profiles are recorded.  Spread and interp run the one
@@ -29,7 +28,7 @@ class ReferenceBackend(ExecutionBackend):
     name = "reference"
     records_profiles = False
 
-    def wants_stencil_cache(self, opts):
+    def wants_stencil_cache(self):
         return False
 
     # ------------------------------------------------------------------ #
@@ -50,7 +49,7 @@ class ReferenceBackend(ExecutionBackend):
     def spread(self, plan, strengths, pipeline, out=None):
         cplx = plan.precision.complex_dtype
         return self._stacked(
-            [spread_direct(plan.fine_shape, plan._grid_coords, strengths[t],
+            [spread_direct(plan.fine_shape, plan.point_set.grid_coords, strengths[t],
                            plan.kernel, cplx)
              for t in range(strengths.shape[0])],
             out,
@@ -86,7 +85,7 @@ class ReferenceBackend(ExecutionBackend):
     def interp(self, plan, fine, pipeline, out=None):
         cplx = plan.precision.complex_dtype
         return self._stacked(
-            [interp_direct(fine[t], plan._grid_coords, plan.kernel, cplx)
+            [interp_direct(fine[t], plan.point_set.grid_coords, plan.kernel, cplx)
              for t in range(fine.shape[0])],
             out,
         )

@@ -37,7 +37,8 @@ from ..core.binsort import bin_sort, to_grid_coordinates
 from ..core.deconvolve import CorrectionFactors, deconvolve_kernel_profile
 from ..core.gridsize import fine_grid_shape
 from ..core.interp import interp_kernel_profiles
-from ..core.options import Opts, SpreadMethod, default_bin_shape
+from ..core.options import Opts, SpreadMethod, default_bin_shape, integral_mode_counts
+from ..core.pointset import validated_point_arrays
 from ..core.slab import (
     halo_pads,
     halo_row_map,
@@ -153,9 +154,7 @@ class DistributedPlan:
         if int(n_ranks) < 1:
             raise ValueError(f"n_ranks must be >= 1, got {n_ranks}")
         self.nufft_type = int(nufft_type)
-        self.n_modes = tuple(int(n) for n in n_modes)
-        if len(self.n_modes) not in (1, 2, 3) or any(n < 1 for n in self.n_modes):
-            raise ValueError(f"invalid n_modes {n_modes!r}")
+        self.n_modes = integral_mode_counts(n_modes)
         self.ndim = len(self.n_modes)
         self.n_ranks = int(n_ranks)
         self.n_trans = int(n_trans)
@@ -215,30 +214,8 @@ class DistributedPlan:
         bin-sort cell of the axis-0 grid coordinate, so points exactly on a
         slab boundary land deterministically in the slab starting there.
         """
-        arrays = (x, y, z)
-        for d in range(self.ndim):
-            if arrays[d] is None:
-                raise ValueError(
-                    f"{self.ndim}D plan requires coordinate arrays "
-                    f"{', '.join(_COORD_NAMES[:self.ndim])}"
-                )
-        for d in range(self.ndim, 3):
-            if arrays[d] is not None:
-                raise ValueError(
-                    f"{self.ndim}D plan takes only the coordinate arrays "
-                    f"{', '.join(_COORD_NAMES[:self.ndim])}"
-                )
-        coords = [np.asarray(a, dtype=np.float64) for a in arrays[:self.ndim]]
-        m = coords[0].shape[0] if coords[0].ndim == 1 else -1
-        for d, c in enumerate(coords):
-            if c.ndim != 1 or c.shape[0] != m:
-                raise ValueError("coordinate arrays must be 1-D and of equal length")
-            if not np.all(np.isfinite(c)):
-                raise ValueError(
-                    f"coordinate array {_COORD_NAMES[d]!r} contains non-finite values"
-                )
-        if m == 0:
-            raise ValueError("at least one nonuniform point is required")
+        coords = validated_point_arrays((x, y, z), self.ndim, _COORD_NAMES)
+        m = coords[0].shape[0]
 
         grid_coords = [
             to_grid_coordinates(coords[d], self.fine_shape[d])

@@ -79,10 +79,11 @@ def _interp_points(grids, grid_coords, kernel, out):
     return out
 
 
-def interp_cached(grid, grid_coords, cache, dtype=np.complex64, out=None):
+def interp_cached(grid, points, dtype=np.complex64, out=None):
     """Interpolate via the cached sparse operator (one pass over all transforms).
 
-    ``interp_matrix @ grid`` performs the kernel-weighted gather for every
+    ``interp_matrix @ grid`` of the :class:`~repro.core.pointset.PointSet`'s
+    stencil cache performs the kernel-weighted gather for every
     transform at once, in the cache's point order.  The real-valued operator
     is never upcast (and copied) to complex: with ``n_trans > 1`` the grids
     are contracted by one real product over their complex128 transpose
@@ -91,10 +92,10 @@ def interp_cached(grid, grid_coords, cache, dtype=np.complex64, out=None):
     product).  ``out``, when given, must be a ``(n_trans, M)`` array; the
     result is written into it and it is returned.
     """
+    cache = points.stencil
     if cache is None or cache.interp_matrix is None:
-        raise ValueError("interp_cached needs a stencil cache with a sparse operator")
-    ndim = len(grid_coords)
-    grids, batched = _as_grid_batch(grid, ndim)
+        raise ValueError("interp_cached needs a point set with a sparse operator")
+    grids, batched = _as_grid_batch(grid, cache.ndim)
     n_trans = grids.shape[0]
     matrix = cache.interp_matrix
     result = out

@@ -42,16 +42,20 @@ def validate_isign(value, allow_none=False):
 
 
 def integral_mode_counts(n_modes):
-    """Mode counts as a tuple of ints; non-integral or non-finite ones raise.
+    """One to three positive mode counts as a tuple of ints, else ``ValueError``.
 
-    The one check behind ``Plan`` and the service's requests and plan keys,
-    so ``(16.7, 16)`` is rejected everywhere instead of truncated to
-    ``(16, 16)``; ``(16.0, 16)`` is the same geometry as ``(16, 16)``.
+    The one check behind ``Plan``, the service's requests and plan keys and
+    the solve requests and operators, so ``(16.7, 16)`` is rejected
+    everywhere instead of truncated to ``(16, 16)``; ``(16.0, 16)`` is the
+    same geometry as ``(16, 16)``.
     """
     modes_f = tuple(float(n) for n in n_modes)
     if not all(math.isfinite(n) and n == int(n) for n in modes_f):
         raise ValueError(f"mode counts must be integral, got {modes_f}")
-    return tuple(int(n) for n in modes_f)
+    modes = tuple(int(n) for n in modes_f)
+    if len(modes) not in (1, 2, 3) or min(modes) < 1:
+        raise ValueError(f"n_modes must hold 1 to 3 mode counts >= 1, got {modes}")
+    return modes
 
 
 class SpreadMethod(enum.Enum):
@@ -174,12 +178,6 @@ class Opts:
     sort_points : bool
         Whether set_pts performs the bin sort (GM ignores the permutation but
         the flag lets benchmarks price the sort separately).
-    cache_stencils : bool
-        Whether ``set_pts`` precomputes the per-point kernel stencils (and,
-        within ``stencil_budget``, the fused sparse spread/interp operator)
-        so repeated ``execute`` calls never re-evaluate the kernel.  Disabling
-        this reproduces the seed implementation's per-transform loop, which
-        the throughput benchmark uses as its baseline.
     kernel_eval : str
         "horner" evaluates the ES kernel through its precomputed
         piecewise-polynomial (Horner) approximation, "exact" through
@@ -210,7 +208,6 @@ class Opts:
     threads_per_block: int = 128
     spread_only: bool = False
     sort_points: bool = True
-    cache_stencils: bool = True
     kernel_eval: str = "horner"
     stencil_budget: int = 1 << 25
     reuse_workspace: bool = True
@@ -298,7 +295,6 @@ class Opts:
             "threads_per_block": self.threads_per_block,
             "spread_only": self.spread_only,
             "sort_points": self.sort_points,
-            "cache_stencils": self.cache_stencils,
             "kernel_eval": self.kernel_eval,
             "stencil_budget": self.stencil_budget,
             "reuse_workspace": self.reuse_workspace,

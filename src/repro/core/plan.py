@@ -27,8 +27,6 @@ timings -- "exec", "total" and "total+mem" -- are derived by the cost model.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from ..backends import get_backend
@@ -38,16 +36,11 @@ from ..gpu.fft import DeviceFFT
 from ..gpu.profiler import PipelineProfile
 from ..kernels.es_kernel import ESKernel
 from ..metrics import allocs
-from .binsort import (
-    bin_sort,
-    binsort_kernel_profiles,
-    make_subproblems,
-    to_grid_coordinates,
-)
+from .binsort import binsort_kernel_profiles, to_grid_coordinates
 from .deconvolve import CorrectionFactors
 from .gridsize import fine_grid_shape, next_smooth_even_235
 from .options import Opts, SpreadMethod, integral_mode_counts
-from .stencil import build_stencil_cache
+from .pointset import PointSet, PointSetKey, build_point_set, validated_point_arrays
 from .workspace import Workspace
 
 __all__ = ["Plan", "CUDA_CONTEXT_MB"]
@@ -133,15 +126,8 @@ class Plan:
             self.n_modes = None
             self.ndim = ndim
         else:
-            n_modes = integral_mode_counts(n_modes)
-            if len(n_modes) not in (1, 2, 3):
-                raise ValueError(
-                    f"only 1D, 2D and 3D transforms are supported, got n_modes={n_modes}"
-                )
-            if any(n < 1 for n in n_modes):
-                raise ValueError(f"all mode counts must be >= 1, got {n_modes}")
-            self.n_modes = n_modes
-            self.ndim = len(n_modes)
+            self.n_modes = integral_mode_counts(n_modes)
+            self.ndim = len(self.n_modes)
         self.n_trans = int(n_trans_f)
         self.eps = eps
 
@@ -227,10 +213,9 @@ class Plan:
         # explicit "no points" state (``_points_ready`` False), where execute
         # refuses to run rather than operating on half-initialized geometry.
         self._points_ready = False
-        self._grid_coords = None
-        self._sort = None
-        self._subproblems = None
-        self._stencil = None
+        #: The :class:`~repro.core.pointset.PointSet` of the current points
+        #: (sort, stencils, point-only memo), possibly shared with other plans.
+        self.point_set = None
         self._point_buffers = []
         self._derived = {}
         self.n_points = 0
@@ -267,13 +252,6 @@ class Plan:
         self._buffers.append(buf)
         return buf
 
-    def _point_alloc(self, shape, dtype, label):
-        """Allocate a buffer tied to the current point set (freed by set_pts)."""
-        buf = self.device.memory.allocate(shape, dtype, label=label)
-        self._point_buffers.append(buf)
-        self._setup_pipeline.add_transfer("alloc", buf.nbytes, label)
-        return buf
-
     def _require_live(self):
         if self._destroyed:
             raise RuntimeError("plan has been destroyed")
@@ -297,12 +275,6 @@ class Plan:
         except KeyError:
             value = self._derived[key] = build()
             return value
-
-    def _ensure_subproblems(self):
-        """SM subproblem decomposition, built on first use after set_pts."""
-        if self._subproblems is None:
-            self._subproblems = make_subproblems(self._sort, self.opts.max_subproblem_size)
-        return self._subproblems
 
     def _apply_sm_fallback(self):
         """Paper Remark 2: SM falls back to GM-sort when the padded bin
@@ -356,7 +328,8 @@ class Plan:
     # ------------------------------------------------------------------ #
     # set_pts
     # ------------------------------------------------------------------ #
-    def set_pts(self, x, y=None, z=None, s=None, t=None, u=None):
+    def set_pts(self, x=None, y=None, z=None, s=None, t=None, u=None, *,
+                points=None):
         """Register (and bin-sort) the nonuniform points.
 
         For type-1/2 plans, pass one coordinate array per dimension
@@ -369,6 +342,15 @@ class Plan:
         cuFINUFFT, so one plan can be reused across point sets of equal size
         or not.
 
+        ``points=`` takes another plan's :attr:`point_set` in place of
+        coordinates: the plan attaches that set and skips the sort and the
+        stencil build (it still records the same uploads, allocations and
+        setup kernels).  Its key -- fine grid, kernel, ``kernel_eval``,
+        stencil budget, bin shape, and whether it carries stencils -- must
+        match this plan's; a mismatch, a type-3 or tuned plan, or a set no
+        plan holds any more raises ``ValueError`` (:meth:`can_attach` tells
+        in advance).
+
         Failure contract (all transform types): set_pts is all-or-nothing.
         Every validation and host-side planning step -- shape/finiteness
         checks, the type-3 fine-grid derivation and its kernel-transform
@@ -380,9 +362,13 @@ class Plan:
         where ``execute`` raises until a subsequent set_pts succeeds.
         """
         self._require_live()
-        coords = self._validated_arrays((x, y, z), _COORD_NAMES, "coordinate")
+        if points is not None:
+            if any(a is not None for a in (x, y, z, s, t, u)):
+                raise ValueError("pass coordinate arrays or points=, not both")
+            return self._attach(points)
+        coords = validated_point_arrays((x, y, z), self.ndim, _COORD_NAMES)
         if self.nufft_type == 3:
-            targets = self._validated_arrays((s, t, u), _TARGET_NAMES,
+            targets = validated_point_arrays((s, t, u), self.ndim, _TARGET_NAMES,
                                              "target frequency")
             return self._set_pts_type3(coords, targets)
         if s is not None or t is not None or u is not None:
@@ -402,48 +388,55 @@ class Plan:
             to_grid_coordinates(coords[d], self.fine_shape[d]) for d in range(self.ndim)
         ]
         # An equal point count gives an operator of equal size: the new
-        # stencil cache is then written into the old one's arrays.
-        previous = self._stencil if coords[0].shape[0] == self.n_points else None
+        # stencil cache may then be written into the old one's arrays.
+        previous = self.point_set if coords[0].shape[0] == self.n_points else None
         self._release_point_state()
-        self.n_points = coords[0].shape[0]
-        self._grid_coords = grid_coords
         self._upload_points(coords)
-        self._build_point_precompute(recycle=previous)
+        self._install(build_point_set(grid_coords, self._point_set_key(), self.kernel,
+                                      store=self.artifact_store, previous=previous))
         self._points_ready = True
         return self
 
-    def _validated_arrays(self, arrays, names, what):
-        """Check that exactly the first ``ndim`` arrays are given, real, 1-D, equal."""
-        for d in range(self.ndim):
-            if arrays[d] is None:
-                raise ValueError(
-                    f"{self.ndim}D plan requires {what} arrays "
-                    f"{', '.join(names[:self.ndim])}"
-                )
-            if np.iscomplexobj(arrays[d]):
-                raise TypeError(
-                    f"{what} array {names[d]!r} is complex; nonuniform points "
-                    "must be real"
-                )
-        for d in range(self.ndim, len(arrays)):
-            if arrays[d] is not None:
-                raise ValueError(
-                    f"{self.ndim}D plan takes only the {what} arrays "
-                    f"{', '.join(names[:self.ndim])}"
-                )
-        out = [np.asarray(a, dtype=np.float64) for a in arrays[:self.ndim]]
-        m = out[0].shape[0] if out[0].ndim == 1 else -1
-        for d, a in enumerate(out):
-            if a.ndim != 1 or a.shape[0] != m:
-                raise ValueError(f"{what} arrays must be 1-D and of equal length")
-            if not np.all(np.isfinite(a)):
-                raise ValueError(
-                    f"{what} array {names[d]!r} contains non-finite values "
-                    "(NaN or Inf); nonuniform points must be finite reals"
-                )
-        if m == 0:
-            raise ValueError(f"at least one nonuniform {what} is required")
-        return out
+    def _point_set_key(self):
+        return PointSetKey(
+            fine_shape=self.fine_shape, width=self.kernel.width,
+            beta=self.kernel.beta, kernel_eval=self.opts.kernel_eval,
+            stencil_budget=self.opts.stencil_budget, bin_shape=self.bin_shape,
+            stencils=self.backend.wants_stencil_cache(),
+        )
+
+    def _attach_mismatch(self, points):
+        """Why this plan cannot attach ``points`` (``None`` when it can)."""
+        if not isinstance(points, PointSet):
+            return f"points= takes a PointSet, got {type(points).__name__}"
+        if self.nufft_type == 3:
+            return "a type-3 plan derives its own point set and cannot attach one"
+        if self.tune_mode != "off":
+            return (f"a tuned plan (tune={self.tune_mode!r}) re-plans for its "
+                    "points and cannot attach a point set")
+        if points.holders == 0:
+            return "the point set is no longer held by any plan"
+        mine = self._point_set_key()
+        field = points.key.mismatch(mine)
+        if field is not None:
+            return (f"point set {field} {getattr(points.key, field)!r} does not "
+                    f"match this plan's {getattr(mine, field)!r}")
+        return None
+
+    def can_attach(self, points):
+        """Whether ``set_pts(points=points)`` would attach ``points``."""
+        return self._attach_mismatch(points) is None
+
+    def _attach(self, points):
+        reason = self._attach_mismatch(points)
+        if reason is not None:
+            error = ValueError if isinstance(points, PointSet) else TypeError
+            raise error(f"cannot attach point set: {reason}")
+        self._release_point_state()
+        self._upload_points(points.grid_coords)
+        self._install(points)
+        self._points_ready = True
+        return self
 
     def _release_point_state(self):
         """Free buffers and precompute tied to the previous point set.
@@ -461,15 +454,17 @@ class Plan:
         self._point_buffers = []
         self._derived = {}
         self._setup_pipeline = PipelineProfile()
-        self._grid_coords = None
-        self._sort = None
-        self._subproblems = None
-        self._stencil = None
+        self._drop_point_set()
         if self._t3_inner is not None:
             self._t3_inner.destroy()
             self._t3_inner = None
         self._t3_prephase = None
         self._t3_postphase = None
+
+    def _drop_point_set(self):
+        if self.point_set is not None:
+            self.point_set.holders -= 1
+            self.point_set = None
 
     def _upload_points(self, coords):
         real_dt = self.precision.real_dtype
@@ -478,51 +473,16 @@ class Plan:
             self._point_buffers.append(buf)
             self._setup_pipeline.add_transfer("h2d", buf.nbytes, f"points dim{d}")
 
-    def _build_point_precompute(self, recycle=None):
-        """Bin sort, stencil cache, subproblem split and setup profiles.
+    def _install(self, points):
+        """Hold ``points`` and record the sort's buffers and setup kernels.
 
-        Shared by every transform type; for type 3 it runs on the rescaled
-        source coordinates over the derived fine grid.  ``recycle`` is the
-        previous point set's stencil cache, whose arrays the new one may
-        reuse (see :func:`~repro.core.stencil.build_stencil_cache`).
+        Runs the same way whether the plan built ``points`` or attached
+        them, so both report the same ``timings()`` and ``gpu_ram_mb()``.
+        For type 3 the set holds the rescaled sources over the derived grid.
         """
-        m = self.n_points
-        # Bin statistics are always computed (the contention model needs them);
-        # the sort kernels are only charged when the method uses the sort.
-        self._sort = bin_sort(self._grid_coords, self.fine_shape, self.bin_shape)
-        self._subproblems = None
-
-        # Plan-level stencil cache: the per-point kernel stencils (and, within
-        # budget, the fused sparse spread/interp operator) depend only on the
-        # points, so they are computed once here and reused by every execute.
-        # Rebuilding on each set_pts call is the cache invalidation.  Whether
-        # the cache exists at all is the backend's call: the reference backend
-        # re-evaluates kernels on the fly, the cached backend requires it.
-        # The cache lists the points in bin-sort order, so consecutive points
-        # (and CSR rows) touch nearby fine-grid memory.
-        self._stencil = None
-        if self.backend.wants_stencil_cache(self.opts):
-            points_digest = None
-            if self.artifact_store is not None:
-                h = hashlib.blake2b(digest_size=16)
-                for c in self._grid_coords:
-                    h.update(np.ascontiguousarray(c).tobytes())
-                points_digest = h.hexdigest()
-            perm = self._sort.permutation
-            self._stencil = build_stencil_cache(
-                [c[perm] for c in self._grid_coords],
-                self.fine_shape,
-                self.kernel,
-                kernel_eval=self.opts.kernel_eval,
-                fuse_budget=self.opts.stencil_budget,
-                store=self.artifact_store,
-                points_digest=points_digest,
-                bin_shape=self.bin_shape,
-                recycle=recycle,
-            )
-        if self.method is SpreadMethod.SM and self.nufft_type != 2:
-            self._subproblems = make_subproblems(self._sort, self.opts.max_subproblem_size)
-
+        points.holders += 1
+        self.point_set = points
+        self.n_points = m = points.n_points
         if self.method in (SpreadMethod.GM_SORT, SpreadMethod.SM) and self.opts.sort_points:
             idx_bytes = 4 * m
             for label in ("bin index", "sort permutation"):
@@ -533,15 +493,16 @@ class Plan:
                 self._setup_pipeline.add_transfer("alloc", idx_bytes, label)
             for prof in binsort_kernel_profiles(
                 m,
-                self._sort.n_bins,
+                points.sort.n_bins,
                 self.ndim,
                 self.precision.real_itemsize,
                 self.opts.threads_per_block,
             ):
                 self._setup_pipeline.add_kernel(prof, phase="setup")
-            if self._subproblems is not None:
+            if self.method is SpreadMethod.SM and self.nufft_type != 2:
+                subproblems = points.subproblems(self.opts.max_subproblem_size)
                 self._setup_pipeline.add_kernel(
-                    _subproblem_setup_profile(self._sort, self._subproblems),
+                    _subproblem_setup_profile(points.sort, subproblems),
                     phase="setup",
                 )
 
@@ -628,10 +589,8 @@ class Plan:
         self._maybe_tune(fine_shape, m)
 
         self._release_point_state()
-        self.n_points = m
         self.n_targets = nk
         self.fine_shape = fine_shape
-        self._grid_coords = grid_coords
         self._t3_prephase = np.exp(self.isign * 1j * prephase)
         self._t3_postphase = factors * np.exp(self.isign * 1j * postphase)
 
@@ -655,7 +614,8 @@ class Plan:
             self._point_buffers.append(buf)
             self._setup_pipeline.add_transfer("h2d", buf.nbytes, label)
 
-        self._build_point_precompute()
+        self._install(build_point_set(grid_coords, self._point_set_key(), self.kernel,
+                                      store=self.artifact_store))
 
         # Inner type-2 plan over the same backend: evaluates the fine grid's
         # trigonometric sum at the rescaled target frequencies, with the
@@ -971,17 +931,17 @@ class Plan:
                 f"modelled {self.tuned.objective} vs paper defaults "
                 f"({self.tuned.n_candidates} candidates)"
             )
-        if self._grid_coords is not None:
+        if self.point_set is not None:
             pts = f"  points: {self.n_points}"
             if self.nufft_type == 3:
                 pts += f", targets: {self.n_targets}"
             lines.append(pts)
-            if self._stencil is not None:
-                kind = ("sparse-op" if self._stencil.interp_matrix is not None
-                        else "per-dim")
+            stencil = self.point_set.stencil
+            if stencil is not None:
+                kind = "sparse-op" if stencil.interp_matrix is not None else "per-dim"
                 lines.append(
-                    f"  stencil cache: {kind} ({self._stencil.kernel_eval}), "
-                    f"{self._stencil.nbytes() / 1e6:.1f} MB host"
+                    f"  stencil cache: {kind} ({stencil.kernel_eval}), "
+                    f"{stencil.nbytes() / 1e6:.1f} MB host"
                 )
         if self._exec_pipeline is not None:
             t = self.timings()
@@ -1012,7 +972,7 @@ class Plan:
         self.workspace.release_all()
         self._point_buffers = []
         self._buffers = []
-        self._stencil = None
+        self._drop_point_set()
         self._derived = {}
         self._destroyed = True
 

@@ -1,0 +1,142 @@
+"""One point set and everything derived from it alone.
+
+A :class:`PointSet` holds the caller-order fine-grid coordinates, their
+:class:`~repro.core.binsort.BinSort`, the stencils of
+:func:`~repro.core.stencil.build_stencil_cache` in bin-sort order (``None``
+for backends that evaluate kernels on the fly), and one memo of the values
+that depend on the points alone: the CSC spreading view, the windowed
+engine's pencils and the SM subproblem split of each ``Msub``.  Values that
+also depend on a plan's method, precision, ``n_trans`` or device stay with
+the plan (``Plan._point_state_value``).
+
+Plans on the same points share one set: ``t2.set_pts(points=t1.point_set)``
+attaches ``t1``'s set when their :class:`PointSetKey` agree.  ``holders``
+counts the plans holding a set; a re-point writes its new CSR operator into
+the old set's arrays only once no plan holds that set, and never into
+arrays served by an artifact store, which other readers may share.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from typing import NamedTuple
+
+import numpy as np
+
+from .binsort import bin_sort, make_subproblems
+from .stencil import build_stencil_cache
+from .windowed import group_pencils
+
+__all__ = ["PointSet", "PointSetKey", "build_point_set", "validated_point_arrays"]
+
+
+def validated_point_arrays(arrays, ndim, names, what="coordinate", owner="plan"):
+    """The first ``ndim`` of ``arrays`` as real, finite, equal-length 1-D float64.
+
+    The one check behind ``Plan.set_pts``, ``DistributedPlan.set_pts``, the
+    service's :class:`~repro.service.TransformRequest`, the solve requests
+    and operators: the rest of ``arrays`` must be ``None``, and ``names``
+    name the arrays in the errors.
+    """
+    listed = ", ".join(names[:ndim])
+    if any(a is None for a in arrays[:ndim]):
+        raise ValueError(f"{ndim}D {owner} requires {what} arrays {listed}")
+    if any(a is not None for a in arrays[ndim:]):
+        raise ValueError(f"{ndim}D {owner} takes only the {what} arrays {listed}")
+    out = []
+    for name, a in zip(names, arrays[:ndim]):
+        if np.iscomplexobj(a):
+            raise TypeError(f"{name} is complex; {what} array {name!r} must be real")
+        a = np.asarray(a, dtype=np.float64)
+        if a.ndim != 1 or a.shape[0] == 0:
+            raise ValueError(f"{what} array {name!r} must be a non-empty 1-D array, "
+                             f"got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{what} array {name!r} contains non-finite values "
+                             "(NaN or Inf); nonuniform points must be finite reals")
+        out.append(a)
+    if any(a.shape[0] != out[0].shape[0] for a in out):
+        raise ValueError(f"{what} arrays must have equal length")
+    return out
+
+
+class PointSetKey(NamedTuple):
+    """What a point set's contents depend on besides the points."""
+
+    fine_shape: tuple
+    width: int
+    beta: float
+    kernel_eval: str
+    stencil_budget: int
+    bin_shape: tuple
+    stencils: bool
+
+    def mismatch(self, other):
+        """Name of the first field that differs from ``other``, else ``None``."""
+        return next((name for name, a, b in zip(self._fields, self, other) if a != b),
+                    None)
+
+
+class PointSet:
+    """A point set's sort, stencils and point-only memo; see module docstring."""
+
+    def __init__(self, grid_coords, sort=None, stencil=None, key=None, stored=False):
+        self.grid_coords = grid_coords
+        self.sort = sort
+        self.stencil = stencil
+        self.key = key
+        #: Whether the stencils came through an artifact store.
+        self.stored = stored
+        self.holders = 0
+        self._memo = {}
+
+    @property
+    def n_points(self):
+        return self.grid_coords[0].shape[0]
+
+    def _value(self, key, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def spread_operator(self):
+        """``stencil.interp_matrix.T``, the CSC spreading operator (a view)."""
+        return self._value("spread operator", lambda: self.stencil.interp_matrix.T)
+
+    def pencils(self):
+        """The windowed engine's crowded-window grouping of the points."""
+        return self._value("pencils", lambda: group_pencils(self.stencil))
+
+    def subproblems(self, max_subproblem_size):
+        """The SM split of the bin-sorted points into subproblems of ``Msub``."""
+        msub = int(max_subproblem_size)
+        return self._value(("subproblems", msub), lambda: make_subproblems(self.sort, msub))
+
+
+def build_point_set(grid_coords, key, kernel, store=None, previous=None):
+    """Bin-sort ``grid_coords`` and build the stencils ``key`` asks for.
+
+    ``store`` is the plan's artifact store, which keys stencils by a digest
+    of the points.  ``previous`` is the set the calling plan just released;
+    its CSR arrays are reused when no plan holds it any more.
+    """
+    sort = bin_sort(grid_coords, key.fine_shape, key.bin_shape)
+    stencil = None
+    if key.stencils:
+        points_digest = None
+        if store is not None:
+            h = hashlib.blake2b(digest_size=16)
+            for c in grid_coords:
+                h.update(np.ascontiguousarray(c).tobytes())
+            points_digest = h.hexdigest()
+        recycle = None
+        if previous is not None and previous.holders == 0 and not previous.stored:
+            recycle = previous.stencil
+        perm = sort.permutation
+        stencil = build_stencil_cache(
+            [c[perm] for c in grid_coords], key.fine_shape, kernel,
+            kernel_eval=key.kernel_eval, fuse_budget=key.stencil_budget,
+            store=store, points_digest=points_digest, bin_shape=key.bin_shape,
+            recycle=recycle,
+        )
+    return PointSet(grid_coords, sort, stencil, key, stored=store is not None)

@@ -188,12 +188,12 @@ def _spread_points(grids, grid_coords, strengths, kernel):
 # --------------------------------------------------------------------------- #
 # numeric spreaders
 # --------------------------------------------------------------------------- #
-def spread_cached(fine_shape, strengths, cache, dtype=np.complex64, out=None):
+def spread_cached(strengths, points, dtype=np.complex64, out=None):
     """Spread via the cached sparse operator (one pass over all transforms).
 
-    Requires a fused :class:`~repro.core.stencil.StencilCache` carrying the
-    CSR interpolation matrix, whose transpose *is* the spreading operator;
-    the strengths follow the cache's point order.  Real and imaginary parts
+    Requires a :class:`~repro.core.pointset.PointSet` whose stencil cache
+    carries the CSR interpolation matrix, whose transpose *is* the spreading
+    operator; the strengths follow the cache's point order.  Real and imaginary parts
     share the real-valued kernel weights, so a ``(n_trans, M)`` block with
     ``n_trans > 1`` is spread by one real sparse product over its complex128
     transpose viewed as ``(M, 2 * n_trans)`` float64.  A single transform
@@ -203,14 +203,15 @@ def spread_cached(fine_shape, strengths, cache, dtype=np.complex64, out=None):
     ``out``, when given, must be a ``(n_trans, *fine_shape)`` array of any
     layout; the result is written into it and it is returned.
     """
+    cache = points.stencil
     if cache is None or cache.interp_matrix is None:
-        raise ValueError("spread_cached needs a stencil cache with a sparse operator")
+        raise ValueError("spread_cached needs a point set with a sparse operator")
     block, batched = _as_strength_batch(strengths)
     n_trans = block.shape[0]
     result = out
     if result is None:
-        result = np.empty((n_trans,) + tuple(fine_shape), dtype=dtype)
-    spread_op = cache.spread_operator()  # (n_fine, M), CSC view: no copy
+        result = np.empty((n_trans,) + cache.fine_shape, dtype=dtype)
+    spread_op = points.spread_operator()  # (n_fine, M), CSC view: no copy
     if n_trans > 1:
         pairs = np.empty((block.shape[1], n_trans), dtype=np.complex128)
         pairs[...] = block.T

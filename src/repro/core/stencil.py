@@ -12,8 +12,7 @@ At ``set_pts`` time we therefore precompute and store, per dimension:
 * ``vals``    -- the ``w`` kernel values per point (Horner-evaluated by
   default, see :func:`repro.kernels.es_kernel.horner_coefficients`),
 
-and, when the footprint ``M * w^d`` fits a memory budget and scipy is
-available, the *fused* form:
+and, when the footprint ``M * w^d`` fits a memory budget, the *fused* form:
 
 * ``interp_matrix`` -- the ``w^d`` wrapped flat fine-grid indices and
   tensor-product kernel values of every point as a ``(M, n_fine)`` CSR sparse
@@ -43,9 +42,10 @@ scatters outputs back to the caller's point indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse as _sparse
 
 __all__ = [
     "StencilCache",
@@ -65,11 +65,6 @@ DEFAULT_FUSE_BUDGET = 1 << 25
 #: Stencil entries per assembly block: the block's node-major index and
 #: weight tensors (~0.8 MB at int32 indices) stay in cache while built.
 _BLOCK_ENTRIES = 1 << 16
-
-try:  # pragma: no cover - exercised indirectly everywhere scipy exists
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - offline images always ship scipy
-    _sparse = None
 
 
 @dataclass
@@ -94,9 +89,6 @@ class StencilCache:
         is spreading.
     kernel_eval : str
         Which kernel evaluation built the values ("horner" or "exact").
-    pencils : object or None
-        The windowed engine's crowded-window grouping of the points, filled
-        in on first use (:mod:`repro.core.windowed`); never persisted.
     """
 
     fine_shape: tuple
@@ -105,19 +97,6 @@ class StencilCache:
     vals: list
     interp_matrix: object = None
     kernel_eval: str = "horner"
-    pencils: object = field(default=None, repr=False, compare=False)
-    _spread_operator: object = field(default=None, repr=False, compare=False)
-
-    def spread_operator(self):
-        """``interp_matrix.T``, the CSC spreading operator, built on first use.
-
-        A view over the CSR arrays (no copy), kept so that each spread does
-        not pay scipy's constructor and format checks again.  A new point
-        set gets a new cache, so the view never outlives its operator.
-        """
-        if self._spread_operator is None:
-            self._spread_operator = self.interp_matrix.T
-        return self._spread_operator
 
     @property
     def n_points(self):
@@ -222,8 +201,8 @@ def build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval="horner",
     fuse_budget : int
         Maximum fused entry count ``M * w^d`` (see :data:`DEFAULT_FUSE_BUDGET`).
     build_matrix : bool
-        Whether to assemble the CSR operator (requires scipy and ``M * w^d``
-        within ``fuse_budget``).
+        Whether to assemble the CSR operator (requires ``M * w^d`` within
+        ``fuse_budget``).
     store : ArtifactStore, optional
         Warm-state store (kind ``"stencil"``).  With ``points_digest`` also
         given, the cache is served from the store when present and persisted
@@ -251,19 +230,13 @@ def build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval="horner",
     if store is not None and points_digest is not None:
         key = stencil_cache_key(points_digest, fine_shape, kernel, kernel_eval,
                                 fuse_budget, build_matrix, bin_shape)
-        arrays = store.get_or_build(
+        return stencil_cache_from_arrays(store.get_or_build(
             "stencil", key,
             lambda: stencil_cache_arrays(_build_stencil_cache(
                 grid_coords, fine_shape, kernel, kernel_eval, fuse_budget,
                 build_matrix, store=store,
             )),
-        )
-        cache = stencil_cache_from_arrays(arrays)
-        if cache is not None:
-            return cache
-        # Deserialization impossible (e.g. a matrix-bearing entry without
-        # scipy): fall through to a fresh build.
-        recycle = None
+        ))
     return _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
                                 fuse_budget, build_matrix, store=store, recycle=recycle)
 
@@ -298,7 +271,7 @@ def _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
 
     m = i0_list[0].shape[0]
     matrix = None
-    if build_matrix and _sparse is not None and m * (w ** ndim) <= fuse_budget:
+    if build_matrix and m * (w ** ndim) <= fuse_budget:
         k = w ** ndim
         # The index dtype scipy would pick anyway, so it keeps the arrays
         # instead of converting (copying) them.
@@ -371,19 +344,11 @@ def stencil_cache_arrays(cache):
 
 
 def stencil_cache_from_arrays(arrays):
-    """Rebuild a :class:`StencilCache` from :func:`stencil_cache_arrays`.
-
-    Returns ``None`` when the payload cannot be realized in this process
-    (a CSR-bearing entry without scipy available) -- the caller then falls
-    back to a fresh build.
-    """
+    """Rebuild a :class:`StencilCache` from :func:`stencil_cache_arrays`."""
     fine_shape = tuple(int(n) for n in np.asarray(arrays["fine_shape"]))
     ndim = len(fine_shape)
-    has_matrix = "csr_data" in arrays
-    if has_matrix and _sparse is None:  # pragma: no cover - images ship scipy
-        return None
     matrix = None
-    if has_matrix:
+    if "csr_data" in arrays:
         m = int(arrays["i0"].shape[1])
         matrix = _sparse.csr_matrix(
             (arrays["csr_data"], arrays["csr_indices"], arrays["csr_indptr"]),

@@ -1,7 +1,7 @@
 """Windowed spread/interp over a wrap-padded fine grid (the non-CSR fast path).
 
 When the stencil cache holds no sparse operator -- the point set is over the
-fusion budget, or scipy is missing -- the ``cached`` backend spreads and
+fusion budget -- the ``cached`` backend spreads and
 interpolates here, whatever the plan's spreading method (a method's GPU cost
 comes from its kernel profiles, not from this numpy loop).  The engine reads
 only the per-dimension ``i0`` and ``vals`` that
@@ -25,7 +25,8 @@ Points take one of two regimes (d >= 2; 1D always scatters):
   which is then added into the accumulator.  Interpolation is the transpose:
   each run multiplies the box's rows at its offset by ``R``, and each point
   dots its ``w`` results with its axis-0 values.  The grouping depends only
-  on the points; it is computed on first use and kept on the cache.
+  on the points (:func:`group_pencils`); a plan computes it once per point
+  set (:meth:`~repro.core.pointset.PointSet.pencils`) and passes it in.
   Pencils too large for one chunk are processed in pieces from one reused
   buffer, so the temporaries stay bounded however the points cluster.
 * **everything else: scatter / gather**, in chunks taken in the cache's
@@ -51,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-__all__ = ["spread_windowed", "interp_windowed"]
+__all__ = ["spread_windowed", "interp_windowed", "group_pencils"]
 
 #: Window entries (points x w^d) per spreading / interpolation chunk; also
 #: the entry bound of each dense-GEMM temporary.
@@ -112,15 +113,14 @@ def _scatter_chunks(pencils, entries_per_point):
     return [rest[lo:lo + step] for lo in range(0, rest.size, step)]
 
 
-def _pencils(cache):
-    """The cache's pencil grouping, computed on first use.
+def group_pencils(cache):
+    """The cache's pencil grouping.
 
-    Call after :func:`_check_windows`.  Points are sorted by window corner on
+    Windows outside the padded grid give a meaningless grouping, which
+    :func:`_check_windows` rejects before it is used.  Points are sorted by window corner on
     axes 1..d-1, then by axis-0 start, so each pencil lists its points by
     axis-0 offset.
     """
-    if cache.pencils is not None:
-        return cache.pencils
     m = cache.n_points
     before, after = _padding(cache.width)
     points = np.empty(0, dtype=np.int64)
@@ -140,8 +140,7 @@ def _pencils(cache):
         starts = np.concatenate(([0], np.cumsum(sizes[crowded])))
     scatter = np.ones(m, dtype=bool)
     scatter[points] = False
-    cache.pencils = _Pencils(points, starts, scatter)
-    return cache.pencils
+    return _Pencils(points, starts, scatter)
 
 
 def _pencil_blocks(pencils, step):
@@ -207,13 +206,14 @@ def _fold_axis(a, axis, n, before):
     return part(before, before + n)
 
 
-def spread_windowed(strengths, cache, out):
+def spread_windowed(strengths, cache, out, pencils=None):
     """Spread a ``(B, M)`` strength block into ``out`` of shape ``(B, *fine)``.
 
     The strengths follow the cache's point order, which is also the order
     the scattered points are accumulated in (bin-sorted points keep each
     chunk's span short; any order gives the same sum up to rounding).
-    ``out`` may have any layout; it is returned.
+    ``out`` may have any layout; it is returned.  ``pencils`` is the cache's
+    :func:`group_pencils`, computed here when omitted.
     """
     _check_windows(cache)
     fine_shape = cache.fine_shape
@@ -227,7 +227,8 @@ def spread_windowed(strengths, cache, out):
     grid = acc.reshape((n_trans,) + padded[::-1])
 
     # Crowded windows: one dense product per pencil into its box.
-    pencils = _pencils(cache)
+    if pencils is None:
+        pencils = group_pencils(cache)
     # Per point of a piece: its ``rest`` column and its ``scaled`` column.
     per_point = w ** (ndim - 1) + w * n_trans * 2
     step = _step(per_point)
@@ -284,12 +285,13 @@ def spread_windowed(strengths, cache, out):
     return out
 
 
-def interp_windowed(grids, cache, out):
+def interp_windowed(grids, cache, out, pencils=None):
     """Interpolate a ``(B, *fine)`` grid block into ``out`` of shape ``(B, M)``.
 
     ``out`` follows the cache's point order, which is also the order the
     gathered points are visited in.  Every product and contraction runs in
     the grid's precision; ``out`` may have any layout and is returned.
+    ``pencils`` is as for :func:`spread_windowed`.
     """
     _check_windows(cache)
     fine_shape = cache.fine_shape
@@ -304,7 +306,8 @@ def interp_windowed(grids, cache, out):
         np.pad(grids, [(0, 0)] + [(before, after)] * ndim, mode="wrap"))
 
     # Crowded windows: the transposed product per pencil.
-    pencils = _pencils(cache)
+    if pencils is None:
+        pencils = group_pencils(cache)
     # Per point of a piece: its ``rest`` column and its ``q`` column.
     rows = n_trans * 2
     per_point = w ** (ndim - 1) + w * rows

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.options import Opts, Precision, SpreadMethod, integral_mode_counts
+from ..core.pointset import validated_point_arrays
 
 __all__ = ["TransformRequest", "TransformResult", "plan_key_for"]
 
@@ -48,23 +49,6 @@ def plan_key_for(nufft_type, n_modes, eps, precision, method, backend, isign=Non
     return (nufft_type, modes_key, float(eps), Precision.parse(precision).value,
             SpreadMethod.parse(method).value, str(backend).strip().lower(),
             isign_key)
-
-
-def _as_point_array(value, name):
-    if np.iscomplexobj(value):
-        raise TypeError(
-            f"{name} is complex; nonuniform points and target frequencies "
-            "must be real"
-        )
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] == 0:
-        raise ValueError(f"{name} must be a non-empty 1-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(
-            f"{name} contains non-finite values (NaN or Inf); "
-            "nonuniform points must be finite reals"
-        )
-    return arr
 
 
 @dataclass(eq=False)
@@ -149,8 +133,6 @@ class TransformRequest:
             self.ndim = ndim
         else:
             self.n_modes = integral_mode_counts(np.atleast_1d(self.n_modes))
-            if len(self.n_modes) not in (1, 2, 3) or any(n < 1 for n in self.n_modes):
-                raise ValueError(f"invalid n_modes {self.n_modes}")
             self.ndim = len(self.n_modes)
         eps = float(self.eps)
         if not np.isfinite(eps) or eps <= 0.0:
@@ -196,54 +178,24 @@ class TransformRequest:
     # validation
     # ------------------------------------------------------------------ #
     def _validate_points(self):
-        coords = [getattr(self, f) for f in _COORD_FIELDS]
-        for d in range(self.ndim):
-            if coords[d] is None:
-                raise ValueError(
-                    f"{self.ndim}D request requires coordinate arrays "
-                    f"{', '.join(_COORD_FIELDS[:self.ndim])}"
-                )
-        for d in range(self.ndim, 3):
-            if coords[d] is not None:
-                raise ValueError(
-                    f"{self.ndim}D request takes only "
-                    f"{', '.join(_COORD_FIELDS[:self.ndim])}"
-                )
-        parsed = [_as_point_array(coords[d], _COORD_FIELDS[d]) for d in range(self.ndim)]
-        m = parsed[0].shape[0]
-        if any(c.shape[0] != m for c in parsed):
-            raise ValueError("coordinate arrays must have equal length")
-        for d, arr in enumerate(parsed):
-            setattr(self, _COORD_FIELDS[d], arr)
-        self.n_points = m
-
+        coords = validated_point_arrays([getattr(self, f) for f in _COORD_FIELDS],
+                                        self.ndim, _COORD_FIELDS, owner="request")
+        for name, arr in zip(_COORD_FIELDS, coords):
+            setattr(self, name, arr)
+        self.n_points = coords[0].shape[0]
+        self.n_targets = 0
         targets = [getattr(self, f) for f in _TARGET_FIELDS]
         if self.nufft_type != 3:
             if any(tt is not None for tt in targets):
                 raise ValueError(
                     "target frequencies (s, t, u) are only accepted by type-3 requests"
                 )
-            self.n_targets = 0
             return
-        for d in range(self.ndim):
-            if targets[d] is None:
-                raise ValueError(
-                    f"{self.ndim}D type-3 request requires target arrays "
-                    f"{', '.join(_TARGET_FIELDS[:self.ndim])}"
-                )
-        for d in range(self.ndim, 3):
-            if targets[d] is not None:
-                raise ValueError(
-                    f"{self.ndim}D type-3 request takes only "
-                    f"{', '.join(_TARGET_FIELDS[:self.ndim])}"
-                )
-        parsed_t = [_as_point_array(targets[d], _TARGET_FIELDS[d]) for d in range(self.ndim)]
-        nk = parsed_t[0].shape[0]
-        if any(tt.shape[0] != nk for tt in parsed_t):
-            raise ValueError("target arrays must have equal length")
-        for d, arr in enumerate(parsed_t):
-            setattr(self, _TARGET_FIELDS[d], arr)
-        self.n_targets = nk
+        targets = validated_point_arrays(targets, self.ndim, _TARGET_FIELDS, "target",
+                                         owner="type-3 request")
+        for name, arr in zip(_TARGET_FIELDS, targets):
+            setattr(self, name, arr)
+        self.n_targets = targets[0].shape[0]
 
     def _validate_data(self):
         self.data = np.asarray(self.data)

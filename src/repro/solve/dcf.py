@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import AdjointOperator, ForwardOperator
+from .operators import AdjointOperator, ForwardOperator, operator_geometry
 
 __all__ = ["pipe_menon_weights"]
 
@@ -65,7 +65,7 @@ def pipe_menon_weights(points, n_modes, n_iter=8, eps=1e-6, isign=1,
         normal operator's diagonal ``t_0 = sum_j w_j`` is 1 and
         ``A^H W A ~= I`` on well-sampled trajectories.
     """
-    points = [np.asarray(p, dtype=np.float64) for p in points]
+    n_modes, points = operator_geometry(points, n_modes)
     m = points[0].shape[0]
     n_iter = int(n_iter)
     if n_iter < 1:
@@ -82,7 +82,7 @@ def pipe_menon_weights(points, n_modes, n_iter=8, eps=1e-6, isign=1,
     kwargs = dict(eps=eps, precision="double", isign=isign, service=service,
                   device=device, backend=backend)
     forward = ForwardOperator(points, n_modes, **kwargs)
-    adjoint = AdjointOperator(points, n_modes, **kwargs)
+    adjoint = AdjointOperator(points, n_modes, share=forward, **kwargs)
     try:
         for _ in range(n_iter):
             # P w at the sample locations: grid the weights, re-evaluate at

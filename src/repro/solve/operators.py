@@ -16,10 +16,28 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.options import integral_mode_counts
 from ..core.plan import Plan
+from ..core.pointset import validated_point_arrays
 
 __all__ = ["ForwardOperator", "AdjointOperator", "NormalOperator", "dot_test",
-           "validate_weights"]
+           "validate_weights", "operator_geometry"]
+
+
+def operator_geometry(points, n_modes):
+    """An operator's ``(n_modes, points)``, checked as ``Plan`` checks them.
+
+    Mode counts must be integral; the points must be one real, finite 1-D
+    array per mode axis (returned as float64).
+    """
+    n_modes = integral_mode_counts(n_modes)
+    points = list(points)
+    if len(points) != len(n_modes):
+        raise ValueError(
+            f"got {len(points)} coordinate arrays for a {len(n_modes)}D mode grid"
+        )
+    names = [f"points[{d}]" for d in range(len(points))]
+    return n_modes, validated_point_arrays(points, len(points), names, owner="operator")
 
 
 def validate_weights(weights, n_points):
@@ -42,6 +60,12 @@ def validate_weights(weights, n_points):
     return weights
 
 
+def _same_points(a, b):
+    """Whether two per-dimension coordinate lists hold the same points."""
+    return len(a) == len(b) and all(p is q or np.array_equal(p, q)
+                                    for p, q in zip(a, b))
+
+
 class _PlanOperator:
     """Common plan acquisition/ownership for the operator wrappers.
 
@@ -53,22 +77,23 @@ class _PlanOperator:
 
     The nonuniform ``points`` are bound at construction (``set_pts``), so
     every ``apply`` reuses the plan's bin sort and stencil cache -- the whole
-    reason iterative solvers want planned transforms.
+    reason iterative solvers want planned transforms.  ``share=``, another
+    operator on the same points, lets the plan attach that operator's
+    :class:`~repro.core.pointset.PointSet` instead of building its own when
+    the two plans' keys agree (a forward/adjoint pair then keeps one sort and
+    one CSR operator).
     """
 
     _nufft_type = None
 
     def __init__(self, points, n_modes, eps=1e-6, precision="double", isign=1,
-                 n_trans=1, plan=None, service=None, device=None, **plan_kwargs):
-        self.points = [np.asarray(p, dtype=np.float64) for p in points]
-        self.n_modes = tuple(int(n) for n in n_modes)
+                 n_trans=1, plan=None, service=None, device=None, share=None,
+                 **plan_kwargs):
+        self.n_modes, self.points = operator_geometry(points, n_modes)
         self.ndim = len(self.n_modes)
-        if len(self.points) != self.ndim:
-            raise ValueError(
-                f"got {len(self.points)} coordinate arrays for a "
-                f"{self.ndim}D mode grid"
-            )
         self.n_points = int(self.points[0].shape[0])
+        if share is not None and not _same_points(self.points, share.points):
+            raise ValueError("share= must be an operator on the same points")
         self.eps = float(eps)
         self.isign = int(isign)
         plan_isign = self._plan_isign()
@@ -110,7 +135,10 @@ class _PlanOperator:
         # lease back / destroy an owned plan before re-raising (a borrowed
         # plan stays the caller's problem, with its old points intact).
         try:
-            self.plan.set_pts(*self.points)
+            if share is not None and self.plan.can_attach(share.plan.point_set):
+                self.plan.set_pts(points=share.plan.point_set)
+            else:
+                self.plan.set_pts(*self.points)
         except BaseException:
             self.close()
             raise
@@ -214,7 +242,8 @@ class NormalOperator:
     ----------
     forward : ForwardOperator
     adjoint : AdjointOperator
-        Must share the forward operator's ``isign`` and point set.
+        Must share the forward operator's ``isign`` and points: one
+        :class:`~repro.core.pointset.PointSet`, or equal coordinates.
     weights : ndarray or None
         Nonnegative per-sample weights ``w_j`` (``None`` = unweighted).
     """
@@ -226,8 +255,11 @@ class NormalOperator:
                 f"(isign={adjoint.isign:+d}) operators disagree on the "
                 "forward-model sign"
             )
-        if forward.n_modes != adjoint.n_modes or forward.n_points != adjoint.n_points:
+        if forward.n_modes != adjoint.n_modes:
             raise ValueError("forward and adjoint operators disagree on geometry")
+        if (forward.plan.point_set is not adjoint.plan.point_set
+                and not _same_points(forward.points, adjoint.points)):
+            raise ValueError("forward and adjoint operators act on different points")
         self.forward = forward
         self.adjoint = adjoint
         self.n_modes = forward.n_modes

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.options import Precision, validate_isign
+from ..core.options import Precision, integral_mode_counts, validate_isign
+from ..core.pointset import validated_point_arrays
 from .cg import pcg_solve
 from .dcf import pipe_menon_weights
 from .operators import (
@@ -98,39 +99,13 @@ class SolveRequest:
     deadline_s: float = None
 
     def __post_init__(self):
-        self.n_modes = tuple(int(n) for n in np.atleast_1d(self.n_modes))
-        if len(self.n_modes) not in (1, 2, 3) or any(n < 1 for n in self.n_modes):
-            raise ValueError(f"invalid n_modes {self.n_modes}")
+        self.n_modes = integral_mode_counts(np.atleast_1d(self.n_modes))
         self.ndim = len(self.n_modes)
-        coords = [getattr(self, f) for f in _COORD_FIELDS]
-        for d in range(self.ndim):
-            if coords[d] is None:
-                raise ValueError(
-                    f"{self.ndim}D solve requires coordinate arrays "
-                    f"{', '.join(_COORD_FIELDS[:self.ndim])}"
-                )
-        for d in range(self.ndim, 3):
-            if coords[d] is not None:
-                raise ValueError(
-                    f"{self.ndim}D solve takes only "
-                    f"{', '.join(_COORD_FIELDS[:self.ndim])}"
-                )
-        parsed = []
-        for d in range(self.ndim):
-            arr = np.asarray(coords[d], dtype=np.float64)
-            if arr.ndim != 1 or arr.shape[0] == 0:
-                raise ValueError(
-                    f"{_COORD_FIELDS[d]} must be a non-empty 1-D array"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(
-                    f"{_COORD_FIELDS[d]} contains non-finite values"
-                )
-            parsed.append(arr)
-            setattr(self, _COORD_FIELDS[d], arr)
-        m = parsed[0].shape[0]
-        if any(c.shape[0] != m for c in parsed):
-            raise ValueError("coordinate arrays must have equal length")
+        coords = validated_point_arrays([getattr(self, f) for f in _COORD_FIELDS],
+                                        self.ndim, _COORD_FIELDS, owner="solve")
+        for name, arr in zip(_COORD_FIELDS, coords):
+            setattr(self, name, arr)
+        m = coords[0].shape[0]
         self.n_points = m
 
         self.data = np.asarray(self.data)
@@ -303,7 +278,7 @@ def execute_solve(request, service=None, device=None):
         close_normal = lambda: None  # noqa: E731 - PSF plan already released
     else:
         forward = ForwardOperator(points, request.n_modes, **common)
-        adj2 = AdjointOperator(points, request.n_modes, **common)
+        adj2 = AdjointOperator(points, request.n_modes, share=forward, **common)
         normal = NormalOperator(forward, adj2, weights=weights)
         psf_build_s = 0.0
         close_normal = normal.close

@@ -30,7 +30,7 @@ from ..core.options import Precision
 from ..core.plan import Plan
 from ..gpu.costmodel import CostModel
 from ..gpu.fft import fft_kernel_profile
-from .operators import validate_weights
+from .operators import operator_geometry, validate_weights
 
 __all__ = ["ToeplitzNormalOperator"]
 
@@ -84,14 +84,8 @@ class ToeplitzNormalOperator:
     def __init__(self, points, n_modes, eps=1e-6, precision="double",
                  weights=None, isign=1, plan=None, service=None, device=None,
                  artifact_store=None, **plan_kwargs):
-        self.n_modes = tuple(int(n) for n in n_modes)
+        self.n_modes, self.points = operator_geometry(points, n_modes)
         self.ndim = len(self.n_modes)
-        self.points = [np.asarray(p, dtype=np.float64) for p in points]
-        if len(self.points) != self.ndim:
-            raise ValueError(
-                f"got {len(self.points)} coordinate arrays for a "
-                f"{self.ndim}D mode grid"
-            )
         self.n_points = int(self.points[0].shape[0])
         self.eps = float(eps)
         self.precision = Precision.parse(precision)

@@ -390,7 +390,7 @@ class TestProducerRoundtrips:
                 with Plan(1, (16, 16), n_trans=2, eps=1e-9, precision="double",
                           bin_shape=bins, artifact_store=store) as plan:
                     plan.set_pts(x, y)
-                    perms[bins] = plan._sort.permutation
+                    perms[bins] = plan.point_set.sort.permutation
                     outputs[phase, bins] = plan.execute(c)
             stats = store.stats.by_kind["stencil"]
             assert stats["builds"] == (2 if phase == "cold" else 0)

@@ -140,14 +140,12 @@ class TestBackendBehaviour:
         coords, _ = _make_problem(rng, 1, (16, 16))
         with Plan(1, (16, 16), backend="reference") as plan:
             plan.set_pts(*coords)
-            assert plan._stencil is None
-        # cached builds the cache even with the generic switch off
-        with Plan(1, (16, 16), backend="cached", cache_stencils=False) as plan:
-            plan.set_pts(*coords)
-            assert plan._stencil is not None
-        with Plan(1, (16, 16), backend="device_sim", cache_stencils=False) as plan:
-            plan.set_pts(*coords)
-            assert plan._stencil is None  # device_sim honours the switch
+            assert plan.point_set.stencil is None
+        # cached and device_sim both build the cache
+        for backend in ("cached", "device_sim"):
+            with Plan(1, (16, 16), backend=backend) as plan:
+                plan.set_pts(*coords)
+                assert plan.point_set.stencil is not None
 
     def test_device_sim_type3_records_inner_kernels(self, rng):
         m = 300

@@ -18,7 +18,7 @@ from repro.kernels.es_kernel import (
 from tests.conftest import make_points_2d, make_points_3d
 
 #: Seed-equivalent options: per-transform loop, no cache, exact kernel.
-LEGACY = dict(cache_stencils=False, kernel_eval="exact")
+LEGACY = dict(backend="reference", kernel_eval="exact")
 
 
 def _grid_setup(rng, fine_shape, m, eps=1e-6):
@@ -212,17 +212,17 @@ class TestPlanBatchedEngine:
         x2, y2, c2 = make_points_2d(rng, m=650)
         plan = Plan(1, (20, 20), eps=1e-7, precision="double")
         plan.set_pts(x, y)
-        first_cache = plan._stencil
+        first_cache = plan.point_set.stencil
         assert first_cache is not None
         plan.execute(c)
         plan.set_pts(x2, y2)
-        assert plan._stencil is not first_cache
-        assert plan._stencil.n_points == 650
+        assert plan.point_set.stencil is not first_cache
+        assert plan.point_set.stencil.n_points == 650
         second = plan.execute(c2)
         exact = nudft_type1([x2, y2], c2, (20, 20))
         assert relative_l2_error(second, exact) < 1e-5
         plan.destroy()
-        assert plan._stencil is None
+        assert plan.point_set is None
 
     @pytest.mark.parametrize("n_modes", [(20, 20), (10, 12, 8)])
     def test_set_pts_of_equal_size_recycles_operator(self, rng, n_modes):
@@ -233,10 +233,11 @@ class TestPlanBatchedEngine:
         with Plan(1, n_modes, eps=1e-7, precision="double") as plan, \
                 Plan(1, n_modes, eps=1e-7, precision="double") as fresh:
             plan.set_pts(*first)
-            old = plan._stencil.interp_matrix
+            old = plan.point_set.stencil.interp_matrix
             plan.set_pts(*second)
             fresh.set_pts(*second)
-            new, ref = plan._stencil.interp_matrix, fresh._stencil.interp_matrix
+            new = plan.point_set.stencil.interp_matrix
+            ref = fresh.point_set.stencil.interp_matrix
             # Written into the previous operator's memory, equal to a fresh build.
             assert np.shares_memory(new.data, old.data)
             assert np.shares_memory(new.indices, old.indices)
@@ -251,10 +252,10 @@ class TestPlanBatchedEngine:
         d = rng.standard_normal(400) + 1j * rng.standard_normal(400)
         with Plan(1, (16, 16), eps=1e-6, precision="double") as plan:
             plan.set_pts(x, y)
-            cache = plan._stencil
+            cache = plan.point_set.stencil
             fc = plan.execute(c)
             fd = plan.execute(d)
-            assert plan._stencil is cache  # execute never rebuilds the cache
+            assert plan.point_set.stencil is cache  # execute never rebuilds the cache
         assert relative_l2_error(fc, nudft_type1([x, y], c, (16, 16))) < 1e-4
         assert relative_l2_error(fd, nudft_type1([x, y], d, (16, 16))) < 1e-4
 
@@ -281,8 +282,8 @@ class TestPlanBatchedEngine:
                 Plan(1, (18, 18), n_trans=3, eps=1e-7, precision="double") as fat:
             lean.set_pts(x, y)
             fat.set_pts(x, y)
-            assert lean._stencil is not None and lean._stencil.interp_matrix is None
-            assert fat._stencil.interp_matrix is not None
+            assert lean.point_set.stencil.interp_matrix is None
+            assert fat.point_set.stencil.interp_matrix is not None
             np.testing.assert_allclose(lean.execute(block), fat.execute(block),
                                        rtol=1e-9, atol=1e-9)
 

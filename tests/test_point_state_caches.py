@@ -7,6 +7,11 @@ results: a warm execute equals a fresh plan on the same points bit for bit
 (outputs, ``Plan.timings()``, the service's ``modelled_seconds``); a re-point
 (the equal-size ``recycle`` path included) keeps nothing from the old points;
 and every warm launch still passes the device's fault gate.
+
+Plans on the same points can share one ``PointSet`` (``set_pts(points=...)``):
+a shared pair equals two ``set_pts`` calls bit for bit, its holders stay
+independent, mismatched keys are refused, and plan-side values (profiles,
+prices) stay per plan.
 """
 
 import numpy as np
@@ -103,13 +108,14 @@ def test_repoint_keeps_nothing_from_old_points(equal_size):
     plan.execute(c_old)
     plan.execute(c_old)
     old_kernels = plan._exec_pipeline.kernels
-    old_data = plan._stencil.interp_matrix.data
-    old_view = plan._stencil.spread_operator()
+    old_data = plan.point_set.stencil.interp_matrix.data
+    old_view = plan.point_set.spread_operator()
 
     plan.set_pts(*new_pts)
     assert plan._derived == {}
     # The equal-size re-point writes the new operator into the old arrays.
-    assert np.shares_memory(plan._stencil.interp_matrix.data, old_data) == equal_size
+    assert (np.shares_memory(plan.point_set.stencil.interp_matrix.data, old_data)
+            == equal_size)
     out = plan.execute(c_new)
 
     fresh = _plan(1, 1, method="SM")
@@ -119,9 +125,9 @@ def test_repoint_keeps_nothing_from_old_points(equal_size):
     assert plan.timings() == fresh.timings()
     assert plan._exec_pipeline.kernels == fresh._exec_pipeline.kernels
     assert plan._exec_pipeline.kernels != old_kernels  # the points matter
-    view = plan._stencil.spread_operator()
+    view = plan.point_set.spread_operator()
     assert view is not old_view
-    expected = fresh._stencil.interp_matrix.T
+    expected = fresh.point_set.stencil.interp_matrix.T
     assert view.shape == expected.shape and (view != expected).nnz == 0
 
 
@@ -189,3 +195,165 @@ def test_fault_fires_on_a_warm_execute():
         [plan.device])
     with pytest.raises(TransientKernelError, match="deconvolve"):
         plan.execute(c)
+
+
+# --------------------------------------------------------------------------- #
+# one point set shared by several plans (``set_pts(points=...)``)
+# --------------------------------------------------------------------------- #
+#: (n_modes, precision, M): 2D single and 3D double, both at eps=1e-12 (w=13).
+SHARED_CASES = {"2d-single": ((24, 20), "single", 500),
+                "3d-double": ((8, 10, 6), "double", 300)}
+
+
+def _shared_case(name, nufft_type, n_trans, **kw):
+    modes, precision, _ = SHARED_CASES[name]
+    return Plan(nufft_type, modes, n_trans=n_trans, eps=1e-12,
+                precision=precision, **kw)
+
+
+def _case_data(rng, plan, m):
+    shape = (plan.n_trans,) + (plan.n_modes if plan.nufft_type == 2 else (m,))
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(
+        plan.precision.complex_dtype)
+
+
+def _operator_data(points):
+    return points.stencil.interp_matrix.data
+
+
+@pytest.mark.parametrize("n_trans", [1, 4])
+@pytest.mark.parametrize("case", sorted(SHARED_CASES))
+def test_shared_pair_matches_two_set_pts_calls(case, n_trans):
+    rng = np.random.default_rng([n_trans, len(case)])
+    ndim, m = len(SHARED_CASES[case][0]), SHARED_CASES[case][2]
+    pts = tuple(rng.uniform(-np.pi, np.pi, m) for _ in range(ndim))
+    shared = [_shared_case(case, t, n_trans) for t in (1, 2)]
+    apart = [_shared_case(case, t, n_trans) for t in (1, 2)]
+    assert shared[0].kernel.width == 13
+    shared[0].set_pts(*pts)
+    shared[1].set_pts(points=shared[0].point_set)
+    for plan in apart:
+        plan.set_pts(*pts)
+    assert shared[1].point_set is shared[0].point_set
+    assert shared[0].point_set.holders == 2
+    assert np.shares_memory(_operator_data(shared[0].point_set),
+                            _operator_data(shared[1].point_set))
+    for a, b in zip(shared, apart):
+        data = _case_data(rng, a, m)
+        outs = [np.empty_like(b.execute(data)) for _ in range(2)]
+        assert a.execute(data, out=outs[0]) is outs[0]
+        b.execute(data, out=outs[1])
+        assert np.array_equal(*outs)
+        assert a.timings() == b.timings()
+        assert a.gpu_ram_mb() == b.gpu_ram_mb()
+        assert a.last_allocs == b.last_allocs
+
+
+def test_holders_stay_independent():
+    rng = np.random.default_rng(17)
+    pts, new_a, new_b = (_points(rng) for _ in range(3))
+    a, b, c = _plan(1, 1), _plan(2, 1), _plan(2, 1)
+    a.set_pts(*pts)
+    b.set_pts(points=a.point_set)
+    shared = a.point_set
+    f = _data(rng, 2, 1)[0]
+    before = b.execute(f)
+
+    # A re-point of one holder leaves the shared arrays to the other.
+    a.set_pts(*new_a)
+    assert shared.holders == 1
+    assert not np.shares_memory(_operator_data(a.point_set), _operator_data(shared))
+    assert np.array_equal(b.execute(f), before)
+
+    # Destroying a holder leaves the others working.
+    c.set_pts(points=shared)
+    c.destroy()
+    assert c.point_set is None and shared.holders == 1
+    assert np.array_equal(b.execute(f), before)
+
+    # Once the set has a single holder, its re-point recycles the arrays.
+    old = _operator_data(shared)
+    b.set_pts(*new_b)
+    assert np.shares_memory(_operator_data(b.point_set), old)
+    fresh = _plan(2, 1)
+    fresh.set_pts(*new_b)
+    assert np.array_equal(b.execute(f), fresh.execute(f))
+    with pytest.raises(ValueError, match="no longer held"):
+        fresh.set_pts(points=shared)
+
+
+def test_store_served_set_is_never_recycled(tmp_path):
+    from repro.artifacts import ArtifactStore
+
+    rng = np.random.default_rng(19)
+    pts, new = _points(rng), _points(rng)
+    store = ArtifactStore(root=tmp_path)
+    stored = _plan(1, 1, artifact_store=store)
+    stored.set_pts(*pts)
+    plain = _plan(1, 1)
+    plain.set_pts(points=stored.point_set)
+    old = _operator_data(stored.point_set)
+    saved = old.copy()
+    stored.destroy()
+    plain.set_pts(*new)
+    assert not np.shares_memory(_operator_data(plain.point_set), old)
+    assert np.array_equal(old, saved)
+
+
+def test_attach_mismatches_raise():
+    from repro.core.pointset import PointSet
+
+    rng = np.random.default_rng(23)
+    pts = _points(rng)
+    source = _plan(1, 1)
+    source.set_pts(*pts)
+    ps = source.point_set
+    cases = {
+        "fine_shape": Plan(2, (30, 16), eps=1e-6, precision="single"),
+        "width": Plan(2, MODES, eps=1e-9, precision="single"),
+        "kernel_eval": _plan(2, 1, kernel_eval="exact"),
+        "stencil_budget": _plan(2, 1, stencil_budget=0),
+        "bin_shape": _plan(2, 1, bin_shape=(4, 4)),
+        "stencils": _plan(2, 1, backend="reference"),
+    }
+    for field, plan in cases.items():
+        plan.set_pts(*pts)
+        own = plan.point_set
+        assert not plan.can_attach(ps)
+        with pytest.raises(ValueError, match=field):
+            plan.set_pts(points=ps)
+        assert plan.point_set is own  # a failed attach keeps the old points
+        plan.execute(np.ones(plan.n_modes, np.complex64))
+    # beta differs only with the upsampling factor, which Opts pins to 2.0.
+    other_beta = PointSet(ps.grid_coords, ps.sort, ps.stencil,
+                          ps.key._replace(beta=ps.key.beta + 1.0))
+    other_beta.holders = 1
+    with pytest.raises(ValueError, match="beta"):
+        _plan(2, 1).set_pts(points=other_beta)
+    with pytest.raises(ValueError, match="type-3"):
+        _plan(3, 1).set_pts(points=ps)
+    with pytest.raises(ValueError, match="tuned"):
+        _plan(2, 1, tune="model").set_pts(points=ps)
+    with pytest.raises(ValueError, match="not both"):
+        _plan(2, 1).set_pts(*pts, points=ps)
+    with pytest.raises(TypeError, match="takes a PointSet"):
+        _plan(2, 1).set_pts(points=pts[0])
+    assert ps.holders == 1
+
+
+def test_plan_side_values_stay_per_plan():
+    rng = np.random.default_rng(29)
+    pts = _points(rng, clustered=True)
+    c = _data(rng, 1, 1)[0]
+    gm_sort, sm = _plan(1, 1, method="GM_sort"), _plan(1, 1, method="SM")
+    gm_sort.set_pts(*pts)
+    sm.set_pts(points=gm_sort.point_set)
+    for plan in (gm_sort, sm, gm_sort):
+        plan.execute(c)
+    for plan, method in ((gm_sort, "GM_sort"), (sm, "SM")):
+        fresh = _plan(1, 1, method=method)
+        fresh.set_pts(*pts)
+        fresh.execute(c)
+        assert plan._exec_pipeline.kernels == fresh._exec_pipeline.kernels
+        assert plan.timings() == fresh.timings()
+    assert gm_sort._exec_pipeline.kernels != sm._exec_pipeline.kernels

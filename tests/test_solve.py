@@ -317,6 +317,60 @@ class TestOperatorsLifecycle:
         with pytest.raises(ValueError):
             ForwardOperator([bad, good], (8, 8))
 
+    def test_failed_plan_set_pts_releases_lease(self, monkeypatch):
+        """The same when the plan's own set_pts fails on valid points."""
+        from repro import Plan
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("set_pts failed")
+
+        monkeypatch.setattr(Plan, "set_pts", fail)
+        pts = [np.zeros(100), np.zeros(100)]
+        with TransformService(n_devices=1) as svc:
+            with pytest.raises(RuntimeError):
+                ForwardOperator(pts, (8, 8), service=svc)
+            assert len(svc._leased) == 0
+
+
+class TestSharedPoints:
+    def test_normal_operator_rejects_pair_on_different_points(self):
+        fwd = ForwardOperator(rand_points(200, 2, rng=0), (10, 10), eps=1e-9)
+        adj = AdjointOperator(rand_points(200, 2, rng=1), (10, 10), eps=1e-9)
+        with pytest.raises(ValueError, match="different points"):
+            NormalOperator(fwd, adj)
+        fwd.close()
+        adj.close()
+
+    def test_pair_shares_one_point_set(self, rng):
+        pts = rand_points(200, 2, rng=0)
+        fwd = ForwardOperator(pts, (10, 10), eps=1e-9)
+        shared = AdjointOperator(pts, (10, 10), eps=1e-9, share=fwd)
+        copied = AdjointOperator([p.copy() for p in pts], (10, 10), eps=1e-9)
+        assert shared.plan.point_set is fwd.plan.point_set
+        assert copied.plan.point_set is not fwd.plan.point_set
+        y = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+        assert np.array_equal(shared.apply(y), copied.apply(y))
+        for adj in (shared, copied):
+            NormalOperator(fwd, adj)
+        with pytest.raises(ValueError, match="same points"):
+            AdjointOperator(rand_points(200, 2, rng=1), (10, 10), share=fwd)
+        for op in (fwd, shared, copied):
+            op.close()
+
+    def test_front_doors_reject_non_integral_modes(self):
+        x = np.zeros(10)
+        with pytest.raises(ValueError, match="integral"):
+            SolveRequest(n_modes=(8.5,), data=np.ones(10, complex), x=x)
+        with pytest.raises(ValueError, match="integral"):
+            ForwardOperator([x], (8.5,))
+
+    def test_front_doors_reject_complex_points(self):
+        x = np.zeros(10)
+        with pytest.raises(TypeError, match="^x is complex"):
+            SolveRequest(n_modes=(8,), data=np.ones(10, complex), x=x + 1j)
+        with pytest.raises(TypeError, match=r"^points\[0\] is complex"):
+            AdjointOperator([x + 1j], (8,))
+
 
 class TestSolveRequestValidation:
     def test_rejects_bad_shapes_and_values(self):

@@ -46,7 +46,7 @@ def _method_outputs(backend, nufft_type, n_modes, points, data, **opts):
                   spread_only=True, backend=backend, **opts) as plan:
             plan.set_pts(*points)
             outputs[method] = plan.execute(data)
-            geometry = (plan.fine_shape, plan._grid_coords, plan.kernel)
+            geometry = (plan.fine_shape, plan.point_set.grid_coords, plan.kernel)
     return outputs, geometry
 
 
@@ -295,8 +295,8 @@ class TestSpreadProfiles:
                   max_subproblem_size=256) as plan:
             plan.set_pts(x, y)
             plan.execute(c)
-            n_sub = plan._ensure_subproblems().n_subproblems
-            default = make_subproblems(plan._sort, 1024).n_subproblems
+            n_sub = plan.point_set.subproblems(256).n_subproblems
+            default = make_subproblems(plan.point_set.sort, 1024).n_subproblems
             (sm,) = [k for k in plan._exec_pipeline.exec_kernels()
                      if k.name == "spread_2d_sm"]
         assert n_sub > default

@@ -22,6 +22,7 @@ from repro.backends import get_backend
 from repro.core import windowed
 from repro.core.binsort import bin_sort, to_grid_coordinates
 from repro.core.interp import interp_cached
+from repro.core.pointset import PointSet
 from repro.core.spread import spread_cached
 from repro.core.stencil import build_stencil_cache
 from repro.core.windowed import interp_windowed, spread_windowed
@@ -62,8 +63,8 @@ def _run(nufft_type, ndim, precision, n_trans, pts, targets, data, out=None, **o
         else:
             plan.set_pts(*pts)
         inner = plan._t3_inner if nufft_type == 3 else plan
-        operators = (plan._stencil.interp_matrix is not None,
-                     inner._stencil.interp_matrix is not None)
+        operators = (plan.point_set.stencil.interp_matrix is not None,
+                     inner.point_set.stencil.interp_matrix is not None)
         return plan.execute(data, out=out), operators
 
 
@@ -144,7 +145,7 @@ def _check_stage(plan, spreads, rng, layout):
     """One stage of ``plan``, run by the cached backend into an ``out`` of
     ``layout``, against a CSR operator built in the caller's point order
     (its row ``j`` is the caller's point ``j``)."""
-    user = build_stencil_cache(plan._grid_coords, plan.fine_shape, plan.kernel,
+    user = build_stencil_cache(plan.point_set.grid_coords, plan.fine_shape, plan.kernel,
                                kernel_eval=plan.opts.kernel_eval)
     cached = get_backend("cached")
     dtype = plan.precision.complex_dtype
@@ -153,12 +154,14 @@ def _check_stage(plan, spreads, rng, layout):
         c = _random(rng, batch + (plan.n_points,), dtype)
         out = _out_like(batch + plan.fine_shape, dtype, layout)
         assert cached.spread(plan, c, None, out=out) is out
-        expected = spread_cached(plan.fine_shape, c, user, np.complex128)
+        expected = spread_cached(c, PointSet(plan.point_set.grid_coords, stencil=user),
+                                 np.complex128)
     else:
         grid = _random(rng, batch + plan.fine_shape, dtype)
         out = _out_like(batch + (plan.n_points,), dtype, layout)
         assert cached.interp(plan, grid, None, out=out) is out
-        expected = interp_cached(grid, plan._grid_coords, user, np.complex128)
+        expected = interp_cached(grid, PointSet(plan.point_set.grid_coords, stencil=user),
+                                 np.complex128)
     assert _error(out, expected) <= _TOL[plan.precision.value]
 
 
@@ -191,9 +194,9 @@ def test_bin_ordered_plan_matches_user_order(ndim, nufft_type, precision, n_tran
                 plan.set_pts(*pts, *([None] * (3 - ndim)), *targets)
             else:
                 plan.set_pts(*pts)
-            perm = plan._sort.permutation
+            perm = plan.point_set.sort.permutation
             assert not np.array_equal(perm, np.arange(m))
-            assert (plan._stencil.interp_matrix is None) == (budget == 0)
+            assert (plan.point_set.stencil.interp_matrix is None) == (budget == 0)
             _check_stage(plan, nufft_type != 2, rng, layout)
             if nufft_type == 3:
                 _check_stage(plan._t3_inner, False, rng, layout)
@@ -234,12 +237,12 @@ def test_margins_wider_than_grid(fine_shape):
     m = cache.n_points
     c = _random(rng, (2, m), np.complex128)
     spread = spread_windowed(c, cache, np.zeros((2,) + fine_shape, complex))
-    expected = spread_cached(fine_shape, c, cache, np.complex128)
+    expected = spread_cached(c, PointSet(grid_coords, stencil=cache), np.complex128)
     np.testing.assert_allclose(spread, expected, rtol=1e-12, atol=1e-12)
 
     grid = _random(rng, (2,) + fine_shape, np.complex128)
     values = interp_windowed(grid, cache, np.zeros((2, m), complex))
-    expected = interp_cached(grid, grid_coords, cache, np.complex128)
+    expected = interp_cached(grid, PointSet(grid_coords, stencil=cache), np.complex128)
     np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12)
 
 
@@ -279,7 +282,7 @@ def _run_windowed(nufft_type, ndim, precision, n_trans, pts, data, out=None):
     with Plan(nufft_type, _MODES[ndim], n_trans=n_trans, eps=_EPS[precision],
               precision=precision, stencil_budget=0) as plan:
         plan.set_pts(*pts)
-        return plan.execute(data, out=out), plan._stencil
+        return plan.execute(data, out=out), plan.point_set
 
 
 @pytest.mark.parametrize("dist", ["rand", "cluster", "mixture"])
@@ -304,15 +307,15 @@ def test_pencil_regimes_agree(ndim, nufft_type, precision, n_trans, regime, dist
     monkeypatch.setattr(windowed, "_PENCIL_MIN_ENTRIES", _ALL_SCATTER)
     scattered, _ = _run_windowed(*args)
     monkeypatch.setattr(windowed, "_PENCIL_MIN_ENTRIES", _ALL_GEMM)
-    _, cache = _run_windowed(*args)
+    _, points = _run_windowed(*args)
     # Mixed: only the largest pencils (the edge points make small ones).
-    largest = int(np.diff(cache.pencils.starts).max()) * cache.width ** ndim
+    largest = int(np.diff(points.pencils().starts).max()) * points.stencil.width ** ndim
     threshold = {"gemm": _ALL_GEMM, "scatter": _ALL_SCATTER, "mixed": largest}[regime]
     monkeypatch.setattr(windowed, "_PENCIL_MIN_ENTRIES", threshold)
     out_shape = batch + ((m,) if nufft_type == 2 else _MODES[ndim])
     out = _out_like(out_shape, dtype, "strided" if n_trans > 1 else "fortran")
-    got, cache = _run_windowed(*args, out=out)
-    n_gemm = cache.pencils.points.size
+    got, points = _run_windowed(*args, out=out)
+    n_gemm = points.pencils().points.size
     assert {"gemm": n_gemm == m, "scatter": n_gemm == 0, "mixed": 0 < n_gemm < m}[regime]
     assert got is out
 
@@ -341,7 +344,7 @@ def test_gemm_spread_is_adjoint_of_gemm_interp(fine_shape, regime, monkeypatch):
     g = _random(rng, (2,) + fine_shape, np.complex128)
     spread = spread_windowed(c, cache, np.zeros_like(g))
     values = interp_windowed(g, cache, np.zeros_like(c))
-    n_gemm = cache.pencils.points.size
+    n_gemm = windowed.group_pencils(cache).points.size
     assert n_gemm == cache.n_points if regime == "gemm" else 0 < n_gemm < cache.n_points
     lhs = np.vdot(g, spread)
     rhs = np.vdot(values, c)
@@ -352,7 +355,7 @@ def test_pencil_split_assigns_every_point_once():
     rng = np.random.default_rng(11)
     fine_shape = (40, 36, 32)
     _, cache = _engine_setup(rng, fine_shape, 1e-6, m=3000, dist="mixture")
-    pencils = windowed._pencils(cache)
+    pencils = windowed.group_pencils(cache)
     step = 10  # splits the crowded pencils into several pieces
     pieces = list(windowed._pencil_blocks(pencils, step))
     gemm = np.concatenate(pieces)
@@ -397,12 +400,12 @@ def test_pencil_temporaries_stay_flat(monkeypatch):
         c = _random(rng, (1, m), np.complex128)
         g = _random(rng, (1,) + fine_shape, np.complex128)
         spread, values = np.zeros_like(g), np.zeros_like(c)
-        spread_windowed(c, cache, spread)  # groups the points
-        assert cache.pencils.points.size == m and cache.pencils.starts.size == 2
+        pencils = windowed.group_pencils(cache)
+        assert pencils.points.size == m and pencils.starts.size == 2
         tracemalloc.start()
         try:
-            spread_windowed(c, cache, spread)
-            interp_windowed(g, cache, values)
+            spread_windowed(c, cache, spread, pencils)
+            interp_windowed(g, cache, values, pencils)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
