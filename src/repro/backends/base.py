@@ -36,6 +36,7 @@ __all__ = [
     "register_backend",
     "get_backend",
     "available_backends",
+    "backend_name",
 ]
 
 
@@ -109,9 +110,7 @@ def register_backend(name, factory):
     :class:`ExecutionBackend`.  Re-registering a name replaces the previous
     factory (and drops its cached instance), so tests can shadow a backend.
     """
-    key = str(name).strip().lower()
-    if not key:
-        raise ValueError("backend name must be a non-empty string")
+    key = backend_name(name, registered=False)
     _FACTORIES[key] = factory
     _INSTANCES.pop(key, None)
 
@@ -121,9 +120,28 @@ def available_backends():
     return list(_FACTORIES.keys())
 
 
+def backend_name(name, registered=True):
+    """A backend name normalized: stripped and lower-cased.
+
+    The one normalization behind ``Opts.backend``, the service's plan keys,
+    solve requests, :func:`register_backend` and :func:`get_backend`.  With
+    ``registered`` the name must be ``"auto"`` or a registered backend, so
+    a misspelt name fails at the front door, not at plan construction.
+    """
+    if not isinstance(name, str) or not name.strip():
+        raise ValueError(f"backend must be a non-empty string, got {name!r}")
+    key = name.strip().lower()
+    if registered and key != "auto" and key not in _FACTORIES:
+        raise ValueError(
+            f"unknown execution backend {name!r}; available: "
+            f"{', '.join(available_backends())} (or 'auto')"
+        )
+    return key
+
+
 def get_backend(name):
     """Resolve a backend name to its (shared, stateless) instance."""
-    key = str(name).strip().lower()
+    key = backend_name(name, registered=False)
     if key not in _FACTORIES:
         raise KeyError(
             f"unknown execution backend {name!r}; available: "

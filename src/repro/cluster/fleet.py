@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from ..core.options import integral_count
 from ..gpu.device import Device, V100_SPEC
 
 __all__ = ["DeviceFleet", "DeviceHealth", "BreakerState"]
@@ -109,19 +110,11 @@ class DeviceFleet:
 
     def __init__(self, n_devices=1, spec=None, streams_per_device=2,
                  failure_threshold=3, breaker_cooldown_s=0.05):
-        n_devices = int(n_devices)
-        if n_devices < 1:
-            raise ValueError(f"n_devices must be >= 1, got {n_devices}")
-        streams_per_device = int(streams_per_device)
-        if streams_per_device < 1:
-            raise ValueError(
-                f"streams_per_device must be >= 1, got {streams_per_device}"
-            )
-        failure_threshold = int(failure_threshold)
-        if failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
+        n_devices = integral_count("n_devices", n_devices, 1)
+        streams_per_device = integral_count("streams_per_device",
+                                            streams_per_device, 1)
+        failure_threshold = integral_count("failure_threshold",
+                                           failure_threshold, 1)
         breaker_cooldown_s = float(breaker_cooldown_s)
         if breaker_cooldown_s < 0.0:
             raise ValueError(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["SpreadMethod", "Precision", "Opts", "default_bin_shape",
-           "validate_isign", "integral_mode_counts"]
+           "validate_isign", "integral_mode_counts", "integral_count"]
 
 
 def validate_isign(value, allow_none=False):
@@ -56,6 +56,22 @@ def integral_mode_counts(n_modes):
     if len(modes) not in (1, 2, 3) or min(modes) < 1:
         raise ValueError(f"n_modes must hold 1 to 3 mode counts >= 1, got {modes}")
     return modes
+
+
+def integral_count(name, value, minimum):
+    """``value`` as an int >= ``minimum``, else ``ValueError`` naming ``name``.
+
+    The one check behind counts such as ``Plan(n_trans=)``, the plan pool's
+    ``max_plans``, the service's queue and routing bounds and the fleet's
+    device, stream and breaker counts: ``1.5`` is rejected instead of
+    truncated to 1, while ``2.0`` is 2.
+    """
+    value_f = float(value)
+    if not math.isfinite(value_f) or value_f != int(value_f):
+        raise ValueError(f"{name} must be an integral count, got {value!r}")
+    if value_f < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value_f)
 
 
 class SpreadMethod(enum.Enum):
@@ -218,9 +234,9 @@ class Opts:
         self.method = SpreadMethod.parse(self.method)
         self.precision = Precision.parse(self.precision)
         self.isign = validate_isign(self.isign, allow_none=True)
-        if not isinstance(self.backend, str) or not self.backend.strip():
-            raise ValueError(f"backend must be a non-empty string, got {self.backend!r}")
-        self.backend = self.backend.strip().lower()
+        from ..backends.base import backend_name  # the backends import core
+
+        self.backend = backend_name(self.backend)
         if self.upsampfac != 2.0:
             raise ValueError("only upsampfac = 2.0 is supported (paper limitation (3))")
         if self.max_subproblem_size <= 0:

@@ -39,7 +39,7 @@ from ..metrics import allocs
 from .binsort import binsort_kernel_profiles, to_grid_coordinates
 from .deconvolve import CorrectionFactors
 from .gridsize import fine_grid_shape, next_smooth_even_235
-from .options import Opts, SpreadMethod, integral_mode_counts
+from .options import Opts, SpreadMethod, integral_count, integral_mode_counts
 from .pointset import PointSet, PointSetKey, build_point_set, validated_point_arrays
 from .workspace import Workspace
 
@@ -102,13 +102,7 @@ class Plan:
                  **opt_overrides):
         if nufft_type not in (1, 2, 3):
             raise ValueError(f"nufft_type must be 1, 2 or 3, got {nufft_type}")
-        n_trans_f = float(n_trans)
-        if not np.isfinite(n_trans_f) or n_trans_f != int(n_trans_f):
-            raise ValueError(
-                f"n_trans must be an integral number of transforms, got {n_trans!r}"
-            )
-        if n_trans_f < 1:
-            raise ValueError(f"n_trans must be >= 1, got {n_trans}")
+        n_trans = integral_count("n_trans", n_trans, 1)
         eps = float(eps)
         if not np.isfinite(eps) or eps <= 0.0:
             raise ValueError(f"eps must be a finite positive tolerance, got {eps}")
@@ -128,7 +122,7 @@ class Plan:
         else:
             self.n_modes = integral_mode_counts(n_modes)
             self.ndim = len(self.n_modes)
-        self.n_trans = int(n_trans_f)
+        self.n_trans = n_trans
         self.eps = eps
 
         from ..tuning import TUNE_MODES
@@ -156,10 +150,7 @@ class Plan:
         #: defaulting to the paper's per-type convention).
         self.isign = self.opts.resolve_isign(self.nufft_type)
         self.method = self.opts.resolve_method(self.nufft_type, self.ndim, self.precision)
-        try:
-            self.backend = get_backend(self.opts.resolve_backend())
-        except KeyError as exc:
-            raise ValueError(str(exc)) from None
+        self.backend = get_backend(self.opts.resolve_backend())
         if self.nufft_type == 3 and self.opts.spread_only:
             raise ValueError("spread_only is not supported for type-3 plans")
 

@@ -52,8 +52,9 @@ Quickstart (mirrors the :class:`~repro.core.plan.Plan` quickstart)
 >>> service.close()
 
 On a multi-device service (``TransformService(n_devices=4)``) the same fused
-block is *sharded*: with the default ``shard_min_block=4`` those eight
-requests run as two ``n_trans=4`` shards on two devices in parallel.
+block is *sharded*: with shards of at least ``SHARD_MIN_BLOCK = 4``
+transforms (a constant of :mod:`repro.service.service`) those eight requests
+run as two ``n_trans=4`` shards on two devices in parallel.
 
 Every result also reports which device served it, whether the plan (and even
 its ``set_pts``) was reused, and the modelled engine seconds its block added;

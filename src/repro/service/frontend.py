@@ -51,9 +51,10 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 
-from .request import TransformRequest, TransformResult
-from .resilience import FairShedPolicy, ServiceOverloadedError
-from .service import TransformService
+from ..core.options import integral_count
+from .request import TransformRequest, TransformResult, front_door
+from .resilience import FairShedPolicy, ServiceOverloadedError, shed_victim
+from .service import LATENCY_KINDS, TransformService
 
 __all__ = ["AsyncFrontend", "BatchWindow", "PendingRequest"]
 
@@ -159,14 +160,10 @@ class AsyncFrontend:
         window_s = float(window_s)
         if not window_s >= 0.0:
             raise ValueError(f"window_s must be >= 0, got {window_s}")
-        max_batch = int(max_batch)
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+        max_batch = integral_count("max_batch", max_batch, 1)
         if max_inflight is None:
             max_inflight = 2 * max_batch * service.fleet.n_devices
-        max_inflight = int(max_inflight)
-        if max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
+        max_inflight = integral_count("max_inflight", max_inflight, 1)
         quantum = float(quantum)
         if not quantum > 0.0:
             raise ValueError(f"quantum must be > 0, got {quantum}")
@@ -221,16 +218,7 @@ class AsyncFrontend:
         number -- :meth:`drain` returns results in that order.
         """
         self._require_open()
-        if request is None:
-            request = TransformRequest(**kwargs)
-        elif kwargs:
-            raise ValueError(
-                "pass either a TransformRequest or keyword fields, not both"
-            )
-        if not isinstance(request, TransformRequest):
-            raise TypeError(
-                f"expected a TransformRequest, got {type(request).__name__}"
-            )
+        request = front_door(TransformRequest, request, kwargs)
         at_s = float(at_s)
         if not at_s >= 0.0:
             raise ValueError(f"at_s must be >= 0, got {at_s}")
@@ -307,7 +295,8 @@ class AsyncFrontend:
             self._rotation.append(tenant)
             self._deficits[tenant] = 0.0
         if len(queue) >= self.shed.max_pending:
-            victim_i = self.shed.pick_victim(queue, entry.seq, entry.request)
+            victim_i = shed_victim([(e.seq, e.request) for e in queue],
+                                   entry.seq, entry.request)
             if victim_i is None:
                 victim = entry          # incoming ranks lowest: shed unseated
             else:
@@ -326,8 +315,7 @@ class AsyncFrontend:
             "was the lowest queued for this tenant)"
         )
         self._results[entry.seq] = TransformResult(
-            tag=entry.request.tag, error=exc, error_type=type(exc).__name__,
-            error_message=str(exc), tenant=tenant,
+            tag=entry.request.tag, error=exc, tenant=tenant,
         )
 
     # ------------------------------------------------------------------ #
@@ -423,25 +411,23 @@ class AsyncFrontend:
         )
 
     def _account(self, entry, result):
-        """Fill one result's QoS fields and record its latency samples."""
-        stats = self.service.stats
-        tenant = entry.request.tenant
-        label = entry.request.signature_label()
-        queue_wait = entry.admitted_s - entry.arrival_s
-        batch_wait = entry.dispatched_s - entry.admitted_s
-        result.tenant = tenant
-        result.queue_wait_s = queue_wait
-        result.batch_wait_s = batch_wait
-        completed = result.completed_at if result.error is None else None
-        for scope, name in (("tenant", tenant), ("signature", label)):
-            stats.record_latency(scope, name, "queue_wait", queue_wait)
-            stats.record_latency(scope, name, "batch_wait", batch_wait)
-        if completed is not None:
-            result.e2e_s = completed - entry.arrival_s
-            for scope, name in (("tenant", tenant), ("signature", label)):
-                stats.record_latency(scope, name, "e2e", result.e2e_s)
-            return completed
-        return entry.dispatched_s
+        """Fill one result's QoS fields and record its latency samples.
+
+        Returns the instant the request stopped occupying admission credit:
+        its modelled completion, or its dispatch when it failed.
+        """
+        result.tenant = entry.request.tenant
+        result.queue_wait_s = entry.admitted_s - entry.arrival_s
+        result.batch_wait_s = entry.dispatched_s - entry.admitted_s
+        if result.error is None:
+            result.e2e_s = result.completed_at - entry.arrival_s
+        for scope, name in (("tenant", result.tenant),
+                            ("signature", entry.request.signature_label())):
+            for kind in LATENCY_KINDS:
+                seconds = getattr(result, f"{kind}_s")
+                if seconds is not None:
+                    self.service.stats.record_latency(scope, name, kind, seconds)
+        return entry.dispatched_s if result.error is not None else result.completed_at
 
     # ------------------------------------------------------------------ #
     # reporting

@@ -21,6 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from ..core.options import integral_count
+
 __all__ = ["PlanPool", "PooledPlan"]
 
 
@@ -53,10 +55,7 @@ class PlanPool:
     """
 
     def __init__(self, max_plans=32, on_evict=None):
-        max_plans = int(max_plans)
-        if max_plans < 0:
-            raise ValueError(f"max_plans must be >= 0, got {max_plans}")
-        self.max_plans = max_plans
+        self.max_plans = integral_count("max_plans", max_plans, 0)
         self.on_evict = on_evict
         self._idle = {}  # key -> list[PooledPlan]
         self._clock = itertools.count()
@@ -100,13 +99,7 @@ class PlanPool:
                 if candidate.points_key == points_key:
                     index = i
                     break
-        entry = bucket.pop(index)
-        if not bucket:
-            del self._idle[key]
-        self.n_idle -= 1
-        entry.last_used = next(self._clock)
-        entry.leases += 1
-        return entry
+        return self._lease(key, index)
 
     def lru_key(self, keys):
         """The key among ``keys`` holding the least recently used idle plan.
@@ -132,19 +125,25 @@ class PlanPool:
         Plans returned by external lessees carry no vouched-for point set, so
         re-pointing one steals cached state from nobody; ``None`` on a miss.
         """
-        bucket = self._idle.get(key)
-        if not bucket:
-            return None
-        for i, candidate in enumerate(bucket):
+        for i, candidate in enumerate(self._idle.get(key, ())):
             if candidate.points_key is None:
-                bucket.pop(i)
-                if not bucket:
-                    del self._idle[key]
-                self.n_idle -= 1
-                candidate.last_used = next(self._clock)
-                candidate.leases += 1
-                return candidate
+                return self._lease(key, i)
         return None
+
+    def _pop(self, key, index):
+        """Remove the idle entry ``index`` of ``key``'s bucket; returns it."""
+        bucket = self._idle[key]
+        entry = bucket.pop(index)
+        if not bucket:
+            del self._idle[key]
+        self.n_idle -= 1
+        return entry
+
+    def _lease(self, key, index):
+        entry = self._pop(key, index)
+        entry.last_used = next(self._clock)
+        entry.leases += 1
+        return entry
 
     def release(self, entry):
         """Return a leased plan to the pool, evicting beyond ``max_plans``."""
@@ -158,12 +157,7 @@ class PlanPool:
             self._evict_lru()
 
     def _evict_lru(self):
-        lru_key = self.lru_key(self._idle)
-        entry = self._idle[lru_key].pop(0)
-        if not self._idle[lru_key]:
-            del self._idle[lru_key]
-        self.n_idle -= 1
-        self._destroy_entry(entry)
+        self._destroy_entry(self._pop(self.lru_key(self._idle), 0))
 
     def make_entry(self, plan, key):
         """Wrap a freshly created plan (counts as leased until released)."""

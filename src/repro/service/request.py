@@ -15,40 +15,97 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from ..core.options import Opts, Precision, SpreadMethod, integral_mode_counts
+from ..core.options import Opts, integral_mode_counts
 from ..core.pointset import validated_point_arrays
 
-__all__ = ["TransformRequest", "TransformResult", "plan_key_for"]
+__all__ = ["PlanKey", "TransformRequest", "TransformResult", "plan_key_for",
+           "front_door"]
 
 _COORD_FIELDS = ("x", "y", "z")
 _TARGET_FIELDS = ("s", "t", "u")
 
 
+class PlanKey(NamedTuple):
+    """The geometry key plans are pooled under (built by :func:`plan_key_for`).
+
+    A tuple to the pool: it hashes and compares by value, field by field.
+    ``modes`` holds the mode counts, or ``("ndim", d)`` for type 3.
+    """
+
+    nufft_type: int
+    modes: tuple
+    eps: float
+    precision: str
+    method: str
+    backend: str
+    isign: int
+
+    @property
+    def plan_modes(self):
+        """The ``n_modes`` argument of ``Plan``: the counts, or type 3's dimension."""
+        return self.modes[1] if self.nufft_type == 3 else self.modes
+
+    def record(self, n_trans):
+        """``(name, fields)`` of this key's version-1 ``"plans"`` store record."""
+        return (f"{tuple(self)}.n{n_trans}",
+                {"version": 1, **self._asdict(), "modes": list(self.modes),
+                 "n_trans": n_trans})
+
+    @classmethod
+    def from_record(cls, rec):
+        """``(key, n_trans)`` read back from a ``"plans"`` record's fields."""
+        fields = {name: rec[name] for name in cls._fields}
+        fields["modes"] = tuple(fields["modes"])
+        return cls(**fields), rec["n_trans"]
+
+
 def plan_key_for(nufft_type, n_modes, eps, precision, method, backend, isign=None):
-    """The geometry key plans are pooled under.
+    """The :class:`PlanKey` plans are pooled under.
 
     The single normalization point shared by :meth:`TransformRequest.plan_key`
     and :meth:`repro.service.TransformService.lease_plan` -- both paths must
-    produce byte-identical keys or the pool would silently stop sharing plans
+    produce identical keys or the pool would silently stop sharing plans
     between coalesced requests and external lessees.  For type 3, ``n_modes``
     may be the dimension or a tuple whose length gives it (the ``Plan(3, .)``
-    convention).  ``isign`` is normalized through
-    :meth:`repro.core.options.Opts.resolve_isign`, so ``None`` and the
-    explicit per-type default produce the same key (they are the same plan).
+    convention).  Precision, method, backend and ``isign`` are normalized by
+    :class:`~repro.core.options.Opts` (an unknown backend raises
+    ``ValueError`` here); ``isign=None`` and the explicit per-type default
+    produce the same key (they are the same plan), while ``"auto"`` stays
+    unresolved.
     """
+    if nufft_type not in (1, 2, 3):
+        raise ValueError(f"nufft_type must be 1, 2 or 3, got {nufft_type}")
     nufft_type = int(nufft_type)
     if nufft_type == 3:
         ndim = int(n_modes) if np.isscalar(n_modes) else len(tuple(n_modes))
-        modes_key = ("ndim", ndim)
+        if ndim not in (1, 2, 3):
+            raise ValueError(f"type-3 transforms support dimensions 1-3, got {ndim}")
+        modes = ("ndim", ndim)
     else:
-        modes_key = integral_mode_counts(np.atleast_1d(n_modes))
-    isign_key = Opts(isign=isign).resolve_isign(nufft_type)
-    return (nufft_type, modes_key, float(eps), Precision.parse(precision).value,
-            SpreadMethod.parse(method).value, str(backend).strip().lower(),
-            isign_key)
+        modes = integral_mode_counts(np.atleast_1d(n_modes))
+    opts = Opts(method=method, precision=precision, isign=isign, backend=backend)
+    return PlanKey(nufft_type, modes, float(eps), opts.precision.value,
+                   opts.method.value, opts.backend, opts.resolve_isign(nufft_type))
+
+
+def front_door(cls, request, fields):
+    """The request a service entry point serves: ``request`` or ``cls(**fields)``.
+
+    Every front door (``submit``, ``execute_distributed``, ``solve`` and the
+    async front-end's ``submit``) accepts a prebuilt request or its fields
+    as keywords, not both.
+    """
+    if request is None:
+        return cls(**fields)
+    if fields:
+        raise ValueError(f"pass either a {cls.__name__} or keyword fields, not both")
+    if not isinstance(request, cls):
+        raise TypeError(f"expected a {cls.__name__}, got {type(request).__name__}")
+    return request
 
 
 @dataclass(eq=False)
@@ -88,8 +145,8 @@ class TransformRequest:
         dispatch; a request whose completion would land past it fails with
         :class:`~repro.service.DeadlineExceededError`.
 
-    Validation is eager: malformed shapes, non-integral mode counts and
-    non-finite points raise ``ValueError`` here, complex points or targets
+    Validation is eager: malformed shapes, non-integral mode counts, unknown
+    backends and non-finite points raise ``ValueError`` here, complex points or targets
     ``TypeError`` (as :class:`~repro.core.plan.Plan` does), *before* the
     request can reach a (possibly shared, possibly coalesced) plan, so one
     bad request can never poison a fused block serving other callers.
@@ -122,31 +179,19 @@ class TransformRequest:
                                   compare=False)
 
     def __post_init__(self):
-        if self.nufft_type not in (1, 2, 3):
-            raise ValueError(f"nufft_type must be 1, 2 or 3, got {self.nufft_type}")
-        self.nufft_type = int(self.nufft_type)
-        if self.nufft_type == 3:
-            ndim = int(self.n_modes) if np.isscalar(self.n_modes) else len(tuple(self.n_modes))
-            if ndim not in (1, 2, 3):
-                raise ValueError(f"type-3 requests support dimensions 1-3, got {ndim}")
-            self.n_modes = None
-            self.ndim = ndim
-        else:
-            self.n_modes = integral_mode_counts(np.atleast_1d(self.n_modes))
-            self.ndim = len(self.n_modes)
-        eps = float(self.eps)
-        if not np.isfinite(eps) or eps <= 0.0:
-            raise ValueError(f"eps must be a finite positive tolerance, got {eps}")
         # The plan key is the one normalization of the geometry fields
         # (isign=None resolves to the per-type convention, anything else
         # must be +-1); the request keeps the normalized values.
-        self._plan_key = plan_key_for(
-            self.nufft_type, self.ndim if self.nufft_type == 3 else self.n_modes,
-            eps, self.precision, self.method, self.backend, self.isign,
+        key = self._plan_key = plan_key_for(
+            self.nufft_type, self.n_modes, self.eps, self.precision,
+            self.method, self.backend, self.isign,
         )
-        _, _, self.eps, self.precision, self.method, self.backend, self.isign = (
-            self._plan_key
-        )
+        if not np.isfinite(key.eps) or key.eps <= 0.0:
+            raise ValueError(f"eps must be a finite positive tolerance, got {key.eps}")
+        self.nufft_type, self.eps, self.isign = key.nufft_type, key.eps, key.isign
+        self.precision, self.method, self.backend = key.precision, key.method, key.backend
+        self.n_modes = None if key.nufft_type == 3 else key.modes
+        self.ndim = key.plan_modes if key.nufft_type == 3 else len(key.modes)
         self.tenant = str(self.tenant)
         if not self.tenant:
             raise ValueError("tenant must be a non-empty identifier")
@@ -289,9 +334,9 @@ class TransformResult:
         The per-request failure, if the serving block raised.
     error_type : str or None
         Class name of ``error`` (the service's failure taxonomy key, e.g.
-        ``"TransientKernelError"``); ``None`` on success.
+        ``"TransientKernelError"``); ``None`` on success.  Read-only.
     error_message : str or None
-        ``str(error)``; ``None`` on success.
+        ``str(error)``; ``None`` on success.  Read-only.
     attempts : int
         Dispatch attempts the serving block took (1 = no retries).
     degraded : bool
@@ -327,8 +372,6 @@ class TransformResult:
     tag: object = None
     output: np.ndarray = None
     error: Exception = None
-    error_type: str = None
-    error_message: str = None
     attempts: int = 1
     degraded: bool = False
     device_id: int = -1
@@ -341,3 +384,13 @@ class TransformResult:
     queue_wait_s: float = None
     batch_wait_s: float = None
     e2e_s: float = None
+
+    @property
+    def error_type(self):
+        """Class name of ``error``, the failure taxonomy key (``None`` on success)."""
+        return None if self.error is None else type(self.error).__name__
+
+    @property
+    def error_message(self):
+        """``str(error)`` (``None`` on success)."""
+        return None if self.error is None else str(self.error)

@@ -25,10 +25,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from ..core.options import integral_count
 from ..faults import DeviceFaultError, fault_seed_from_env
 
 __all__ = ["RetryPolicy", "FairShedPolicy", "ServiceOverloadedError",
-           "DeadlineExceededError"]
+           "DeadlineExceededError", "shed_victim"]
 
 
 class ServiceOverloadedError(RuntimeError):
@@ -68,37 +69,33 @@ class FairShedPolicy:
         Maximum requests a single tenant may have waiting in its sub-queue
         (admitted-to-window and in-flight work does not count).
 
-    The victim rank is ``(priority, -seq)`` -- the service's rule: among
-    equal priorities the *newest* request sheds first, so an incoming
-    request loses ties and a queued victim is only ever chosen when it ranks
-    strictly lower than the incoming one.
+    An overflow sheds by :func:`shed_victim`, the service queue's rule.
     """
 
     max_pending: int = 256
 
     def __post_init__(self):
-        if int(self.max_pending) < 1:
-            raise ValueError(
-                f"max_pending must be >= 1, got {self.max_pending}"
-            )
-        object.__setattr__(self, "max_pending", int(self.max_pending))
+        object.__setattr__(self, "max_pending",
+                           integral_count("max_pending", self.max_pending, 1))
 
-    def pick_victim(self, pending, incoming_seq, incoming_request):
-        """Victim index in ``pending``, or ``None`` when the incoming loses.
 
-        ``pending`` is a sequence of objects carrying ``seq`` and
-        ``request`` attributes (the front-end's queued entries).  Returns
-        the index of the queued request to shed, or ``None`` when the
-        incoming request itself ranks lowest (it should be shed unseated).
-        """
-        victim_i = None
-        victim_rank = (incoming_request.priority, -int(incoming_seq))
-        for i, entry in enumerate(pending):
-            rank = (entry.request.priority, -entry.seq)
-            if rank < victim_rank:
-                victim_rank = rank
-                victim_i = i
-        return victim_i
+def shed_victim(pending, seq, request):
+    """Index of the queued request to shed, or ``None`` to shed the arrival.
+
+    ``pending`` lists the queued ``(seq, request)`` pairs and ``(seq,
+    request)`` is the arrival that overflowed the queue.  The victim ranks
+    lowest by ``(priority, -seq)``: among equal priorities the *newest*
+    request sheds first, so the arrival loses ties and a queued request is
+    shed only when it ranks strictly lower.  The one rule of the service's
+    bounded queue and the front-end's per-tenant sub-queues.
+    """
+    victim_i = None
+    victim_rank = (request.priority, -seq)
+    for i, (queued_seq, queued) in enumerate(pending):
+        if (queued.priority, -queued_seq) < victim_rank:
+            victim_rank = (queued.priority, -queued_seq)
+            victim_i = i
+    return victim_i
 
 
 @dataclass(frozen=True)
@@ -140,9 +137,8 @@ class RetryPolicy:
     seed: int = None
 
     def __post_init__(self):
-        if int(self.max_attempts) < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        object.__setattr__(self, "max_attempts", int(self.max_attempts))
+        object.__setattr__(self, "max_attempts",
+                           integral_count("max_attempts", self.max_attempts, 1))
         if self.base_backoff_s < 0.0:
             raise ValueError(
                 f"base_backoff_s must be >= 0, got {self.base_backoff_s}"

@@ -7,20 +7,43 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from ..cluster.fleet import DeviceFleet
+from ..core.options import integral_count
 from ..core.plan import Plan
 from ..faults import DeviceFaultError, DeviceLostError
 from ..gpu.costmodel import CostModel
+from ..gpu.device import ENGINES
 from .pool import PlanPool
-from .request import TransformRequest, TransformResult, plan_key_for
-from .resilience import DeadlineExceededError, RetryPolicy, ServiceOverloadedError
+from .request import (
+    PlanKey,
+    TransformRequest,
+    TransformResult,
+    front_door,
+    plan_key_for,
+)
+from .resilience import (
+    DeadlineExceededError,
+    RetryPolicy,
+    ServiceOverloadedError,
+    shed_victim,
+)
 
 __all__ = ["ServiceStats", "TransformService", "LATENCY_KINDS",
            "LATENCY_PERCENTILES"]
+
+#: The serving geometry (see :class:`TransformService`): streams per device
+#: of a fleet the service builds, the fewest transforms per shard, the most
+#: per fused block, the host's cost of one dispatch and the ranks of a
+#: distributed request.
+STREAMS_PER_DEVICE = 2
+SHARD_MIN_BLOCK = 4
+MAX_BLOCK = 64
+DISPATCH_LATENCY_S = 2.0e-5
+DISTRIBUTED_RANKS = 4
 
 
 #: Percentile marks reported for every latency kind.
@@ -56,14 +79,20 @@ class ServiceStats:
       batch-wait and end-to-end modelled latency, per tenant and per
       signature).
 
+    Totals kept by another record are read-only properties over it:
+    ``plan_cache_hits`` / ``plan_cache_misses`` / ``setpts_skipped`` sum
+    ``pool_by_signature``, and ``plans_created`` is the cache misses plus
+    ``lease_misses``.
+
     The warm-state surface (services constructed with ``artifact_store=``):
     ``artifact_hits`` / ``artifact_misses`` / ``artifact_stale`` /
-    ``artifact_corrupt`` / ``artifact_builds`` mirror the store's
-    :class:`~repro.artifacts.ArtifactStats` counters accumulated since the
-    service was constructed (or metrics were last reset), and
-    ``plans_prewarmed`` counts pooled plans recreated from stored signatures
-    at startup.  A warmed steady state shows ``artifact_builds == 0``: every
-    stencil, Horner fit and PSF kernel came from the store.
+    ``artifact_corrupt`` / ``artifact_builds`` read the store's
+    :class:`~repro.artifacts.ArtifactStats` (passed as ``artifacts``) less
+    its counts at ``since`` (default: when these stats are built), and
+    ``plans_prewarmed`` is the ``prewarmed`` count of pooled plans the
+    service recreated from stored signatures at startup.  A warmed steady
+    state shows ``artifact_builds == 0``: every stencil, Horner fit and PSF
+    kernel came from the store.
     """
 
     requests_submitted: int = 0
@@ -75,16 +104,6 @@ class ServiceStats:
     solves_served: int = 0
     solve_shards: int = 0
     solve_cg_iterations: int = 0
-    plans_created: int = 0
-    plans_prewarmed: int = 0
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
-    artifact_hits: int = 0
-    artifact_misses: int = 0
-    artifact_stale: int = 0
-    artifact_corrupt: int = 0
-    artifact_builds: int = 0
-    setpts_skipped: int = 0
     setpts_executed: int = 0
     lease_hits: int = 0
     lease_misses: int = 0
@@ -101,23 +120,51 @@ class ServiceStats:
     pool_by_signature: dict = field(default_factory=dict)
     shed_by_tenant: dict = field(default_factory=dict)
     latency_samples: dict = field(default_factory=dict)
+    artifacts: InitVar[object] = None
+    since: InitVar[dict] = None
+    prewarmed: InitVar[int] = 0
+
+    def __post_init__(self, artifacts, since, prewarmed):
+        self._artifacts = artifacts
+        if artifacts is not None and since is None:
+            since = artifacts.snapshot()
+        self._artifacts_since = since
+        self._prewarmed = prewarmed
+
+    def _pool_total(self, name):
+        return sum(entry[name] for entry in self.pool_by_signature.values())
+
+    def _artifact_count(self, name):
+        if self._artifacts is None:
+            return 0
+        return getattr(self._artifacts, name) - self._artifacts_since[name]
+
+    plan_cache_hits = property(lambda self: self._pool_total("hits"))
+    plan_cache_misses = property(lambda self: self._pool_total("misses"))
+    setpts_skipped = property(lambda self: self._pool_total("setpts_skipped"))
+    plans_created = property(
+        lambda self: self.plan_cache_misses + self.lease_misses)
+    plans_prewarmed = property(lambda self: self._prewarmed)
+    artifact_hits = property(lambda self: self._artifact_count("hits"))
+    artifact_misses = property(lambda self: self._artifact_count("misses"))
+    artifact_stale = property(lambda self: self._artifact_count("stale"))
+    artifact_corrupt = property(lambda self: self._artifact_count("corrupt"))
+    artifact_builds = property(lambda self: self._artifact_count("builds"))
 
     # ------------------------------------------------------------------ #
     # QoS accounting (per-signature pool events, latency percentiles)
     # ------------------------------------------------------------------ #
+    def _signature_counts(self, signature):
+        return self.pool_by_signature.setdefault(
+            signature, {"hits": 0, "misses": 0, "setpts_skipped": 0})
+
     def record_pool_event(self, signature, hit):
         """Count one PlanPool lease outcome against ``signature``."""
-        entry = self.pool_by_signature.setdefault(
-            signature, {"hits": 0, "misses": 0, "setpts_skipped": 0}
-        )
-        entry["hits" if hit else "misses"] += 1
+        self._signature_counts(signature)["hits" if hit else "misses"] += 1
 
     def record_setpts_skip(self, signature, n=1):
         """Count ``n`` skipped ``set_pts`` executions against ``signature``."""
-        entry = self.pool_by_signature.setdefault(
-            signature, {"hits": 0, "misses": 0, "setpts_skipped": 0}
-        )
-        entry["setpts_skipped"] += int(n)
+        self._signature_counts(signature)["setpts_skipped"] += int(n)
 
     def record_shed(self, tenant=None):
         """Count one shed request (optionally attributed to ``tenant``)."""
@@ -223,28 +270,16 @@ class TransformService:
     Parameters
     ----------
     fleet : DeviceFleet, optional
-        Devices to serve on; defaults to a fresh fleet of ``n_devices``.
-    n_devices, streams_per_device : int
-        Fleet geometry when ``fleet`` is not given.
+        Devices to serve on; defaults to a fresh fleet of ``n_devices``, each
+        with :data:`STREAMS_PER_DEVICE` streams.
+    n_devices : int
+        Fleet size when ``fleet`` is not given.
     max_plans : int
         LRU capacity of the plan pool; ``pool_plans=False`` forces 0.
     pool_plans : bool
         Disable to re-plan per request (the unpooled baseline).
     coalesce : bool
         Disable to execute every request as its own block.
-    shard_min_block : int
-        Minimum fused transforms per shard; a block shards across at most
-        ``len(block) // shard_min_block`` devices.
-    max_block : int
-        Upper bound on fused block size (stencil-cache memory guard).
-    dispatch_latency_s : float
-        Host-side submission cost per executed shard; shard dispatches
-        serialize on the host.
-    shared_host_link : bool
-        Model the host's PCIe root complex as a shared resource: h2d uploads
-        to *different* devices serialize against each other.  Together with
-        the dispatch latency this is what bends the multi-device scaling
-        curve below ideal (the fleet analogue of Fig. 9's saturation).
     charge_plan_creation : bool
         Include plan construction (simulated allocations + the cuFFT plan
         cost the paper excludes with a dummy transform) in the modelled
@@ -290,37 +325,33 @@ class TransformService:
         Point count at or above which a queued type-1/2 request bypasses
         the fused single-device path and is served by a
         :class:`~repro.cluster.distributed.DistributedPlan` spanning
-        ``distributed_ranks`` simulated ranks (domain-decomposed spreading,
-        halo exchange, slab FFT).  ``None`` (default) disables routing;
-        :meth:`execute_distributed` stays available either way.
-    distributed_ranks : int
-        Rank count for distributed execution (default 4).
-    distributed_node : Node or NodeSpec, optional
-        Node hosting the distributed ranks; defaults to a fresh
-        Cori-GPU-like node per distributed request.
+        :data:`DISTRIBUTED_RANKS` simulated ranks on a fresh Cori-GPU-like
+        node (domain-decomposed spreading, halo exchange, slab FFT).
+        ``None`` (default) disables routing; :meth:`execute_distributed`
+        stays available either way.
+
+    Module constants fix the serving geometry: blocks hold at most
+    :data:`MAX_BLOCK` requests and shard in pieces of at least
+    :data:`SHARD_MIN_BLOCK`, and every dispatch costs the host
+    :data:`DISPATCH_LATENCY_S`.  h2d uploads to *different* devices
+    serialize on the host's shared PCIe link; with the dispatch latency,
+    that is what bends the multi-device scaling curve below ideal (the
+    fleet analogue of Fig. 9's saturation).
     """
 
-    def __init__(self, fleet=None, n_devices=1, streams_per_device=2,
-                 max_plans=32, pool_plans=True, coalesce=True,
-                 shard_min_block=4, max_block=64,
-                 dispatch_latency_s=2.0e-5, charge_plan_creation=True,
-                 shared_host_link=True, tune="off", tuner=None,
-                 tuning_cache_path=None, artifact_store=None, retry=None,
-                 max_queue_depth=None, fault_injector=None,
-                 distributed_threshold_points=None,
-                 distributed_ranks=4, distributed_node=None):
+    def __init__(self, fleet=None, n_devices=1, max_plans=32, pool_plans=True,
+                 coalesce=True, charge_plan_creation=True, tune="off",
+                 tuner=None, tuning_cache_path=None, artifact_store=None,
+                 retry=None, max_queue_depth=None, fault_injector=None,
+                 distributed_threshold_points=None):
         self.fleet = fleet if fleet is not None else DeviceFleet(
-            n_devices=n_devices, streams_per_device=streams_per_device
+            n_devices=n_devices, streams_per_device=STREAMS_PER_DEVICE
         )
         self.pool_plans = bool(pool_plans)
         self.pool = PlanPool(max_plans if self.pool_plans else 0,
                              on_evict=self._persist_plan_signature)
         self.coalesce = bool(coalesce)
-        self.shard_min_block = max(1, int(shard_min_block))
-        self.max_block = max(1, int(max_block))
-        self.dispatch_latency_s = float(dispatch_latency_s)
         self.charge_plan_creation = bool(charge_plan_creation)
-        self.shared_host_link = bool(shared_host_link)
 
         # Warm-state artifact store: a path (or REPRO_ARTIFACT_STORE) makes
         # every stencil cache, Horner fit, tuning record and PSF kernel this
@@ -335,9 +366,9 @@ class TransformService:
         elif isinstance(artifact_store, (str, os.PathLike)):
             artifact_store = ArtifactStore(root=artifact_store)
         self.artifact_store = artifact_store
-        self._artifact_base = (artifact_store.stats.snapshot()
-                               if artifact_store is not None else None)
-        self._prewarmed = 0
+        artifacts = getattr(artifact_store, "stats", None)
+        # The artifact counters count from here, pre-warming included.
+        artifacts_since = artifacts.snapshot() if artifacts is not None else None
 
         from ..tuning import TUNE_MODES, Autotuner, TuningCache
 
@@ -364,30 +395,15 @@ class TransformService:
                 f"retry must be a RetryPolicy, got {type(self.retry).__name__}"
             )
         if max_queue_depth is not None:
-            max_queue_depth = int(max_queue_depth)
-            if max_queue_depth < 1:
-                raise ValueError(
-                    f"max_queue_depth must be >= 1, got {max_queue_depth}"
-                )
+            max_queue_depth = integral_count("max_queue_depth", max_queue_depth, 1)
         self.max_queue_depth = max_queue_depth
         if distributed_threshold_points is not None:
-            distributed_threshold_points = int(distributed_threshold_points)
-            if distributed_threshold_points < 1:
-                raise ValueError(
-                    "distributed_threshold_points must be >= 1, got "
-                    f"{distributed_threshold_points}"
-                )
+            distributed_threshold_points = integral_count(
+                "distributed_threshold_points", distributed_threshold_points, 1)
         self.distributed_threshold_points = distributed_threshold_points
-        self.distributed_ranks = int(distributed_ranks)
-        if self.distributed_ranks < 1:
-            raise ValueError(
-                f"distributed_ranks must be >= 1, got {distributed_ranks}"
-            )
-        self.distributed_node = distributed_node
         self.fault_injector = fault_injector
         if fault_injector is not None:
             fault_injector.attach(self.fleet.devices)
-        self.stats = ServiceStats()
         self._queue = []  # list[(seq, TransformRequest)]
         self._shed = []  # list[(seq, TransformResult)] awaiting flush
         self._seq = itertools.count()
@@ -395,8 +411,8 @@ class TransformService:
         self._host_frontier = 0.0
         self._host_link_frontier = 0.0
         self._closed = False
-        self._pre_warm()
-        self._sync_artifact_stats()
+        self.stats = ServiceStats(artifacts=artifacts, since=artifacts_since,
+                                  prewarmed=self._pre_warm())
 
     # ------------------------------------------------------------------ #
     # request intake
@@ -409,12 +425,7 @@ class TransformService:
         raise here and never enter the queue.
         """
         self._require_open()
-        if request is None:
-            request = TransformRequest(**kwargs)
-        elif kwargs:
-            raise ValueError("pass either a TransformRequest or keyword fields, not both")
-        if not isinstance(request, TransformRequest):
-            raise TypeError(f"expected a TransformRequest, got {type(request).__name__}")
+        request = front_door(TransformRequest, request, kwargs)
         seq = next(self._seq)
         self.stats.requests_submitted += 1
         if (self.max_queue_depth is not None
@@ -426,18 +437,12 @@ class TransformService:
     def _shed_lowest(self, seq, request):
         """Shed the lowest-priority request to admit ``(seq, request)``.
 
-        Rank is ``(priority, -seq)``: among equal priorities the *newest*
-        request sheds first, so the incoming one loses ties (it raises
-        :class:`ServiceOverloadedError` and never enters the queue).  A
-        strictly lower-priority queued victim is removed instead and
-        receives an error result at :meth:`flush`.
+        The victim is the :func:`~repro.service.resilience.shed_victim`: an
+        incoming one raises :class:`ServiceOverloadedError` and never enters
+        the queue, a queued one is removed and receives an error result at
+        :meth:`flush`.
         """
-        victim_i = None
-        victim_rank = (request.priority, -seq)
-        for i, (s, r) in enumerate(self._queue):
-            if (r.priority, -s) < victim_rank:
-                victim_rank = (r.priority, -s)
-                victim_i = i
+        victim_i = shed_victim(self._queue, seq, request)
         self.stats.requests_shed += 1
         depth = len(self._queue)
         if victim_i is None:
@@ -452,10 +457,7 @@ class TransformService:
             f"(max_queue_depth={self.max_queue_depth}, priority "
             f"{vreq.priority} was the lowest queued)"
         )
-        self._shed.append((vseq, TransformResult(
-            tag=vreq.tag, error=exc, error_type=type(exc).__name__,
-            error_message=str(exc),
-        )))
+        self._shed.append((vseq, TransformResult(tag=vreq.tag, error=exc)))
 
     def run(self, requests):
         """Submit a batch of requests and flush; returns results in order."""
@@ -488,9 +490,8 @@ class TransformService:
         queue = self._route_distributed(queue, results)
         for block in self._group(queue):
             shards = self._shards(block)
-            if len(shards) == 1:
-                self._execute_shard(shards[0], results)
-            else:
+            ranked = None
+            if len(shards) > 1:
                 # Pin a multi-shard block's shards to distinct devices (in
                 # least-loaded order) so the block actually runs in parallel;
                 # plan affinity alone would pile every shard onto the device
@@ -500,12 +501,11 @@ class TransformService:
                 try:
                     ranked = self.fleet.ranked()
                 except DeviceLostError:
-                    ranked = None
-                for i, shard in enumerate(shards):
-                    device = ranked[i % len(ranked)] if ranked else None
-                    self._execute_shard(shard, results, device=device)
+                    pass
+            for i, shard in enumerate(shards):
+                device = ranked[i % len(ranked)] if ranked else None
+                self._execute_shard(shard, results, device=device)
             self.stats.blocks_executed += 1
-        self._sync_artifact_stats()
         return [results[seq] for seq in sorted(results)]
 
     def _route_distributed(self, queue, results):
@@ -532,10 +532,7 @@ class TransformService:
             except Exception as exc:
                 self._note_failure(exc)
                 self.stats.requests_failed += 1
-                results[seq] = TransformResult(
-                    tag=req.tag, error=exc, error_type=type(exc).__name__,
-                    error_message=str(exc),
-                )
+                results[seq] = TransformResult(tag=req.tag, error=exc)
         return kept
 
     def execute_distributed(self, request=None, n_ranks=None, node=None,
@@ -545,9 +542,9 @@ class TransformService:
         Accepts a prebuilt :class:`TransformRequest` or its fields as
         keywords (same front door as :meth:`submit`); the transform runs on
         a fresh :class:`~repro.cluster.distributed.DistributedPlan` over
-        ``n_ranks`` simulated ranks (default ``distributed_ranks``) hosted
-        on ``node`` (default ``distributed_node``).  Only types 1 and 2
-        decompose; type 3 raises :class:`ValueError`.
+        ``n_ranks`` simulated ranks (default :data:`DISTRIBUTED_RANKS`)
+        hosted on ``node`` (default a fresh Cori-GPU-like node).  Only types
+        1 and 2 decompose; type 3 raises :class:`ValueError`.
 
         Returns
         -------
@@ -559,12 +556,7 @@ class TransformService:
             ``transpose_bytes``.
         """
         self._require_open()
-        if request is None:
-            request = TransformRequest(**kwargs)
-        elif kwargs:
-            raise ValueError("pass either a TransformRequest or keyword fields, not both")
-        if not isinstance(request, TransformRequest):
-            raise TypeError(f"expected a TransformRequest, got {type(request).__name__}")
+        request = front_door(TransformRequest, request, kwargs)
         self.stats.requests_submitted += 1
         return self._serve_distributed(request, n_ranks=n_ranks, node=node)
 
@@ -577,15 +569,11 @@ class TransformService:
                 "distributed execution supports types 1 and 2 only; type "
                 f"{request.nufft_type} has no slab decomposition"
             )
-        n_ranks = int(n_ranks if n_ranks is not None else self.distributed_ranks)
-        overrides = {"precision": request.precision}
-        if request.isign is not None:
-            overrides["isign"] = request.isign
         plan = DistributedPlan(
-            request.nufft_type, request.n_modes, n_ranks=n_ranks,
-            eps=request.eps,
-            node=node if node is not None else self.distributed_node,
-            **overrides,
+            request.nufft_type, request.n_modes,
+            n_ranks=DISTRIBUTED_RANKS if n_ranks is None else n_ranks,
+            eps=request.eps, node=node, precision=request.precision,
+            isign=request.isign,
         )
         try:
             plan.set_pts(**request.setpts_kwargs())
@@ -596,7 +584,7 @@ class TransformService:
         # Distributed requests run on their own node, off the fleet streams;
         # only the host-side dispatch and the modelled makespan serialize on
         # the submission thread.
-        self._host_frontier += self.dispatch_latency_s + breakdown.makespan_s
+        self._host_frontier += DISPATCH_LATENCY_S + breakdown.makespan_s
         modelled = {
             "h2d": 0.0,
             "exec": breakdown.compute_s,
@@ -621,24 +609,15 @@ class TransformService:
         """Coalesce the queue into same-geometry/same-points blocks."""
         if not self.coalesce:
             return [[item] for item in queue]
-        groups, order = {}, []
+        groups = {}  # in first-seen order
         for seq, req in queue:
-            key = (req.plan_key(), req.points_key())
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append((seq, req))
-        blocks = []
-        for key in order:
-            group = groups[key]
-            for i in range(0, len(group), self.max_block):
-                blocks.append(group[i:i + self.max_block])
-        return blocks
+            groups.setdefault(req.signature(), []).append((seq, req))
+        return [group[i:i + MAX_BLOCK] for group in groups.values()
+                for i in range(0, len(group), MAX_BLOCK)]
 
     def _shards(self, block):
-        """Split one block across the fleet (each shard >= shard_min_block)."""
-        n_shards = min(self.fleet.n_devices,
-                       max(1, len(block) // self.shard_min_block))
+        """Split one block across the fleet (each shard >= SHARD_MIN_BLOCK)."""
+        n_shards = min(self.fleet.n_devices, max(1, len(block) // SHARD_MIN_BLOCK))
         if n_shards <= 1:
             return [block]
         bounds = np.array_split(np.arange(len(block)), n_shards)
@@ -661,7 +640,6 @@ class TransformService:
         deadline = min((r.deadline_s for _, r in shard
                         if r.deadline_s is not None), default=None)
         started_at = self._host_frontier
-        token = str(shard[0][0])
         attempts = 0
         while True:
             attempts += 1
@@ -674,58 +652,56 @@ class TransformService:
                             and not self.fleet.is_admissible(target.device_id))):
                     target = None  # re-place health-aware
                 entry, created = self._acquire_plan(
-                    req0.plan_key(), n_trans, req0.points_key(),
-                    lambda dev: self._make_plan(req0, n_trans, dev),
-                    device=target,
-                )
-                if created:
-                    self.stats.plan_cache_misses += 1
-                    self.stats.plans_created += 1
-                else:
-                    self.stats.plan_cache_hits += 1
+                    req0.plan_key(), n_trans, req0.points_key(), device=target)
                 self.stats.record_pool_event(req0.signature_label(),
                                              hit=not created)
-                self._execute_shard_inner(
-                    shard, req0, n_trans, entry, created, results,
-                    attempts=attempts, degraded=degraded,
-                    started_at=started_at,
-                )
+                self._execute_shard_inner(shard, entry, created, results,
+                                          attempts, degraded, started_at)
             except Exception as exc:  # per-request failure isolation
                 # Don't pool a plan whose set_pts/execute failed mid-flight:
                 # its cached point state can no longer be vouched for.
                 if entry is not None:
                     entry.plan.destroy()
-                self._note_failure(exc, entry.key[-1] if entry else None)
-                final = not (self.retry.should_retry(exc)
-                             and attempts < self.retry.max_attempts
-                             and self._fleet_has_candidates())
-                if not final:
-                    self._host_frontier += self.retry.backoff_s(attempts, token)
-                    self.stats.retries += 1
-                    if (deadline is not None
-                            and self._host_frontier - started_at > deadline):
-                        exc = DeadlineExceededError(
-                            f"deadline_s={deadline} exhausted after "
-                            f"{attempts} attempt(s)"
-                        )
-                        final = True
-                if not final:
-                    continue
+                if self._retry_after(exc, attempts, str(shard[0][0]),
+                                     entry.key[-1] if entry else None):
+                    if (deadline is None
+                            or self._host_frontier - started_at <= deadline):
+                        continue
+                    exc = DeadlineExceededError(
+                        f"deadline_s={deadline} exhausted after "
+                        f"{attempts} attempt(s)"
+                    )
                 self.stats.requests_failed += n_trans
                 if isinstance(exc, DeadlineExceededError):
                     self.stats.deadline_exceeded += n_trans
                 for seq, req in shard:
                     results[seq] = TransformResult(
-                        tag=req.tag, error=exc,
-                        error_type=type(exc).__name__,
-                        error_message=str(exc),
-                        attempts=attempts, block_size=n_trans,
+                        tag=req.tag, error=exc, attempts=attempts,
+                        block_size=n_trans,
                     )
                 return
-            else:
-                self.fleet.record_success(entry.key[-1])
-                self._release_entry(entry)
-                return
+            self.fleet.record_success(entry.key[-1])
+            self._release_entry(entry)
+            return
+
+    def _retry_after(self, exc, attempts, token, device_id):
+        """Count one failed attempt; whether to retry it, backoff charged.
+
+        The one retry decision of transform and solve shards: ``exc`` must
+        be retryable, the :class:`RetryPolicy` budget not spent, and some
+        device still alive and not evicted.  A retry charges the policy's
+        backoff to the modelled host clock.
+        """
+        self._note_failure(exc, device_id)
+        if not (self.retry.should_retry(exc)
+                and attempts < self.retry.max_attempts
+                and any(getattr(d, "alive", True)
+                        and not self.fleet.health[d.device_id].evicted
+                        for d in self.fleet.devices)):
+            return False
+        self._host_frontier += self.retry.backoff_s(attempts, token)
+        self.stats.retries += 1
+        return True
 
     def _note_failure(self, exc, device_id=None):
         """Taxonomy-count one failure and update the device's health."""
@@ -743,13 +719,6 @@ class TransformService:
             self.fleet.evict(device_id)
             self.pool.purge_device(device_id)
 
-    def _fleet_has_candidates(self):
-        """Whether any device could still serve (alive and not evicted)."""
-        return any(
-            getattr(d, "alive", True) and not self.fleet.health[d.device_id].evicted
-            for d in self.fleet.devices
-        )
-
     def _release_entry(self, entry):
         """Pool a finished entry -- unless its device left the fleet.
 
@@ -766,14 +735,12 @@ class TransformService:
             self._persist_plan_signature(entry)
             self.pool.release(entry)
 
-    def _execute_shard_inner(self, shard, req0, n_trans, entry, created,
-                             results, attempts=1, degraded=False,
-                             started_at=0.0):
-        plan = entry.plan
+    def _execute_shard_inner(self, shard, entry, created, results, attempts,
+                             degraded, started_at):
+        req0, n_trans, plan = shard[0][1], len(shard), entry.plan
         setpts_reused = (not created) and entry.points_key == req0.points_key()
         setup_seconds = {"h2d": 0.0, "exec": 0.0, "d2h": 0.0}
         if setpts_reused:
-            self.stats.setpts_skipped += n_trans
             self.stats.record_setpts_skip(req0.signature_label(), n_trans)
         else:
             plan.set_pts(**req0.setpts_kwargs())
@@ -782,12 +749,9 @@ class TransformService:
             self.stats.setpts_executed += 1
 
         if n_trans == 1:
-            output = plan.execute(req0.data)
-            outputs = [output]
+            outputs = [plan.execute(req0.data)]
         else:
-            stacked = np.stack([req.data for _, req in shard])
-            output = plan.execute(stacked)
-            outputs = list(output)
+            outputs = list(plan.execute(np.stack([req.data for _, req in shard])))
         # Warm executes of one plan and point set record the same profiles
         # and transfers, so the first execute's price stands for all of them
         # (dropped with the point set on the next set_pts).
@@ -803,9 +767,17 @@ class TransformService:
                 + plan.cost_model.constants.cufft_startup_s
             )
 
+        steps = [("exec", plan_setup_s, "plan create"),
+                 ("h2d", setup_seconds["h2d"] + exec_seconds["h2d"],
+                  "points + input upload"),
+                 ("exec", setup_seconds["exec"] + exec_seconds["exec"],
+                  "setup + transform kernels")]
         completed_at, modelled = self._enqueue_timeline(
-            entry, plan_setup_s, setup_seconds, exec_seconds
+            entry.device_id,
+            [step for step in steps if step[1] > 0.0]
+            + [("d2h", exec_seconds["d2h"], "output download")],
         )
+        modelled["plan_setup"] = plan_setup_s
         if degraded:
             self.stats.degraded_shards += 1
             self.stats.degraded_seconds += (
@@ -813,6 +785,9 @@ class TransformService:
             )
 
         served = 0
+        common = dict(device_id=entry.device_id, block_size=n_trans,
+                      completed_at=completed_at, attempts=attempts,
+                      degraded=degraded)
         for i, (seq, req) in enumerate(shard):
             # A request whose completion lands past its own deadline_s is a
             # timeout even though the block computed it (the block served
@@ -825,69 +800,45 @@ class TransformService:
                 )
                 self.stats.deadline_exceeded += 1
                 self.stats.requests_failed += 1
-                results[seq] = TransformResult(
-                    tag=req.tag, error=exc, error_type=type(exc).__name__,
-                    error_message=str(exc), attempts=attempts,
-                    degraded=degraded, device_id=entry.device_id,
-                    block_size=n_trans, completed_at=completed_at,
-                )
+                results[seq] = TransformResult(tag=req.tag, error=exc, **common)
                 continue
             served += 1
             results[seq] = TransformResult(
-                tag=req.tag,
-                output=outputs[i],
-                device_id=entry.device_id,
-                plan_reused=not created,
-                setpts_reused=setpts_reused,
-                block_size=n_trans,
-                modelled_seconds=modelled,
-                completed_at=completed_at,
-                attempts=attempts,
-                degraded=degraded,
+                tag=req.tag, output=outputs[i], plan_reused=not created,
+                setpts_reused=setpts_reused, modelled_seconds=modelled, **common,
             )
         self.stats.requests_served += served
         self.stats.shards_executed += 1
 
-    def _enqueue_timeline(self, entry, plan_setup_s, setup_seconds, exec_seconds):
-        """Model the shard on its device's streams; returns (t_done, seconds).
+    def _enqueue_timeline(self, device_id, steps):
+        """Model one dispatch on its device's streams; returns (t_done, seconds).
 
-        Host dispatches serialize (one submission thread); on the device the
-        h2d upload, the kernels and the d2h download occupy their respective
-        engines, so consecutive shards on different streams overlap.
+        ``steps`` lists ``(engine, seconds, label)`` in stream order.  Host
+        dispatches serialize (one submission thread), every h2d step waits
+        for the shared host link, and on the device each engine runs its own
+        steps, so consecutive dispatches on different streams overlap.
+        ``seconds`` sums the steps per engine (also added to
+        ``stats.modelled_engine_seconds``); ``t_done`` is the last step's.
         """
-        device = self.fleet.device(entry.device_id)
-        stream = self.fleet.next_stream(device)
-        self._host_frontier += self.dispatch_latency_s
+        stream = self.fleet.next_stream(self.fleet.device(device_id))
+        self._host_frontier += DISPATCH_LATENCY_S
         stream.wait_until(self._host_frontier)
-
-        if plan_setup_s > 0.0:
-            stream.enqueue("exec", plan_setup_s, "plan create")
-        h2d = setup_seconds["h2d"] + exec_seconds["h2d"]
-        if h2d > 0.0:
-            if self.shared_host_link:
+        seconds = dict.fromkeys(ENGINES, 0.0)
+        for engine, step_s, label in steps:
+            if engine == "h2d":
                 stream.wait_until(self._host_link_frontier)
-            upload_done = stream.enqueue("h2d", h2d, "points + input upload")
-            if self.shared_host_link:
-                self._host_link_frontier = upload_done.time
-        kernels = setup_seconds["exec"] + exec_seconds["exec"]
-        if kernels > 0.0:
-            stream.enqueue("exec", kernels, "setup + transform kernels")
-        event = stream.enqueue("d2h", exec_seconds["d2h"], "output download")
-
-        modelled = {
-            "h2d": h2d,
-            "exec": kernels + plan_setup_s,
-            "d2h": exec_seconds["d2h"],
-            "plan_setup": plan_setup_s,
-        }
-        for engine in ("h2d", "exec", "d2h"):
-            self.stats.modelled_engine_seconds[engine] += modelled[engine]
-        return event.time, modelled
+            event = stream.enqueue(engine, step_s, label)
+            if engine == "h2d":
+                self._host_link_frontier = event.time
+            seconds[engine] += step_s
+        for engine, step_s in seconds.items():
+            self.stats.modelled_engine_seconds[engine] += step_s
+        return event.time, seconds
 
     # ------------------------------------------------------------------ #
     # plan acquisition
     # ------------------------------------------------------------------ #
-    def _acquire_plan(self, plan_key, n_trans, points_key, factory, device=None,
+    def _acquire_plan(self, plan_key, n_trans, points_key, device=None,
                       allow_repoint=False):
         """Lease a pooled plan or build one; returns (entry, created).
 
@@ -901,20 +852,17 @@ class TransformService:
         least-loaded order), and otherwise a fresh plan on the least-loaded
         device.
         """
-        if device is not None:
-            ranked = [device]
-        else:
-            ranked = self.fleet.ranked()
+        ranked = [device] if device is not None else self.fleet.ranked()
+        keys = [(plan_key, n_trans, d.device_id) for d in ranked]
         if points_key is not None:
-            for device in ranked:
-                key = (plan_key, n_trans, device.device_id)
+            for key in keys:
                 if self.pool.has_points(key, points_key):
                     return self.pool.lease(key, points_key=points_key), False
         # Plans released by external lessees carry no vouched-for point set
         # (points_key=None): re-pointing one steals cached state from nobody,
         # so they are fair game at any pool occupancy.
-        for device in ranked:
-            entry = self.pool.lease_unpointed((plan_key, n_trans, device.device_id))
+        for key in keys:
+            entry = self.pool.lease_unpointed(key)
             if entry is not None:
                 return entry, False
         # Geometry-only reuse of a *pointed* plan re-runs set_pts on it,
@@ -927,28 +875,32 @@ class TransformService:
         # sets.  External lessees (allow_repoint) re-point the plan
         # regardless, so below capacity any geometry hit wins, in load order.
         if 0 < self.pool.max_plans <= self.pool.n_idle:
-            key = self.pool.lru_key([(plan_key, n_trans, device.device_id)
-                                     for device in ranked])
+            key = self.pool.lru_key(keys)
             if key is not None:
                 return self.pool.lease(key), False
         elif allow_repoint:
-            for device in ranked:
-                entry = self.pool.lease((plan_key, n_trans, device.device_id))
+            for key in keys:
+                entry = self.pool.lease(key)
                 if entry is not None:
                     return entry, False
-        device = ranked[0]
-        plan = factory(device)
-        entry = self.pool.make_entry(plan, (plan_key, n_trans, device.device_id))
-        entry.device_id = device.device_id
-        return entry, True
+        return self._new_entry(plan_key, n_trans, ranked[0]), True
 
-    def _make_plan(self, req, n_trans, device):
-        modes = req.ndim if req.nufft_type == 3 else req.n_modes
-        return Plan(req.nufft_type, modes, n_trans=n_trans, eps=req.eps,
-                    device=device, precision=req.precision, method=req.method,
-                    backend=req.backend, isign=req.isign,
+    def _new_entry(self, plan_key, n_trans, device):
+        """A pool entry around a new plan of ``plan_key`` on ``device``.
+
+        The one place the service builds a plan: pooled, leased and
+        pre-warmed plans alike share the service's tuning policy, tuner
+        and artifact store.
+        """
+        plan = Plan(plan_key.nufft_type, plan_key.plan_modes, n_trans=n_trans,
+                    eps=plan_key.eps, device=device,
+                    precision=plan_key.precision, method=plan_key.method,
+                    backend=plan_key.backend, isign=plan_key.isign,
                     tune=self.tune, tuner=self.tuner,
                     artifact_store=self.artifact_store)
+        entry = self.pool.make_entry(plan, (plan_key, n_trans, device.device_id))
+        entry.device_id = device.device_id
+        return entry
 
     # ------------------------------------------------------------------ #
     # warm state (artifact store)
@@ -966,21 +918,9 @@ class TransformService:
             return
         try:
             plan_key, n_trans, _device_id = entry.key
-            nufft_type, modes_key, eps, precision, method, backend, isign = plan_key
-            key = f"{plan_key}.n{int(n_trans)}"
-            if store.get_record("plans", key, count=False) is not None:
-                return
-            store.put_record("plans", key, {
-                "version": 1,
-                "nufft_type": int(nufft_type),
-                "modes": list(modes_key),
-                "eps": float(eps),
-                "precision": precision,
-                "method": method,
-                "backend": backend,
-                "isign": int(isign),
-                "n_trans": int(n_trans),
-            })
+            name, record = plan_key.record(n_trans)
+            if store.get_record("plans", name, count=False) is None:
+                store.put_record("plans", name, record)
         except Exception:
             # Persistence is best-effort: a full disk or torn table must
             # never take the serving path down.
@@ -996,55 +936,27 @@ class TransformService:
         entries carry ``points_key=None``, so the very first matching request
         leases one via the unpointed fast path instead of planning.
         Unreconstructible records (schema drift, bad values) are skipped.
+        Returns the number of plans pre-warmed.
         """
         store = self.artifact_store
+        prewarmed = 0
         if store is None or self.pool.max_plans == 0:
-            return
-        for key in store.record_keys("plans"):
+            return prewarmed
+        for name in store.record_keys("plans"):
             if self.pool.n_idle >= self.pool.max_plans:
                 break
-            rec = store.get_record("plans", key, count=False)
+            rec = store.get_record("plans", name, count=False)
             if rec is None:
                 continue
             try:
-                modes = rec["modes"]
-                if modes and modes[0] == "ndim":
-                    modes_arg = int(modes[1])
-                else:
-                    modes_arg = tuple(int(n) for n in modes)
-                n_trans = int(rec["n_trans"])
-                plan_key = plan_key_for(
-                    rec["nufft_type"], modes_arg, rec["eps"], rec["precision"],
-                    rec["method"], rec["backend"], rec["isign"],
-                )
-                device = self.fleet.least_loaded()
-                plan = Plan(rec["nufft_type"], modes_arg, n_trans=n_trans,
-                            eps=rec["eps"], device=device,
-                            precision=rec["precision"], method=rec["method"],
-                            backend=rec["backend"], isign=rec["isign"],
-                            tune=self.tune, tuner=self.tuner,
-                            artifact_store=store)
+                plan_key, n_trans = PlanKey.from_record(rec)
+                entry = self._new_entry(plan_key, n_trans,
+                                        self.fleet.least_loaded())
             except Exception:
                 continue
-            entry = self.pool.make_entry(plan, (plan_key, n_trans,
-                                                device.device_id))
-            entry.device_id = device.device_id
             self.pool.release(entry)
-            self._prewarmed += 1
-
-    def _sync_artifact_stats(self):
-        """Mirror the store's counters (since the last reset) into stats."""
-        store = self.artifact_store
-        self.stats.plans_prewarmed = self._prewarmed
-        if store is None:
-            return
-        snap = store.stats.snapshot()
-        base = self._artifact_base
-        self.stats.artifact_hits = snap["hits"] - base["hits"]
-        self.stats.artifact_misses = snap["misses"] - base["misses"]
-        self.stats.artifact_stale = snap["stale"] - base["stale"]
-        self.stats.artifact_corrupt = snap["corrupt"] - base["corrupt"]
-        self.stats.artifact_builds = snap["builds"] - base["builds"]
+            prewarmed += 1
+        return prewarmed
 
     # ------------------------------------------------------------------ #
     # inverse-NUFFT solves (see repro.solve)
@@ -1072,12 +984,7 @@ class TransformService:
         from ..solve import SolveRequest
 
         self._require_open()
-        if request is None:
-            request = SolveRequest(**kwargs)
-        elif kwargs:
-            raise ValueError("pass either a SolveRequest or keyword fields, not both")
-        if not isinstance(request, SolveRequest):
-            raise TypeError(f"expected a SolveRequest, got {type(request).__name__}")
+        request = front_door(SolveRequest, request, kwargs)
 
         n_shards = min(self.fleet.n_devices, request.n_rhs)
         if n_shards <= 1:
@@ -1124,6 +1031,7 @@ class TransformService:
         shards.  A shard that exhausts its budget raises to the caller --
         a solve has no per-request error slot to degrade into.
         """
+        from ..gpu.profiler import TransferRecord
         from ..solve import execute_solve
 
         attempts = 0
@@ -1132,48 +1040,28 @@ class TransformService:
             try:
                 result = execute_solve(shard_req, service=self, device=device)
             except Exception as exc:
-                self._note_failure(
-                    exc, device.device_id if device is not None else None
-                )
-                if not (self.retry.should_retry(exc)
-                        and attempts < self.retry.max_attempts
-                        and self._fleet_has_candidates()):
+                if not self._retry_after(
+                        exc, attempts, token,
+                        device.device_id if device is not None else None):
                     raise
-                self._host_frontier += self.retry.backoff_s(attempts, token)
-                self.stats.retries += 1
                 device = self.fleet.least_loaded()
                 continue
             if device is not None:
                 self.fleet.record_success(device.device_id)
-            self._enqueue_solve_timeline(result)
+            # Model the shard on its device's streams like a block.
+            device_id = result.device_ids[0] if result.device_ids else 0
+            cm = CostModel(spec=self.fleet.device(device_id).spec)
+            modelled = result.modelled_seconds
+            self._enqueue_timeline(device_id, [
+                ("h2d", cm.transfer_time(TransferRecord("h2d", modelled["h2d_bytes"])),
+                 "trajectory + samples upload"),
+                ("exec", modelled["exec"], "solve kernels"),
+                ("d2h", cm.transfer_time(TransferRecord("d2h", modelled["d2h_bytes"])),
+                 "image download"),
+            ])
             self.stats.solve_shards += 1
             self.stats.solve_cg_iterations += int(sum(result.n_iter))
             return result
-
-    def _enqueue_solve_timeline(self, result):
-        """Model one solve shard on its device's streams (like a block)."""
-        from ..gpu.profiler import TransferRecord
-
-        device_id = result.device_ids[0] if result.device_ids else 0
-        device = self.fleet.device(device_id)
-        stream = self.fleet.next_stream(device)
-        self._host_frontier += self.dispatch_latency_s
-        stream.wait_until(self._host_frontier)
-
-        cm = CostModel(spec=device.spec)
-        modelled = result.modelled_seconds
-        h2d = cm.transfer_time(TransferRecord("h2d", modelled["h2d_bytes"]))
-        d2h = cm.transfer_time(TransferRecord("d2h", modelled["d2h_bytes"]))
-        if self.shared_host_link:
-            stream.wait_until(self._host_link_frontier)
-        upload_done = stream.enqueue("h2d", h2d, "trajectory + samples upload")
-        if self.shared_host_link:
-            self._host_link_frontier = upload_done.time
-        stream.enqueue("exec", modelled["exec"], "solve kernels")
-        stream.enqueue("d2h", d2h, "image download")
-        for engine, seconds in (("h2d", h2d), ("exec", modelled["exec"]),
-                                ("d2h", d2h)):
-            self.stats.modelled_engine_seconds[engine] += seconds
 
     @staticmethod
     def _merge_solve_results(request, shard_results):
@@ -1221,17 +1109,11 @@ class TransformService:
         plan_key = plan_key_for(nufft_type, n_modes, eps, precision, method,
                                 backend, isign)
         entry, created = self._acquire_plan(
-            plan_key, int(n_trans), None,
-            lambda device: Plan(nufft_type, n_modes, n_trans=n_trans, eps=eps,
-                                device=device, precision=precision,
-                                method=method, backend=backend, isign=isign,
-                                tune=self.tune, tuner=self.tuner,
-                                artifact_store=self.artifact_store),
+            plan_key, integral_count("n_trans", n_trans, 1), None,
             allow_repoint=True, device=device,
         )
         if created:
             self.stats.lease_misses += 1
-            self.stats.plans_created += 1
         else:
             self.stats.lease_hits += 1
         # External callers may re-point the plan arbitrarily; the pool can no
@@ -1326,14 +1208,13 @@ class TransformService:
         self.fleet.reset_timelines()
         self._host_frontier = 0.0
         self._host_link_frontier = 0.0
-        self.stats = ServiceStats()
-        if self.artifact_store is not None:
-            self._artifact_base = self.artifact_store.stats.snapshot()
-        self._sync_artifact_stats()
+        self.stats = ServiceStats(
+            artifacts=getattr(self.artifact_store, "stats", None),
+            prewarmed=self.stats.plans_prewarmed,
+        )
 
     def report(self):
         """Multi-line human-readable serving summary."""
-        self._sync_artifact_stats()
         s = self.stats
         util = ", ".join(f"gpu{d}={u:.0%}" for d, u in enumerate(self.utilization()))
         tuning_lines = []

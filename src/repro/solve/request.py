@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..backends.base import backend_name
 from ..core.options import Precision, integral_mode_counts, validate_isign
 from ..core.pointset import validated_point_arrays
 from .cg import pcg_solve
@@ -123,9 +124,7 @@ class SolveRequest:
         if not np.isfinite(self.eps) or self.eps <= 0:
             raise ValueError(f"eps must be a finite positive tolerance, got {self.eps}")
         self.precision = Precision.parse(self.precision).value
-        if not isinstance(self.backend, str) or not self.backend.strip():
-            raise ValueError(f"backend must be a non-empty string, got {self.backend!r}")
-        self.backend = self.backend.strip().lower()
+        self.backend = backend_name(self.backend)
         self.isign = validate_isign(self.isign)
         if self.normal not in ("toeplitz", "explicit"):
             raise ValueError(

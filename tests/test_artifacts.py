@@ -507,6 +507,30 @@ class TestServiceWarm:
         assert stats.artifact_hits > 0
         assert "artifacts:" in report and "pre-warmed" in report
 
+    def test_counters_are_live_and_rebased(self, tmp_path, rng):
+        x, y, _ = make_points_2d(rng, m=300)
+        store = ArtifactStore(root=tmp_path)
+        svc = TransformService(artifact_store=store)
+        builds_at_start = store.stats.builds
+        plan = svc.lease_plan(1, (16, 16))
+        plan.set_pts(x, y)
+        # No flush() or report() in between: the counters read the store.
+        assert svc.stats.artifact_builds == store.stats.builds - builds_at_start > 0
+        assert svc.stats.plans_created == svc.stats.lease_misses == 1
+        svc.release_plan(plan)
+        svc.reset_metrics()
+        stats = svc.stats
+        assert (stats.artifact_hits, stats.artifact_misses, stats.artifact_stale,
+                stats.artifact_corrupt, stats.artifact_builds) == (0, 0, 0, 0, 0)
+        assert stats.plans_created == 0
+        svc.close()
+
+        restarted = TransformService(artifact_store=str(tmp_path))
+        assert restarted.stats.plans_prewarmed == 1
+        restarted.reset_metrics()
+        assert restarted.stats.plans_prewarmed == 1  # a startup fact
+        restarted.close()
+
     def test_string_path_and_store_instance_equivalent(self, tmp_path, rng):
         x, y, c = make_points_2d(rng, m=200)
         svc = TransformService(artifact_store=ArtifactStore(root=tmp_path))

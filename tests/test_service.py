@@ -9,7 +9,14 @@ from repro.cluster import DeviceFleet, run_weak_scaling_fleet
 from repro.cluster.node import CORI_GPU_NODE
 from repro.gpu import Device
 from repro.mtip import MTIPConfig, MTIPReconstruction
-from repro.service import PlanPool, TransformRequest, TransformService
+from repro.service import (
+    AsyncFrontend,
+    FairShedPolicy,
+    PlanPool,
+    RetryPolicy,
+    TransformRequest,
+    TransformService,
+)
 from repro.service.request import plan_key_for
 
 
@@ -121,6 +128,17 @@ class TestTransformRequest:
         assert (plan_key_for(1, (16.0, 16), 1e-6, "single", "auto", "auto")
                 == plan_key_for(1, (16, 16), 1e-6, "single", "auto", "auto"))
 
+    def test_unknown_backend_rejected_at_the_front_door(self):
+        # Rejected at construction, before a request can be queued.
+        with pytest.raises(ValueError, match="available: reference"):
+            TransformRequest(nufft_type=1, n_modes=(16,), data=np.ones(4, complex),
+                             x=np.array([0.1, 0.2, 0.3, 0.4]), backend="bogus")
+        with TransformService() as service, pytest.raises(ValueError,
+                                                          match="bogus"):
+            service.lease_plan(1, (16,), backend="bogus")
+        # "auto" stays unresolved in the key; names are case-insensitive.
+        assert plan_key_for(1, (16,), 1e-6, "single", "auto", " AUTO ").backend == "auto"
+
     def test_grouping_keys(self):
         x = np.array([0.1, 0.2, 0.3])
         a = TransformRequest(1, (16,), np.ones(3, complex), x=x)
@@ -131,6 +149,28 @@ class TestTransformRequest:
         assert a.points_key() == b.points_key()
         assert a.points_key() != c.points_key()
         assert a.plan_key() != d.plan_key()
+
+
+_COUNT_BUILDERS = {
+    "n_devices": lambda v: TransformService(n_devices=v),
+    "max_plans": lambda v: TransformService(max_plans=v),
+    "max_queue_depth": lambda v: TransformService(max_queue_depth=v),
+    "distributed_threshold_points":
+        lambda v: TransformService(distributed_threshold_points=v),
+    "streams_per_device": lambda v: DeviceFleet(streams_per_device=v),
+    "failure_threshold": lambda v: DeviceFleet(failure_threshold=v),
+    "n_trans": lambda v: Plan(1, (16,), n_trans=v),
+    "max_attempts": lambda v: RetryPolicy(max_attempts=v),
+    "max_pending": lambda v: FairShedPolicy(max_pending=v),
+    "max_batch": lambda v: AsyncFrontend(TransformService(), max_batch=v),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_COUNT_BUILDERS))
+def test_non_integral_counts_rejected(field):
+    # Rejected by name, never truncated (n_devices=1.5 is not one device).
+    with pytest.raises(ValueError, match=f"^{field} must be an integral count"):
+        _COUNT_BUILDERS[field](1.5)
 
 
 # --------------------------------------------------------------------------- #
@@ -287,7 +327,7 @@ class TestTransformService:
         with TransformService(n_devices=1) as single:
             _submit_mix(single, (x, y), datas)
             seq = single.flush()
-        with TransformService(n_devices=4, shard_min_block=4) as fleet:
+        with TransformService(n_devices=4) as fleet:
             _submit_mix(fleet, (x, y), datas)
             sharded = fleet.flush()
             devices_used = {r.device_id for r in sharded}
@@ -330,14 +370,14 @@ class TestTransformService:
         m = 100
         x = rng.uniform(-np.pi, np.pi, m)
         with TransformService() as service:
-            real_make = service._make_plan
+            real_new = service._new_entry
 
-            def exploding_make(req, n_trans, device):
-                if req.n_modes == (8,):
+            def exploding_new(plan_key, n_trans, device):
+                if plan_key.modes == (8,):
                     raise RuntimeError("boom")
-                return real_make(req, n_trans, device)
+                return real_new(plan_key, n_trans, device)
 
-            monkeypatch.setattr(service, "_make_plan", exploding_make)
+            monkeypatch.setattr(service, "_new_entry", exploding_new)
             service.submit(nufft_type=1, n_modes=(8,), data=np.ones(m, complex), x=x)
             service.submit(nufft_type=1, n_modes=(16,), data=np.ones(m, complex), x=x)
             bad, good = service.flush()

@@ -393,6 +393,12 @@ class TestSolveRequestValidation:
         with pytest.raises(ValueError):
             SolveRequest(n_modes=(8,), data=bad, x=x)
 
+    def test_unknown_backend_rejected(self):
+        # Rejected at construction, before any plan is built.
+        with pytest.raises(ValueError, match="available: reference"):
+            SolveRequest(n_modes=(8,), data=np.ones(10, dtype=complex),
+                         x=np.zeros(10), backend="bogus")
+
     def test_batched_request_shapes(self, rng):
         x = rng.uniform(-np.pi, np.pi, 50)
         data = rng.standard_normal((3, 50)) + 1j * rng.standard_normal((3, 50))
