@@ -17,9 +17,12 @@ holds:
   every other point by the chunked scatter / window gather.
 
 The stencil cache lists the points in bin-sort order (the GM-sort order of
-the paper), so consecutive points touch nearby fine-grid memory.  Spreading
-permutes the strengths into that order once on the way in; interpolation
-scatters its values back to the caller's point indices once on the way out
+the paper), so consecutive points touch nearby fine-grid memory; without the
+CSR operator, in the windowed engine's order (its pencils' points first,
+then the rest in bin-sort order).  Either way the point set's
+``permutation`` names each listed point's caller index: spreading permutes
+the strengths into that order once on the way in; interpolation scatters
+its values back to the caller's point indices once on the way out
 (``out[:, perm] = values``, any ``out`` layout).
 
 The FFT is batched over all transforms and the correction factors broadcast.
@@ -49,7 +52,7 @@ class CachedBackend(ExecutionBackend):
         if out is None:
             out = np.empty((strengths.shape[0],) + plan.fine_shape,
                            dtype=plan.precision.complex_dtype)
-        strengths = np.take(strengths, points.sort.permutation, axis=1)
+        strengths = np.take(strengths, points.permutation, axis=1)
         if points.stencil.interp_matrix is not None:
             return spread_cached(strengths, points, out=out)
         return spread_windowed(strengths, points.stencil, out, points.pencils())
@@ -84,5 +87,5 @@ class CachedBackend(ExecutionBackend):
         else:
             values = interp_windowed(fine, points.stencil,
                                      np.empty(out.shape, dtype=cplx), points.pencils())
-        out[:, points.sort.permutation] = values
+        out[:, points.permutation] = values
         return out

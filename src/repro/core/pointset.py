@@ -2,12 +2,21 @@
 
 A :class:`PointSet` holds the caller-order fine-grid coordinates, their
 :class:`~repro.core.binsort.BinSort`, the stencils of
-:func:`~repro.core.stencil.build_stencil_cache` in bin-sort order (``None``
-for backends that evaluate kernels on the fly), and one memo of the values
-that depend on the points alone: the CSC spreading view, the windowed
-engine's pencils and the SM subproblem split of each ``Msub``.  Values that
-also depend on a plan's method, precision, ``n_trans`` or device stay with
-the plan (``Plan._point_state_value``).
+:func:`~repro.core.stencil.build_stencil_cache` (``None`` for backends that
+evaluate kernels on the fly), the ``permutation`` that lists the caller's
+index of each stencil point, and one memo of the values that depend on the
+points alone: the CSC spreading view, the windowed engine's
+:class:`~repro.core.windowed.Pencils` and the SM subproblem split of each
+``Msub``.  Values that also depend on a plan's method, precision,
+``n_trans`` or device stay with the plan (``Plan._point_state_value``).
+
+The stencils of a set with a CSR operator list the points in bin-sort
+order.  Those of a windowed set (no operator) list them in engine order: the
+points of the crowded pencils first, pencil by pencil, then the others in
+bin-sort order; every kernel value array is node-major, ``(w, M)``.  So each
+pencil piece the windowed engine multiplies is a column range of the set's
+own arrays, which it reads in place on every execute.  ``permutation`` is
+the bin-sort permutation composed with that order.
 
 Plans on the same points share one set: ``t2.set_pts(points=t1.point_set)``
 attaches ``t1``'s set when their :class:`PointSetKey` agree.  ``holders``
@@ -25,7 +34,7 @@ import numpy as np
 
 from .binsort import bin_sort, make_subproblems
 from .stencil import build_stencil_cache
-from .windowed import group_pencils
+from .windowed import Pencils
 
 __all__ = ["PointSet", "PointSetKey", "build_point_set", "validated_point_arrays"]
 
@@ -84,6 +93,11 @@ class PointSet:
         self.grid_coords = grid_coords
         self.sort = sort
         self.stencil = stencil
+        #: Caller index of each stencil point (``None`` without a sort).
+        self.permutation = None
+        if sort is not None:
+            order = None if stencil is None else stencil.order
+            self.permutation = sort.permutation if order is None else sort.permutation[order]
         self.key = key
         #: Whether the stencils came through an artifact store.
         self.stored = stored
@@ -104,8 +118,8 @@ class PointSet:
         return self._value("spread operator", lambda: self.stencil.interp_matrix.T)
 
     def pencils(self):
-        """The windowed engine's crowded-window grouping of the points."""
-        return self._value("pencils", lambda: group_pencils(self.stencil))
+        """The windowed engine's layout of the stencils (pieces, windows checked)."""
+        return self._value("pencils", lambda: Pencils(self.stencil))
 
     def subproblems(self, max_subproblem_size):
         """The SM split of the bin-sorted points into subproblems of ``Msub``."""
@@ -115,6 +129,10 @@ class PointSet:
 
 def build_point_set(grid_coords, key, kernel, store=None, previous=None):
     """Bin-sort ``grid_coords`` and build the stencils ``key`` asks for.
+
+    The stencils are built from the bin-sorted coordinates; without a CSR
+    operator they come back in the windowed engine's order, which the set's
+    ``permutation`` composes with the sort.
 
     ``store`` is the plan's artifact store, which keys stencils by a digest
     of the points.  ``previous`` is the set the calling plan just released;

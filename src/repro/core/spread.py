@@ -118,7 +118,7 @@ def _chunk_stencil(grid_coords, fine_shape, kernel, sel):
     for d in range(len(fine_shape)):
         i0, vals = compute_kernel_stencil(grid_coords[d][sel], fine_shape[d], kernel)
         starts.append(i0)
-        vals_per_dim.append(vals)
+        vals_per_dim.append(np.ascontiguousarray(vals.T))  # node-major
     return _tensor_stencil(starts, vals_per_dim, fine_shape)
 
 

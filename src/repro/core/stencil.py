@@ -9,8 +9,9 @@ across solver iterations).
 At ``set_pts`` time we therefore precompute and store, per dimension:
 
 * ``i0``      -- the first fine-grid node each point touches (unwrapped),
-* ``vals``    -- the ``w`` kernel values per point (Horner-evaluated by
-  default, see :func:`repro.kernels.es_kernel.horner_coefficients`),
+* ``vals``    -- the ``w`` kernel values per point, node-major: one
+  ``(w, M)`` array per dimension (Horner-evaluated by default, see
+  :func:`repro.kernels.es_kernel.horner_coefficients`),
 
 and, when the footprint ``M * w^d`` fits a memory budget, the *fused* form:
 
@@ -20,11 +21,12 @@ and, when the footprint ``M * w^d`` fits a memory budget, the *fused* form:
 
 Both are built with numpy passes over long runs of points, never over one
 point's ``w`` nodes: the Horner evaluation runs node-major (``(w, points)``
-blocks, see :meth:`~repro.kernels.es_kernel.ESKernel.evaluate_offsets_horner`),
-and the operator is assembled in cache-sized point blocks, each built
-node-major (``(w^d, points)``, indices wrapped through a per-axis lookup
-table) and transposed into its CSR rows (:func:`_tensor_stencil`).  The
-outputs are bit-identical to point-major evaluation and assembly.
+blocks, see :meth:`~repro.kernels.es_kernel.ESKernel.evaluate_offsets_horner`)
+straight into the stored layout, and the operator is assembled in
+cache-sized point blocks, each built node-major (``(w^d, points)``, indices
+wrapped through a per-axis lookup table) and transposed into its CSR rows
+(:func:`_tensor_stencil`).  The outputs are bit-identical to point-major
+evaluation and assembly.
 
 ``execute`` then never calls ``evaluate_offsets`` again: spreading becomes a
 single sparse mat-mat over the ``(n_trans, M)`` strength block and
@@ -33,11 +35,17 @@ engine (:mod:`repro.core.windowed`) works from ``i0`` and ``vals`` alone.
 The cache is tied to one point set; ``Plan.set_pts`` rebuilds it, which is
 exactly the invalidation the paper's interface implies.
 
-Every array lists the points in the order of the coordinates it was built
-from.  ``Plan`` builds it from the bin-sorted coordinates (the GM-sort order
-of paper Sec. III-A), so consecutive points -- and CSR rows -- touch nearby
-fine-grid memory; the backend permutes strengths into that order and
-scatters outputs back to the caller's point indices.
+A cache with the CSR operator lists the points in the order of the
+coordinates it was built from.  ``Plan`` builds it from the bin-sorted
+coordinates (the GM-sort order of paper Sec. III-A), so consecutive points
+-- and CSR rows -- touch nearby fine-grid memory.  A cache without it lists
+them in the windowed engine's order instead
+(:func:`~repro.core.windowed.group_pencils`): the points of the crowded
+pencils first, pencil by pencil, then the others in build order; ``order``
+maps each listed point to its build index, and ``pencil_starts`` bounds the
+pencils.  Every pencil piece is then a column range of ``vals``, which the
+engine reads in place.  The backend permutes strengths into the cache's
+order and scatters outputs back to the caller's point indices.
 """
 
 from __future__ import annotations
@@ -46,6 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse as _sparse
+
+from .windowed import group_pencils
 
 __all__ = [
     "StencilCache",
@@ -78,17 +88,25 @@ class StencilCache:
     width : int
         Kernel width ``w``.
     i0 : list of ndarray, each (M,)
-        Unwrapped first node per dimension, in the build's point order (the
+        Unwrapped first node per dimension, in the cache's point order (the
         windowed engine addresses each point's window in a padded grid from
         it).
-    vals : list of ndarray, each (M, w)
-        Kernel values per dimension.
+    vals : list of ndarray, each (w, M)
+        Kernel values per dimension, node-major: ``vals[d][r, j]`` is the
+        value at node ``i0[d][j] + r`` of the cache's ``j``-th point.
     interp_matrix : scipy.sparse.csr_matrix (M, prod(fine_shape)) or None
         Row ``j`` holds the stencil of the build's ``j``-th point;
         ``interp_matrix @ grid`` is interpolation and ``interp_matrix.T @ c``
         is spreading.
     kernel_eval : str
         Which kernel evaluation built the values ("horner" or "exact").
+    order : ndarray of int64, shape (M,), or None
+        Build index of each listed point; ``None`` when the cache keeps the
+        build's order (always, with ``interp_matrix``).
+    pencil_starts : ndarray of int64 or None
+        Without ``interp_matrix``: the boundaries of the windowed engine's
+        GEMM pencils, which come first; the points from ``pencil_starts[-1]``
+        on are scattered.  ``None`` with ``interp_matrix``.
     """
 
     fine_shape: tuple
@@ -97,6 +115,8 @@ class StencilCache:
     vals: list
     interp_matrix: object = None
     kernel_eval: str = "horner"
+    order: object = None
+    pencil_starts: object = None
 
     @property
     def n_points(self):
@@ -110,6 +130,7 @@ class StencilCache:
         """Host memory held by the cache (for reporting)."""
         total = sum(a.nbytes for a in self.i0)
         total += sum(a.nbytes for a in self.vals)
+        total += sum(a.nbytes for a in (self.order, self.pencil_starts) if a is not None)
         if self.interp_matrix is not None:
             total += (self.interp_matrix.data.nbytes
                       + self.interp_matrix.indices.nbytes
@@ -122,10 +143,11 @@ def _tensor_stencil(starts, vals_per_dim, shape, index_dtype=np.int64, out=None)
 
     Point ``j`` covers the nodes ``starts[d][j] + r`` (``0 <= r < w``) of
     axis ``d``, wrapped periodically onto ``shape``, with kernel values
-    ``vals_per_dim[d][j]``.  Returns ``(flat_idx, weights)`` of shape
-    ``(M, w^d)``, the last axis's node fastest: ``flat_idx`` (of
-    ``index_dtype``) indexes the flattened grid and ``weights`` holds the
-    products ``vals[0][j, r0] * vals[1][j, r1] * ...`` taken in axis order.
+    ``vals_per_dim[d][:, j]`` (node-major ``(w, M)`` arrays).  Returns
+    ``(flat_idx, weights)`` of shape ``(M, w^d)``, the last axis's node
+    fastest: ``flat_idx`` (of ``index_dtype``) indexes the flattened grid and
+    ``weights`` holds the products ``vals[0][r0, j] * vals[1][r1, j] * ...``
+    taken in axis order.
 
     Points are assembled in blocks of about ``_BLOCK_ENTRIES`` entries.  A
     block is built node-major, ``(w^d, points)``, so every numpy pass runs
@@ -137,7 +159,7 @@ def _tensor_stencil(starts, vals_per_dim, shape, index_dtype=np.int64, out=None)
     """
     ndim = len(shape)
     m = starts[0].shape[0]
-    w = vals_per_dim[0].shape[1]
+    w = vals_per_dim[0].shape[0]
     k = w ** ndim
     if out is not None:
         flat_idx, weights = (a.reshape(m, k) for a in out)
@@ -161,10 +183,9 @@ def _tensor_stencil(starts, vals_per_dim, shape, index_dtype=np.int64, out=None)
         rows = slice(start, min(m, start + block))
         b = rows.stop - start
         # ``idx`` / ``wt``: the stencil over the axes combined so far,
-        # node-major.  Kernel values are copied node-major first: strided
-        # inputs run the multiply at under half speed.
+        # node-major, as the kernel values are.
         idx = np.take(tables[0], starts[0][rows] + node_offsets[0])
-        wt = vals_per_dim[0][rows].T.copy()
+        wt = vals_per_dim[0][:, rows]
         for d in range(1, ndim):
             if d == ndim - 1:
                 idx_next, wt_next = idx_block[:, :b], wt_block[:, :b]
@@ -174,7 +195,7 @@ def _tensor_stencil(starts, vals_per_dim, shape, index_dtype=np.int64, out=None)
             np.add(idx[:, None, :],
                    np.take(tables[d], starts[d][rows] + node_offsets[d])[None],
                    out=idx_next.reshape(-1, w, b))
-            np.multiply(wt[:, None, :], vals_per_dim[d][rows].T.copy()[None],
+            np.multiply(wt[:, None, :], vals_per_dim[d][None, :, rows],
                         out=wt_next.reshape(-1, w, b))
             idx, wt = idx_next, wt_next
         flat_idx[rows] = idx.T
@@ -191,7 +212,8 @@ def build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval="horner",
     ----------
     grid_coords : sequence of ndarray
         Per-dimension fine-grid coordinates in ``[0, n_d)``, in the order
-        the cache should list the points in.
+        a cache with the CSR operator lists the points in; without it, the
+        cache lists them in the windowed engine's order (``order``).
     fine_shape : tuple of int
     kernel : ESKernel or compatible
         Must provide ``width`` and ``evaluate_offsets``; the Horner fast path
@@ -257,22 +279,29 @@ def _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
     w = kernel.width
     use_horner = kernel_eval == "horner" and hasattr(kernel, "evaluate_offsets_horner")
 
-    i0_list, vals_list = [], []
-    for d in range(ndim):
-        g = np.asarray(grid_coords[d], dtype=np.float64)
-        i0 = np.ceil(g - 0.5 * w).astype(np.int64)
+    coords = [np.asarray(g, dtype=np.float64) for g in grid_coords]
+    i0_list = [np.ceil(g - 0.5 * w).astype(np.int64) for g in coords]
+    m = i0_list[0].shape[0]
+    k = w ** ndim
+    with_matrix = build_matrix and m * k <= fuse_budget
+    order = pencil_starts = None
+    if not with_matrix:
+        # The windowed engine's order, before any value is evaluated.
+        order, pencil_starts = group_pencils(i0_list, fine_shape, w)
+        if order is not None:
+            coords = [g[order] for g in coords]
+            i0_list = [i0[order] for i0 in i0_list]
+
+    vals_list = []
+    for g, i0 in zip(coords, i0_list):
         frac = g - i0
         if use_horner:
-            vals = kernel.evaluate_offsets_horner(frac, store=store)
+            vals_list.append(kernel.evaluate_offsets_horner(frac, store=store).T)
         else:
-            vals = kernel.evaluate_offsets(frac)
-        i0_list.append(i0)
-        vals_list.append(vals)
+            vals_list.append(np.ascontiguousarray(kernel.evaluate_offsets(frac).T))
 
-    m = i0_list[0].shape[0]
     matrix = None
-    if build_matrix and m * (w ** ndim) <= fuse_budget:
-        k = w ** ndim
+    if with_matrix:
         # The index dtype scipy would pick anyway, so it keeps the arrays
         # instead of converting (copying) them.
         n_fine = int(np.prod(fine_shape))
@@ -297,6 +326,8 @@ def _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
         vals=vals_list,
         interp_matrix=matrix,
         kernel_eval="horner" if use_horner else "exact",
+        order=order,
+        pencil_starts=pencil_starts,
     )
 
 
@@ -340,6 +371,9 @@ def stencil_cache_arrays(cache):
         arrays["csr_data"] = cache.interp_matrix.data
         arrays["csr_indices"] = cache.interp_matrix.indices
         arrays["csr_indptr"] = cache.interp_matrix.indptr
+    for name in ("order", "pencil_starts"):
+        if getattr(cache, name) is not None:
+            arrays[name] = getattr(cache, name)
     return arrays
 
 
@@ -361,4 +395,6 @@ def stencil_cache_from_arrays(arrays):
         vals=[arrays["vals"][d] for d in range(ndim)],
         interp_matrix=matrix,
         kernel_eval=str(arrays["kernel_eval"]),
+        order=arrays.get("order"),
+        pencil_starts=arrays.get("pencil_starts"),
     )

@@ -51,9 +51,9 @@ _BETA_OVER_WIDTH = 2.30
 
 #: Highest polynomial degree tried by the Horner fit.
 _HORNER_MAX_DEGREE = 40
-#: Kernel values per Horner evaluation block: the block's node-major
-#: ``(w, points)`` scratch (1 MB of float64) stays in cache through the whole
-#: multiply-add chain.
+#: Kernel values per Horner evaluation block: the block's ``(w, points)``
+#: columns of the node-major result (1 MB of float64) stay in cache through
+#: the whole multiply-add chain.
 _HORNER_BLOCK_VALUES = 1 << 17
 #: Absolute fit-error floor: the edge-node values carry a sqrt singularity at
 #: the support boundary, and below a few ulps of the unit kernel peak the
@@ -308,31 +308,31 @@ class ESKernel:
         (the process default when ``None``).
 
         The evaluation is node-major: per block of points, ``h[r, j]`` (node
-        ``r``, point ``j``) runs the chain ``h *= u; h += coeffs[r, k]``, so
-        every numpy pass runs over the block's points instead of one point's
-        ``w`` nodes, and the block is then transposed into its rows of the
-        ``(M, w)`` result.  Each value sees the multiply-add sequence of a
-        point-major evaluation, so the result is bit-identical to it.
+        ``r``, point ``j``) runs the chain ``h *= u; h += coeffs[r, k]`` in
+        the block's columns of a ``(w, M)`` array, so every numpy pass runs
+        over the block's points instead of one point's ``w`` nodes.  The
+        ``(M, w)`` result is that array's transpose, a view: ``.T`` of it is
+        the contiguous node-major layout the stencil cache keeps.  Each value
+        sees the multiply-add sequence of a point-major evaluation, so the
+        result is bit-identical to it.
         """
         frac = np.asarray(frac, dtype=np.float64)
         coeffs = horner_coefficients(self.width, self.beta, store=store)
         w = self.width
         m = frac.shape[0]
-        out = np.empty((m, w))
+        out = np.empty((w, m))
         block = max(1, _HORNER_BLOCK_VALUES // w)
-        h = np.empty((w, min(m, block)))
         u = np.empty(min(m, block))
         for start in range(0, m, block):
             stop = min(m, start + block)
-            hb, ub = h[:, :stop - start], u[:stop - start]
+            hb, ub = out[:, start:stop], u[:stop - start]
             np.multiply(frac[start:stop], 2.0, out=ub)
             ub -= w - 1.0
             hb[...] = coeffs[:, -1, None]
             for k in range(coeffs.shape[1] - 2, -1, -1):
                 hb *= ub
                 hb += coeffs[:, k, None]
-            out[start:stop] = hb.T
-        return out
+        return out.T
 
     # ------------------------------------------------------------------ #
     # analytic helpers

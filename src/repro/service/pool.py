@@ -164,24 +164,6 @@ class PlanPool:
         return PooledPlan(plan=plan, key=key, last_used=next(self._clock), leases=1)
 
     # ------------------------------------------------------------------ #
-    # introspection
-    # ------------------------------------------------------------------ #
-    def snapshot(self):
-        """Per-key occupancy view: ``[(key, idle_count, total_leases), ...]``.
-
-        One row per pooled key ``(plan_key, n_trans, device_id)`` currently
-        holding idle plans, with how many sit idle and how many leases those
-        plans have served over their lifetime.  This is the pool-churn side
-        of the per-signature hit/miss breakdown in
-        :meth:`~repro.service.ServiceStats.report`: a signature whose window
-        fuses well shows few keys with many leases each; pool churn shows
-        many keys with one lease each.
-        """
-        return [(key, len(bucket), sum(e.leases for e in bucket))
-                for key, bucket in sorted(self._idle.items(),
-                                          key=lambda kv: repr(kv[0]))]
-
-    # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     def purge_device(self, device_id):

@@ -36,6 +36,7 @@ from repro.service import TransformService
 from repro.service.pool import PlanPool
 from repro.solve import ToeplitzNormalOperator
 from repro.tuning import TuningCache
+from repro.workloads.distributions import cluster_points
 from tests.conftest import make_points_2d
 
 
@@ -355,6 +356,33 @@ class TestProducerRoundtrips:
             assert np.array_equal(c1.interp_matrix.data, c2.interp_matrix.data)
             assert np.array_equal(c1.interp_matrix.indices,
                                   c2.interp_matrix.indices)
+
+        # An over-budget set is stored in the windowed engine's order: a warm
+        # plan loads that order, builds no stencil and repeats the cold output.
+        m, modes = 5000, (8, 6, 7)
+        with Plan(1, modes, eps=1e-6) as probe:
+            pts = cluster_points(m, probe.fine_shape, rng)
+        c = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+        root = tmp_path / "windowed"
+        outputs, orders = [], []
+        for phase in ("cold", "warm"):
+            store = ArtifactStore(root=root)
+            with Plan(1, modes, n_trans=2, eps=1e-6, stencil_budget=0,
+                      artifact_store=store) as t1, \
+                    Plan(2, modes, n_trans=2, eps=1e-6, stencil_budget=0,
+                         artifact_store=store) as t2:
+                t1.set_pts(*pts)
+                t2.set_pts(*pts)
+                f = t1.execute(c)
+                outputs.append((f, t2.execute(f)))
+                stencil = t1.point_set.stencil
+                assert stencil.interp_matrix is None and stencil.pencil_starts[-1] > 0
+                orders.append(stencil.order)
+            builds = store.stats.by_kind["stencil"]["builds"]
+            assert builds == (1 if phase == "cold" else 0)
+        assert orders[0] is not None and np.array_equal(*orders)
+        for cold, warm in zip(*outputs):
+            assert np.array_equal(cold, warm)
 
     def test_stencil_key_covers_inputs(self):
         kernel = ESKernel.from_tolerance(1e-6)

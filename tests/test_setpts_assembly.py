@@ -89,15 +89,21 @@ def _reference_build(grid_coords, fine_shape, kernel, kernel_eval,
 
 
 def _assert_same(cache, expected):
+    """The cache holds the reference arrays: in its own point order (the
+    windowed engine's, past budget) and with node-major ``(w, M)`` values."""
     i0_list, vals_list, csr = expected
+    m = i0_list[0].shape[0]
+    order = np.arange(m) if cache.order is None else cache.order
+    assert np.array_equal(np.sort(order), np.arange(m))
     for got, want in zip(cache.i0, i0_list):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.dtype == want.dtype and np.array_equal(got, want[order])
     for got, want in zip(cache.vals, vals_list):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.dtype == want.dtype and np.array_equal(got, want[order].T)
         assert got.flags.c_contiguous
     if csr is None:
-        assert cache.interp_matrix is None
+        assert cache.interp_matrix is None and cache.pencil_starts is not None
         return
+    assert cache.order is None
     mat = cache.interp_matrix
     for got, want in zip((mat.data, mat.indices, mat.indptr), csr):
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -149,7 +155,7 @@ def test_horner_block_boundary_is_bit_identical():
     lo = kernel.width / 2.0 - 1.0
     frac = lo + np.random.default_rng(5).random(m) * (1.0 - 1e-12) + 1e-12
     got = kernel.evaluate_offsets_horner(frac)
-    assert got.flags.c_contiguous
+    assert got.T.flags.c_contiguous  # node-major storage, (M, w) view
     assert np.array_equal(got, _reference_horner(kernel, frac))
 
 

@@ -218,14 +218,16 @@ def test_bin_ordered_plan_matches_user_order(ndim, nufft_type, precision, n_tran
 # --------------------------------------------------------------------------- #
 # engine level: grids narrower than the kernel, adjointness, bad windows
 # --------------------------------------------------------------------------- #
-def _engine_setup(rng, fine_shape, eps, m=200, dist="rand"):
-    """Bin-sorted grid coordinates and their stencil cache, as a plan builds it."""
+def _engine_setup(rng, fine_shape, eps, m=200, dist="rand", build_matrix=True):
+    """Bin-sorted grid coordinates and their stencil cache, as a plan builds it
+    (without the CSR operator, the cache lists them in engine order)."""
     kernel = ESKernel.from_tolerance(eps)
     coords = _points(rng, len(fine_shape), dist, m, fine_shape)
     grid_coords = [to_grid_coordinates(c, n) for c, n in zip(coords, fine_shape)]
     sort = bin_sort(grid_coords, fine_shape, (4,) * len(fine_shape))
     grid_coords = [g[sort.permutation] for g in grid_coords]
-    return grid_coords, build_stencil_cache(grid_coords, fine_shape, kernel)
+    return grid_coords, build_stencil_cache(grid_coords, fine_shape, kernel,
+                                            build_matrix=build_matrix)
 
 
 @pytest.mark.parametrize("fine_shape", [(3,), (5,), (5, 4), (2, 7), (4, 3, 5)])
@@ -315,7 +317,7 @@ def test_pencil_regimes_agree(ndim, nufft_type, precision, n_trans, regime, dist
     out_shape = batch + ((m,) if nufft_type == 2 else _MODES[ndim])
     out = _out_like(out_shape, dtype, "strided" if n_trans > 1 else "fortran")
     got, points = _run_windowed(*args, out=out)
-    n_gemm = points.pencils().points.size
+    n_gemm = points.pencils().n_gemm
     assert {"gemm": n_gemm == m, "scatter": n_gemm == 0, "mixed": 0 < n_gemm < m}[regime]
     assert got is out
 
@@ -337,14 +339,16 @@ def test_pencil_regimes_agree(ndim, nufft_type, precision, n_trans, regime, dist
 def test_gemm_spread_is_adjoint_of_gemm_interp(fine_shape, regime, monkeypatch):
     """<spread(c), g> == <c, interp(g)> with crowded pencils on the GEMM path."""
     rng = np.random.default_rng(len(fine_shape))
-    _, cache = _engine_setup(rng, fine_shape, 1e-9, m=400, dist="cluster")
+    width = ESKernel.from_tolerance(1e-9).width
     monkeypatch.setattr(windowed, "_PENCIL_MIN_ENTRIES",
-                        _ALL_GEMM if regime == "gemm" else 8 * cache.width ** len(fine_shape))
+                        _ALL_GEMM if regime == "gemm" else 8 * width ** len(fine_shape))
+    _, cache = _engine_setup(rng, fine_shape, 1e-9, m=400, dist="cluster",
+                             build_matrix=False)
     c = _random(rng, (2, cache.n_points), np.complex128)
     g = _random(rng, (2,) + fine_shape, np.complex128)
     spread = spread_windowed(c, cache, np.zeros_like(g))
     values = interp_windowed(g, cache, np.zeros_like(c))
-    n_gemm = windowed.group_pencils(cache).points.size
+    n_gemm = windowed.Pencils(cache).n_gemm
     assert n_gemm == cache.n_points if regime == "gemm" else 0 < n_gemm < cache.n_points
     lhs = np.vdot(g, spread)
     rhs = np.vdot(values, c)
@@ -352,32 +356,74 @@ def test_gemm_spread_is_adjoint_of_gemm_interp(fine_shape, regime, monkeypatch):
 
 
 def test_pencil_split_assigns_every_point_once():
+    """Engine order: the pieces tile the pencils, which come first, and the
+    scatter chunks tile the rest, which keeps the bin-sort order."""
     rng = np.random.default_rng(11)
     fine_shape = (40, 36, 32)
-    _, cache = _engine_setup(rng, fine_shape, 1e-6, m=3000, dist="mixture")
-    pencils = windowed.group_pencils(cache)
+    _, cache = _engine_setup(rng, fine_shape, 1e-6, m=3000, dist="mixture",
+                             build_matrix=False)
+    pencils = windowed.Pencils(cache)
+    m, n_gemm = cache.n_points, pencils.n_gemm
     step = 10  # splits the crowded pencils into several pieces
-    pieces = list(windowed._pencil_blocks(pencils, step))
-    gemm = np.concatenate(pieces)
-    m = cache.n_points
+    pieces = pencils.pieces(step)
+    assert 0 < n_gemm < m and len(pieces) > len(pencils.starts) - 1
+    assert pieces[0].lo == 0 and pieces[-1].hi == n_gemm
+    assert all(a.hi == b.lo for a, b in zip(pieces, pieces[1:]))
+    assert set(pencils.starts.tolist()) <= {p.lo for p in pieces} | {n_gemm}
     per_point = windowed._CHUNK_ENTRIES // 100  # scatter chunks of 100 points
-    chunks = [np.arange(m)[sel] for sel in windowed._scatter_chunks(pencils, per_point)]
-    scattered = np.concatenate(chunks)
-    assert 0 < gemm.size < m and len(pieces) > len(pencils.starts) - 1
-    assert np.array_equal(gemm, pencils.points)
-    assert np.array_equal(np.sort(np.concatenate([gemm, scattered])), np.arange(m))
-    # The scattered points keep the cache's (bin-sort) order.
-    assert np.all(np.diff(scattered) > 0)
-    assert len(chunks) > 1 and all(0 < chunk.size <= 100 for chunk in chunks)
+    chunks = pencils.scatter_chunks(per_point)
+    assert chunks[0].start == n_gemm and chunks[-1].stop == m
+    assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+    assert len(chunks) > 1 and all(0 < c.stop - c.start <= 100 for c in chunks)
+    assert np.array_equal(np.sort(cache.order), np.arange(m))
+    assert np.all(np.diff(cache.order[n_gemm:]) > 0)
 
     before, _ = windowed._padding(cache.width)
     for piece in pieces:
-        assert 0 < piece.size <= step
-        start0 = cache.i0[0][piece] + before
-        assert np.all(np.diff(start0) >= 0)
+        assert 0 < piece.hi - piece.lo <= step
+        start0 = cache.i0[0][piece.lo:piece.hi] + before
         assert np.unique(start0 // windowed._PENCIL_TILE).size == 1
         for d in range(1, 3):
-            assert np.unique(cache.i0[d][piece]).size == 1
+            corner = np.unique(cache.i0[d][piece.lo:piece.hi] + before)
+            assert corner.tolist() == [piece.corner[d - 1]]
+        # The runs tile the piece by axis-0 offset into its box.
+        assert piece.runs[0][1] == 0 and piece.runs[-1][2] == piece.hi - piece.lo
+        assert all(a[2] == b[1] and a[0] < b[0] for a, b in zip(piece.runs, piece.runs[1:]))
+        for offset, lo, hi in piece.runs:
+            assert np.all(start0[lo:hi] == piece.s0 + offset)
+        assert piece.l0 == piece.runs[-1][0] + cache.width
+
+
+@pytest.mark.parametrize("precision", ["single", "double"])
+@pytest.mark.parametrize("nufft_type", [1, 2])
+def test_pencils_read_in_place(nufft_type, precision, monkeypatch):
+    """Every pencil piece's axis-0 kernel values are a view of the point
+    set's own arrays, on the first execute and on a warm one: no execute
+    copies values."""
+    factors = []
+
+    def recording(*args):
+        result = pencil_factors(*args)
+        factors.append(result[-2])  # the axis-0 values
+        return result
+
+    pencil_factors = windowed._pencil_factors
+    monkeypatch.setattr(windowed, "_pencil_factors", recording)
+    rng = np.random.default_rng(nufft_type)
+    with Plan(1, _MODES[3], eps=_EPS[precision], precision=precision) as probe:
+        fine_shape = probe.fine_shape
+        dtype = probe.precision.complex_dtype
+    pts = cluster_points(20_000, fine_shape, rng)
+    shape = (2,) + (_MODES[3] if nufft_type == 2 else (20_000,))
+    with Plan(nufft_type, _MODES[3], n_trans=2, eps=_EPS[precision],
+              precision=precision, stencil_budget=0) as plan:
+        plan.set_pts(*pts)
+        stencil = plan.point_set.stencil
+        assert stencil.interp_matrix is None
+        for _ in range(2):
+            factors.clear()
+            plan.execute(_random(rng, shape, dtype))
+            assert factors and all(np.shares_memory(v, stencil.vals[0]) for v in factors)
 
 
 def test_pencil_temporaries_stay_flat(monkeypatch):
@@ -400,8 +446,12 @@ def test_pencil_temporaries_stay_flat(monkeypatch):
         c = _random(rng, (1, m), np.complex128)
         g = _random(rng, (1,) + fine_shape, np.complex128)
         spread, values = np.zeros_like(g), np.zeros_like(c)
-        pencils = windowed.group_pencils(cache)
-        assert pencils.points.size == m and pencils.starts.size == 2
+        pencils = windowed.Pencils(cache)
+        assert pencils.starts.tolist() == [0, m]
+        # The first pass builds the set's piece geometry, kept for the
+        # following ones; the traced pass holds only temporaries.
+        spread_windowed(c, cache, spread, pencils)
+        interp_windowed(g, cache, values, pencils)
         tracemalloc.start()
         try:
             spread_windowed(c, cache, spread, pencils)

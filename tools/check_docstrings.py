@@ -29,7 +29,10 @@ AUDITED = {
     "repro": {"require_examples": False},
     "repro.artifacts": {"require_examples": False},
     "repro.core.env": {"require_examples": False},
+    "repro.core.pointset": {"require_examples": False},
     "repro.core.simple": {"require_examples": True},
+    "repro.core.stencil": {"require_examples": False},
+    "repro.core.windowed": {"require_examples": False},
     "repro.core.workspace": {"require_examples": False},
     "repro.cluster.distributed": {"require_examples": False},
     "repro.cufinufft": {"require_examples": False},
