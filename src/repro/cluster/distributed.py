@@ -523,7 +523,7 @@ class DistributedPlan:
         )
 
         pipelines = [PipelineProfile() for _ in range(self.n_ranks)]
-        ffts = [DeviceFFT(pipeline=p, warm=True) for p in pipelines]
+        ffts = [DeviceFFT(pipeline=p) for p in pipelines]
         if self.nufft_type == 1:
             out, phases = self._execute_type1(stack, pipelines, ffts)
         else:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -228,7 +228,6 @@ class Opts:
     stencil_budget: int = 1 << 25
     reuse_workspace: bool = True
     backend: str = "auto"
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.method = SpreadMethod.parse(self.method)
@@ -315,7 +314,6 @@ class Opts:
             "stencil_budget": self.stencil_budget,
             "reuse_workspace": self.reuse_workspace,
             "backend": self.backend,
-            "extra": dict(self.extra),
         }
         data.update(overrides)
         return Opts(**data)

@@ -227,7 +227,7 @@ class Plan:
         self._exec_pipeline = None
         self._destroyed = False
 
-        self._fft = DeviceFFT(pipeline=None, warm=True)
+        self._fft = DeviceFFT()
 
     # ------------------------------------------------------------------ #
     # helpers

@@ -54,21 +54,19 @@ class Workspace:
     # ------------------------------------------------------------------ #
     # acquisition
     # ------------------------------------------------------------------ #
-    def array(self, name, shape, dtype, zero=False, pipeline=None):
+    def array(self, name, shape, dtype, pipeline=None):
         """Return the named buffer's array, (re)allocating on mismatch.
 
-        A matching live buffer is returned as-is (``zero=True`` refills it in
-        place -- no allocation); a shape/dtype mismatch, a missing buffer, or
-        ``reuse=False`` goes through the pool (counted by the alloc tracker,
-        and recorded as an ``"alloc"`` transfer on ``pipeline`` when given).
+        A matching live buffer is returned as-is (no allocation); a
+        shape/dtype mismatch, a missing buffer, or ``reuse=False`` goes
+        through the pool (counted by the alloc tracker, and recorded as an
+        ``"alloc"`` transfer on ``pipeline`` when given).
         """
         shape = tuple(int(n) for n in shape)
         dtype = np.dtype(dtype)
         buf = self._buffers.get(name)
         if (buf is not None and self._reuse
                 and buf.array.shape == shape and buf.array.dtype == dtype):
-            if zero:
-                buf.array.fill(0)
             return buf.array
         if buf is not None:
             # Drop the entry before freeing: if the allocation below raises
@@ -107,20 +105,9 @@ class Workspace:
             pipeline.add_transfer("alloc", new.nbytes, name)
         return array
 
-    def get(self, name):
-        """The named buffer's array, or ``None`` if it does not exist."""
-        buf = self._buffers.get(name)
-        return None if buf is None else buf.array
-
     # ------------------------------------------------------------------ #
     # lifecycle / reporting
     # ------------------------------------------------------------------ #
-    def drop(self, name):
-        """Free one named buffer (no-op if absent)."""
-        buf = self._buffers.pop(name, None)
-        if buf is not None:
-            buf.free()
-
     def release_all(self):
         """Free every buffer (plan destroy / type-3 repointing)."""
         for buf in self._buffers.values():

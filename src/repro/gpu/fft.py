@@ -9,9 +9,10 @@ transforms single precision natively and is exact for our purposes; the
   transform,
 * a memory term of a few full passes over the data at streaming bandwidth
   (large multi-dimensional FFTs on GPUs are bandwidth bound),
-* a one-time plan-creation cost of ~0.15 s, which the paper explicitly
-  excludes by issuing a dummy ``cufftPlan1d`` call -- we expose the same
-  switch via ``include_startup``.
+* no plan-creation cost here: the paper excludes cuFFT's one-time
+  ~0.15 s startup with a dummy ``cufftPlan1d`` call.  Only the service
+  charges it (``CostModelConstants.cufft_startup_s``), on the plans its
+  pool creates when ``charge_plan_creation`` is on.
 """
 
 from __future__ import annotations
@@ -55,16 +56,10 @@ class DeviceFFT:
     ----------
     pipeline : PipelineProfile or None
         If given, every transform appends its kernel profile there.
-    warm : bool
-        Whether the cuFFT "plan" has already been created (startup cost paid).
-        The benchmark harness creates plans warm, matching the paper's dummy
-        ``cufftPlan1d`` call.
     """
 
-    def __init__(self, pipeline=None, warm=True):
+    def __init__(self, pipeline=None):
         self.pipeline = pipeline
-        self.warm = warm
-        self.startup_pending = not warm
         # The last recorded profile and its key: a plan transforms one
         # geometry over and over, so it is built once, not per execute.
         self._last_profile = (None, None)
@@ -110,7 +105,6 @@ class DeviceFFT:
             raise TypeError("FFT input must be complex")
         shape, batch = self._batch_geometry(grid, axes)
         self._record(shape, grid.dtype, "cufft_forward", count=batch)
-        self.startup_pending = False
         return scipy.fft.fftn(grid, axes=axes).astype(grid.dtype, copy=False)
 
     def inverse(self, grid, axes=None):
@@ -125,7 +119,6 @@ class DeviceFFT:
             raise TypeError("FFT input must be complex")
         shape, batch = self._batch_geometry(grid, axes)
         self._record(shape, grid.dtype, "cufft_inverse", count=batch)
-        self.startup_pending = False
         return scipy.fft.ifftn(grid, axes=axes, norm="forward").astype(
             grid.dtype, copy=False
         )

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.plan import Plan
+from ..solve.operators import AdjointOperator
 from .phasing import centered_ifft
+from .slicing import _plan_options, _slice_axes
 
 __all__ = ["MergingOperator", "merge_slices"]
 
@@ -29,33 +30,28 @@ __all__ = ["MergingOperator", "merge_slices"]
 class MergingOperator:
     """Reusable merging operator: one plan shared by the two type-1 NUFFTs.
 
-    ``plan_pool`` leases the plan from a
-    :class:`repro.service.TransformService` instead of constructing it (see
-    :class:`repro.mtip.slicing.SlicingOperator`); mutually exclusive with
-    ``device``.  ``tune``/``tuner`` autotune the owned plan's spread
-    parameters (ignored for leased plans, whose service sets the policy).
+    The plan is held by a :class:`~repro.solve.AdjointOperator` on the slice
+    points; ``service``, ``device``, ``tune`` and ``tuner`` acquire it as for
+    :class:`repro.mtip.slicing.SlicingOperator` (``tune``/``tuner`` reach an
+    owned plan only; a leased plan goes back to the service on ``destroy``
+    or a failed construction).
     """
 
     def __init__(self, n_modes, slice_points, eps=1e-12, device=None, precision="double",
-                 backend="auto", tune="off", tuner=None, plan_pool=None):
-        self.n_modes = tuple(int(n) for n in n_modes)
-        self._plan_pool = plan_pool
-        if plan_pool is not None:
-            if device is not None:
-                raise ValueError(
-                    "pass either a device or a plan_pool (the service places "
-                    "pooled plans on its own fleet), not both"
-                )
-            self.plan = plan_pool.lease_plan(1, self.n_modes, eps=eps,
-                                             precision=precision, backend=backend)
-        else:
-            self.plan = Plan(1, self.n_modes, eps=eps, precision=precision,
-                             device=device, backend=backend, tune=tune,
-                             tuner=tuner)
-        self.n_points = 0
+                 backend="auto", tune="off", tuner=None, service=None):
+        self._adjoint = AdjointOperator(
+            _slice_axes(slice_points), n_modes, eps=eps, precision=precision,
+            service=service, device=device,
+            **_plan_options(service, backend, tune, tuner),
+        )
+        self.n_modes = self._adjoint.n_modes
         self._weights = None
         self._taper = self._build_taper()
-        self.set_points(slice_points)
+
+    @property
+    def n_points(self):
+        """Number of slice points the operator is bound to."""
+        return self._adjoint.n_points
 
     def set_points(self, slice_points):
         """Re-point the operator at a new slice-point set, keeping the plan.
@@ -63,13 +59,7 @@ class MergingOperator:
         The cached sampling density is invalidated alongside the plan's
         stencil cache (it depends on the same points).
         """
-        slice_points = np.asarray(slice_points, dtype=np.float64)
-        if slice_points.ndim != 2 or slice_points.shape[1] != 3:
-            raise ValueError(
-                f"slice_points must have shape (M, 3), got {slice_points.shape}"
-            )
-        self.n_points = slice_points.shape[0]
-        self.plan.set_pts(slice_points[:, 0], slice_points[:, 1], slice_points[:, 2])
+        self._adjoint.set_points(_slice_axes(slice_points))
         self._weights = None
         return self
 
@@ -98,7 +88,7 @@ class MergingOperator:
         """
         if self._weights is None or refresh:
             ones = np.ones(self.n_points, dtype=np.complex128)
-            adjoint = self.plan.execute(ones)
+            adjoint = self._adjoint(ones)
             self._weights = centered_ifft(adjoint * self._taper)
         return self._weights
 
@@ -126,7 +116,7 @@ class MergingOperator:
             )
         if not (0.0 < relative_cutoff < 1.0):
             raise ValueError(f"relative_cutoff must be in (0, 1), got {relative_cutoff}")
-        adjoint = self.plan.execute(slice_values.astype(np.complex128))
+        adjoint = self._adjoint(slice_values.astype(np.complex128))
         numerator = centered_ifft(adjoint * self._taper)
         density = self.sampling_density()
         weight = np.abs(density)
@@ -139,13 +129,11 @@ class MergingOperator:
 
     def nufft_seconds(self):
         """Modelled timing of the last type-1 execute."""
-        return self.plan.timings()
+        return self._adjoint.plan.timings()
 
     def destroy(self):
-        if self._plan_pool is not None:
-            self._plan_pool.release_plan(self.plan)
-        else:
-            self.plan.destroy()
+        """Release the plan: destroy it if owned, give it back if leased."""
+        self._adjoint.close()
 
 
 def merge_slices(slice_values, slice_points, n_modes, eps=1e-12, device=None,

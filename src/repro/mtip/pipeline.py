@@ -125,7 +125,7 @@ class MTIPReconstruction:
         n_modes3 = (cfg.n_modes,) * 3
         slicer = SlicingOperator(n_modes3, points, eps=cfg.eps, device=self.device,
                                  precision=cfg.precision, backend=cfg.backend,
-                                 tune=cfg.tune, plan_pool=self.service)
+                                 tune=cfg.tune, service=self.service)
         values = slicer(self.true_modes)
         slicer.destroy()
         intensities = np.abs(values.reshape(cfg.n_images, -1)) ** 2
@@ -152,7 +152,7 @@ class MTIPReconstruction:
             self._slicer = SlicingOperator(
                 (cfg.n_modes,) * 3, points, eps=cfg.eps, device=self.device,
                 precision=cfg.precision, backend=cfg.backend,
-                tune=cfg.tune, plan_pool=self.service,
+                tune=cfg.tune, service=self.service,
             )
         else:
             self._slicer.set_points(points)
@@ -164,7 +164,7 @@ class MTIPReconstruction:
             self._merger = MergingOperator(
                 (cfg.n_modes,) * 3, points, eps=cfg.eps, device=self.device,
                 precision=cfg.precision, backend=cfg.backend,
-                tune=cfg.tune, plan_pool=self.service,
+                tune=cfg.tune, service=self.service,
             )
         else:
             self._merger.set_points(points)

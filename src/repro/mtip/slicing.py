@@ -23,10 +23,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.plan import Plan
+from ..solve.operators import ForwardOperator
 from .phasing import centered_ifft
 
 __all__ = ["slice_fourier_model", "SlicingOperator"]
+
+
+def _slice_axes(slice_points):
+    """The three coordinate columns of an ``(M, 3)`` slice-point array."""
+    slice_points = np.asarray(slice_points, dtype=np.float64)
+    if slice_points.ndim != 2 or slice_points.shape[1] != 3:
+        raise ValueError(
+            f"slice_points must have shape (M, 3), got {slice_points.shape}"
+        )
+    return tuple(slice_points[:, d] for d in range(3))
+
+
+def _plan_options(service, backend, tune, tuner):
+    """Plan options of an M-TIP operator: a leased plan is never tuned here.
+
+    The service's own ``tune`` policy governs its pooled plans, so ``tune``
+    and ``tuner`` reach only a plan the operator owns.
+    """
+    if service is not None:
+        return {"backend": backend}
+    return {"backend": backend, "tune": tune, "tuner": tuner}
 
 
 class SlicingOperator:
@@ -35,7 +56,8 @@ class SlicingOperator:
     M-TIP calls slicing every iteration with the *same* slice points (the
     orientations assigned to the images change slowly and the operator is
     rebuilt only when they do), so the plan/set_pts cost is amortized exactly
-    as the paper's "exec" timing assumes.
+    as the paper's "exec" timing assumes.  The plan is held by a
+    :class:`~repro.solve.ForwardOperator` on the negated slice points.
 
     Parameters
     ----------
@@ -46,44 +68,41 @@ class SlicingOperator:
     eps : float
         NUFFT tolerance (1e-12 in the paper's M-TIP runs).
     device : Device, optional
-        Simulated GPU to run on (for the multi-GPU drivers).
+        Simulated GPU to run on (for the multi-GPU drivers); with
+        ``service`` it pins the lease to that fleet device.
     backend : str, optional
         Execution backend of the plan (see :mod:`repro.backends`); the
         default ``"auto"`` resolves to the profiled ``device_sim``.
     tune : str, optional
         Plan-parameter autotuning mode of the owned plan (``"off"``,
         ``"model"`` or ``"measure"``; see :mod:`repro.tuning`).  Ignored when
-        the plan is leased from a ``plan_pool`` -- the service's own policy
+        the plan is leased from a ``service`` -- the service's own policy
         governs its pooled plans.
     tuner : Autotuner, optional
         Tuner to consult when tuning is enabled.
-    plan_pool : TransformService, optional
+    service : TransformService, optional
         Lease the plan from a :class:`repro.service.TransformService` instead
         of constructing it: repeated operator builds with the same geometry
         (e.g. per M-TIP iteration or across reconstructions sharing the
-        service) skip planning, and the service places the plan on its
-        least-loaded fleet device.  Mutually exclusive with ``device``;
-        ``destroy`` returns the plan to the pool.
+        service) skip planning.  ``destroy`` returns the plan to the pool,
+        and so does a failed construction.
     """
 
     def __init__(self, n_modes, slice_points, eps=1e-12, device=None, precision="double",
-                 backend="auto", tune="off", tuner=None, plan_pool=None):
-        self.n_modes = tuple(int(n) for n in n_modes)
-        self._plan_pool = plan_pool
-        if plan_pool is not None:
-            if device is not None:
-                raise ValueError(
-                    "pass either a device or a plan_pool (the service places "
-                    "pooled plans on its own fleet), not both"
-                )
-            self.plan = plan_pool.lease_plan(2, self.n_modes, eps=eps,
-                                             precision=precision, backend=backend)
-        else:
-            self.plan = Plan(2, self.n_modes, eps=eps, precision=precision,
-                             device=device, backend=backend, tune=tune,
-                             tuner=tuner)
-        self.n_points = 0
-        self.set_points(slice_points)
+                 backend="auto", tune="off", tuner=None, service=None):
+        # Points are negated: the type-2 NUFFT uses exp(+i k x) while the
+        # forward (physics) transform uses exp(-i m q); see the module notes.
+        self._forward = ForwardOperator(
+            [-q for q in _slice_axes(slice_points)], n_modes, eps=eps,
+            precision=precision, service=service, device=device,
+            **_plan_options(service, backend, tune, tuner),
+        )
+        self.n_modes = self._forward.n_modes
+
+    @property
+    def n_points(self):
+        """Number of slice points the operator is bound to."""
+        return self._forward.n_points
 
     def set_points(self, slice_points):
         """Re-point the operator at a new slice-point set, keeping the plan.
@@ -93,15 +112,7 @@ class SlicingOperator:
         solver iterations, and only the bin sort + stencil cache are redone
         when the assigned orientations move the slice points.
         """
-        slice_points = np.asarray(slice_points, dtype=np.float64)
-        if slice_points.ndim != 2 or slice_points.shape[1] != 3:
-            raise ValueError(
-                f"slice_points must have shape (M, 3), got {slice_points.shape}"
-            )
-        self.n_points = slice_points.shape[0]
-        # Points are negated: the type-2 NUFFT uses exp(+i k x) while the
-        # forward (physics) transform uses exp(-i m q); see the module notes.
-        self.plan.set_pts(-slice_points[:, 0], -slice_points[:, 1], -slice_points[:, 2])
+        self._forward.set_points([-q for q in _slice_axes(slice_points)])
         return self
 
     def __call__(self, fourier_model):
@@ -122,17 +133,15 @@ class SlicingOperator:
                 f"fourier_model has shape {fourier_model.shape}, expected {self.n_modes}"
             )
         density = centered_ifft(fourier_model)
-        return self.plan.execute(density.astype(np.complex128))
+        return self._forward(density.astype(np.complex128))
 
     def nufft_seconds(self):
         """Modelled NUFFT time of the last execute (the Table II wall-clock column)."""
-        return self.plan.timings()
+        return self._forward.plan.timings()
 
     def destroy(self):
-        if self._plan_pool is not None:
-            self._plan_pool.release_plan(self.plan)
-        else:
-            self.plan.destroy()
+        """Release the plan: destroy it if owned, give it back if leased."""
+        self._forward.close()
 
 
 def slice_fourier_model(fourier_model, slice_points, eps=1e-12, device=None,

@@ -67,7 +67,9 @@ def _same_points(a, b):
 
 
 class _PlanOperator:
-    """Common plan acquisition/ownership for the operator wrappers.
+    """The one plan holder of the solve and M-TIP operators.
+
+    It acquires the plan, binds its points and releases it.
 
     Exactly one of three acquisition modes applies:
 
@@ -77,11 +79,12 @@ class _PlanOperator:
 
     The nonuniform ``points`` are bound at construction (``set_pts``), so
     every ``apply`` reuses the plan's bin sort and stencil cache -- the whole
-    reason iterative solvers want planned transforms.  ``share=``, another
-    operator on the same points, lets the plan attach that operator's
-    :class:`~repro.core.pointset.PointSet` instead of building its own when
-    the two plans' keys agree (a forward/adjoint pair then keeps one sort and
-    one CSR operator).
+    reason iterative solvers want planned transforms; :meth:`set_points`
+    re-points the same plan (M-TIP does, every iteration).  ``share=``,
+    another operator on the same points, lets the plan attach that
+    operator's :class:`~repro.core.pointset.PointSet` instead of building its
+    own when the two plans' keys agree (a forward/adjoint pair then keeps one
+    sort and one CSR operator).
     """
 
     _nufft_type = None
@@ -145,6 +148,18 @@ class _PlanOperator:
 
     def _plan_isign(self):
         raise NotImplementedError
+
+    def set_points(self, points):
+        """Re-point the operator at new points, keeping its plan.
+
+        The plan's kernel, fine grid and FFT plan survive; only the bin sort
+        and stencil cache are redone.  Invalid points raise before the plan
+        is touched.
+        """
+        _, points = operator_geometry(points, self.n_modes)
+        self.plan.set_pts(*points)
+        self.points, self.n_points = points, int(points[0].shape[0])
+        return self
 
     def apply(self, vec, out=None):
         """Apply the operator to one vector (or an ``n_trans`` stack)."""

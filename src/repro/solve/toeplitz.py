@@ -27,10 +27,9 @@ import numpy as np
 
 from ..core.deconvolve import deconvolve_kernel_profile
 from ..core.options import Precision
-from ..core.plan import Plan
 from ..gpu.costmodel import CostModel
 from ..gpu.fft import fft_kernel_profile
-from .operators import operator_geometry, validate_weights
+from .operators import AdjointOperator, operator_geometry, validate_weights
 
 __all__ = ["ToeplitzNormalOperator"]
 
@@ -58,9 +57,11 @@ class ToeplitzNormalOperator:
         Exponent sign of the *forward* model ``A`` (``+1`` by default); the
         PSF is built with the adjoint's sign automatically.
     plan, service, device
-        PSF-plan acquisition, mirroring the operator wrappers: borrow
-        ``plan=`` (a type-1 plan with ``2N`` modes), lease from ``service=``,
-        or construct an owned plan on ``device``.
+        PSF-plan acquisition, passed to the
+        :class:`~repro.solve.operators.AdjointOperator` that builds the PSF:
+        borrow ``plan=`` (a type-1 plan with ``2N`` modes and the adjoint
+        sign), lease from ``service=``, or construct an owned plan on
+        ``device``.
     artifact_store : ArtifactStore, optional
         Warm-state store to load/save the PSF kernel transform (kind
         ``"psf"``).  Defaults to the service's store when leasing from a
@@ -118,22 +119,21 @@ class ToeplitzNormalOperator:
             self.kernel_hat = warm["kernel_hat"]
             return
 
-        psf_plan, release = self._acquire_psf_plan(plan, service, device,
-                                                   plan_kwargs)
-        try:
-            psf_plan.set_pts(*self.points)
-            # t_l = sum_j w_j e^{-is l.x_j} on the doubled (2N) mode grid,
-            # ascending from -N per axis: every lag |k - k'| <= N - 1 the
-            # normal operator can produce, in one type-1 call.
-            psf = np.asarray(psf_plan.execute(psf_strengths),
-                             dtype=np.complex128)
-            self.psf_build_seconds = self._psf_seconds(psf_plan)
+        # t_l = sum_j w_j e^{-is l.x_j} on the doubled (2N) mode grid,
+        # ascending from -N per axis: every lag |k - k'| <= N - 1 the normal
+        # operator can produce, in one type-1 call.  The PSF plan lives only
+        # for that call, and its build is priced as setup + exec.
+        with AdjointOperator(self.points, self.embed_shape, eps=self.eps,
+                             precision=self.precision.value, isign=self.isign,
+                             plan=plan, service=service, device=device,
+                             **plan_kwargs) as psf_op:
+            psf = np.asarray(psf_op.apply(psf_strengths), dtype=np.complex128)
+            t = psf_op.plan.timings()
+            self.psf_build_seconds = t["setup"] + t["exec"]
             self._cost_model = CostModel(
-                spec=psf_plan.device.spec,
+                spec=psf_op.plan.device.spec,
                 precision_itemsize=self.precision.real_itemsize,
             )
-        finally:
-            release()
         # ifftshift maps the ascending-centred lags onto circular order
         # (lag l at index l mod 2N); the kernel transform of real weights is
         # real up to the NUFFT tolerance, and taking the real part makes the
@@ -171,41 +171,6 @@ class ToeplitzNormalOperator:
         from ..gpu.device import Device
 
         return Device().spec
-
-    def _acquire_psf_plan(self, plan, service, device, plan_kwargs):
-        """The one-shot type-1 plan over the doubled modes, plus its releaser."""
-        if plan is not None:
-            if service is not None:
-                raise ValueError("pass either plan= or service=, not both")
-            if plan.nufft_type != 1 or plan.n_modes != self.embed_shape:
-                raise ValueError(
-                    f"psf plan must be type 1 with modes {self.embed_shape}, "
-                    f"got type {plan.nufft_type} modes {plan.n_modes}"
-                )
-            if plan.isign != -self.isign:
-                raise ValueError(
-                    f"psf plan has isign={plan.isign:+d}; a forward model "
-                    f"with isign={self.isign:+d} needs the adjoint sign "
-                    f"{-self.isign:+d}"
-                )
-            return plan, lambda: None
-        if service is not None:
-            leased = service.lease_plan(
-                1, self.embed_shape, eps=self.eps,
-                precision=self.precision.value, isign=-self.isign,
-                device=device, **plan_kwargs,
-            )
-            return leased, lambda: service.release_plan(leased)
-        owned = Plan(1, self.embed_shape, eps=self.eps,
-                     precision=self.precision.value, isign=-self.isign,
-                     device=device, **plan_kwargs)
-        return owned, owned.destroy
-
-    @staticmethod
-    def _psf_seconds(psf_plan):
-        """Modelled one-time PSF build cost (setup + exec of the type-1 call)."""
-        t = psf_plan.timings()
-        return t["setup"] + t["exec"]
 
     # ------------------------------------------------------------------ #
     # application

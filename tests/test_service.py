@@ -9,6 +9,8 @@ from repro.cluster import DeviceFleet, run_weak_scaling_fleet
 from repro.cluster.node import CORI_GPU_NODE
 from repro.gpu import Device
 from repro.mtip import MTIPConfig, MTIPReconstruction
+from repro.mtip.merging import MergingOperator
+from repro.mtip.slicing import SlicingOperator
 from repro.service import (
     AsyncFrontend,
     FairShedPolicy,
@@ -546,6 +548,23 @@ class TestMTIPThroughService:
         with TransformService() as service:
             with pytest.raises(ValueError):
                 MTIPReconstruction(MTIPConfig(), device=Device(), service=service)
+
+    @pytest.mark.parametrize("operator, nufft_type",
+                             [(SlicingOperator, 2), (MergingOperator, 1)])
+    @pytest.mark.parametrize("points", [np.full((10, 3), np.nan),
+                                        np.zeros((10, 2))],
+                             ids=["nan", "two-columns"])
+    def test_failed_operator_keeps_no_lease(self, operator, nufft_type, points):
+        key = dict(eps=1e-6, precision="double")
+        with TransformService() as service:
+            pooled = service.lease_plan(nufft_type, (8, 8, 8), **key)
+            service.release_plan(pooled)
+            with pytest.raises(ValueError):
+                operator((8, 8, 8), points, eps=1e-6, service=service)
+            again = service.lease_plan(nufft_type, (8, 8, 8), **key)
+            service.release_plan(again)
+            assert again is pooled
+            assert service.stats.lease_hits == 1
 
 
 class TestReviewRegressions:

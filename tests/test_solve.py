@@ -357,6 +357,20 @@ class TestSharedPoints:
         for op in (fwd, shared, copied):
             op.close()
 
+    def test_set_points_matches_a_fresh_operator(self, rng):
+        first, second = rand_points(200, 2, rng=0), rand_points(150, 2, rng=1)
+        f = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
+        with ForwardOperator(first, (10, 10), eps=1e-9) as op, \
+                ForwardOperator(second, (10, 10), eps=1e-9) as fresh:
+            plan = op.plan
+            assert op.set_points(second) is op and op.plan is plan
+            assert op.n_points == 150
+            assert np.array_equal(op.apply(f), fresh.apply(f))
+            with pytest.raises(ValueError, match="non-finite"):
+                op.set_points([np.full(150, np.nan), second[1]])
+            assert op.n_points == 150
+            assert np.array_equal(op.apply(f), fresh.apply(f))
+
     def test_front_doors_reject_non_integral_modes(self):
         x = np.zeros(10)
         with pytest.raises(ValueError, match="integral"):
@@ -474,7 +488,7 @@ class TestSolveThroughService:
         direct = execute_solve(SolveRequest(**kwargs))
         assert np.allclose(served.x, direct.x)
 
-    def test_repeat_solves_hit_the_plan_pool(self, rng):
+    def test_repeat_solves_hit_the_pool(self, rng):
         modes, pts, data = self._problem(rng)
         kwargs = dict(n_modes=modes, data=data, x=pts[0], y=pts[1],
                       eps=1e-9, tol=1e-6, maxiter=8)

@@ -38,6 +38,7 @@ AUDITED = {
     "repro.cufinufft": {"require_examples": False},
     "repro.finufft": {"require_examples": False},
     "repro.faults": {"require_examples": False},
+    "repro.mtip": {"require_examples": False},
     "repro.service": {"require_examples": False},
     "repro.service.frontend": {"require_examples": False},
     "repro.solve": {"require_examples": False},
