@@ -14,7 +14,9 @@ figure legends do: ``finufft``, ``cufinufft (SM)``, ``cufinufft (GM-sort)``,
 
 from __future__ import annotations
 
-from ..core.options import Precision, SpreadMethod
+from ..core.options import Precision, SpreadMethod, default_bin_shape
+from ..gpu.device import V100_SPEC
+from ..gpu.threadblock import sm_fits
 from ..kernels.es_kernel import ESKernel
 from ..metrics.modeling import model_cufinufft
 from .cunfft import CunfftLibrary
@@ -38,9 +40,10 @@ class CufinufftAdapter:
         Spreading method shown in the figure legends: ``"SM"`` or
         ``"GM-sort"`` (``"GM"`` is also accepted for the Fig. 2/3 baselines).
     backend : str
-        Execution backend (see :mod:`repro.backends`) used both by
-        :meth:`make_plan` and (resolved) by :meth:`model_times`; the default
-        ``"device_sim"`` keeps the modelled timings attached.
+        Execution backend (see :mod:`repro.backends`) of the plans
+        :meth:`make_plan` builds; the default ``"device_sim"`` keeps the
+        modelled timings attached.  :meth:`model_times` always prices
+        through the ``device_sim`` stage profiles.
     """
 
     device_kind = "gpu"
@@ -51,22 +54,15 @@ class CufinufftAdapter:
         self.name = f"cufinufft ({self.method.value})"
 
     def supports(self, nufft_type, ndim, precision, eps):
-        """Capability matrix; SM is unavailable for 3D double precision
-        (paper Remark 2).  Types 1-3 in dimensions 1-3 are covered; a type-3
-        transform spreads like type 1, so it inherits the same constraint."""
-        precision = Precision.parse(precision)
+        """Capability matrix.  Types 1-3 in dimensions 1-3 are covered, but
+        an SM spread (types 1 and 3) is unavailable where its padded default
+        bin does not fit shared memory (paper Remark 2: 3D double precision
+        beyond low accuracy), the configurations the model prices as GM-sort."""
         if nufft_type not in (1, 2, 3) or ndim not in (1, 2, 3):
             return False
-        if (
-            self.method is SpreadMethod.SM
-            and nufft_type in (1, 3)
-            and ndim == 3
-            and precision is Precision.DOUBLE
-        ):
-            # Feasible only for low accuracy (small w); Remark 2 gives the
-            # shared-memory constraint 16 (m+w)^3 <= 49000.
-            width = ESKernel.from_tolerance(eps).width
-            return width <= 6
+        if self.method is SpreadMethod.SM and nufft_type in (1, 3):
+            return sm_fits(default_bin_shape(ndim), ESKernel.from_tolerance(eps).width,
+                           Precision.parse(precision).complex_itemsize, V100_SPEC)
         return True
 
     def error_estimate(self, eps, precision="single"):
@@ -85,7 +81,6 @@ class CufinufftAdapter:
         return Plan(nufft_type, n_modes, **kwargs)
 
     def model_times(self, nufft_type, n_modes, n_points, eps, **kwargs):
-        kwargs.setdefault("backend", self.backend)
         return model_cufinufft(
             nufft_type, n_modes, n_points, eps, method=self.method, **kwargs
         )

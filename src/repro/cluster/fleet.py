@@ -276,20 +276,6 @@ class DeviceFleet:
         """Fleet makespan: the latest completion over every device timeline."""
         return max((d.timeline_makespan() for d in self.devices), default=0.0)
 
-    def backlog_s(self, now=0.0):
-        """Modelled seconds of already-queued work extending past ``now``.
-
-        The serving front-end's backpressure signal: how far the fleet's
-        stream timelines run ahead of the front-end's modelled clock.  Zero
-        when every queued operation has completed by ``now``.
-        """
-        return max(0.0, self.makespan() - float(now))
-
-    @property
-    def total_streams(self):
-        """Streams across the whole fleet (the concurrent-dispatch width)."""
-        return sum(len(d.streams) for d in self.devices)
-
     def utilization(self, engine="exec"):
         """Per-device busy fraction of the *fleet* makespan for one engine.
 

@@ -84,8 +84,7 @@ class WeakScalingResult:
 
 def run_weak_scaling(nufft_type, n_modes, n_points_per_rank, eps, node_spec=None,
                      max_ranks=None, precision="double", task_label="",
-                     rng=None, max_sample=1 << 20, backend="device_sim",
-                     tune="off", tuner=None):
+                     rng=None, max_sample=1 << 20, tune="off", tuner=None):
     """Run the Fig. 9 weak-scaling sweep for one NUFFT task.
 
     Parameters
@@ -99,9 +98,6 @@ def run_weak_scaling(nufft_type, n_modes, n_points_per_rank, eps, node_spec=None
         the post-saturation regime is visible, as in the paper's plots.
     precision : str
         ``"double"`` for the M-TIP requirement of eps = 1e-12.
-    backend : str
-        Execution backend whose stage profiles price the per-rank NUFFT;
-        must record profiles (``"device_sim"``), like every modelled figure.
     tune : str
         ``"off"`` runs the paper's hard-coded plan parameters; ``"model"`` /
         ``"measure"`` price the per-rank NUFFT with an autotuned
@@ -143,7 +139,7 @@ def run_weak_scaling(nufft_type, n_modes, n_points_per_rank, eps, node_spec=None
     base = model_cufinufft(
         nufft_type, n_modes, n_points_per_rank, eps,
         method=method, distribution="rand", precision=precision, opts=opts,
-        stats=stats, backend=backend,
+        stats=stats,
     )
 
     result = WeakScalingResult(

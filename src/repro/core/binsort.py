@@ -14,7 +14,8 @@ methods (paper Sec. III-A):
 
 The functions also produce :class:`~repro.gpu.profiler.KernelProfile` records
 for the setup kernels so the cost model can price the "total" vs "exec"
-difference the paper reports.
+difference the paper reports; :func:`setup_kernel_profiles` is the one list
+of them that executed plans and the paper-scale model both record.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..gpu.profiler import KernelProfile
+from .options import SpreadMethod
 
 __all__ = [
     "fold_coordinates",
@@ -36,6 +38,7 @@ __all__ = [
     "make_subproblems",
     "estimate_subproblem_count",
     "binsort_kernel_profiles",
+    "setup_kernel_profiles",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -382,4 +385,35 @@ def binsort_kernel_profiles(n_points, n_bins, ndim, real_itemsize, threads_per_b
             gather_miss_fraction=0.3,
         )
     )
+    return profiles
+
+
+def _subproblem_setup_profile(n_bins, n_subproblems):
+    """Setup-phase cost of building the subproblem lists (SM step 1)."""
+    return KernelProfile(
+        name="sm_subproblem_setup",
+        grid_blocks=max(1.0, n_bins / 128.0),
+        block_threads=128.0,
+        flops=4.0 * n_bins,
+        stream_bytes=8.0 * (n_bins + 3.0 * n_subproblems),
+    )
+
+
+def setup_kernel_profiles(method, sort, precision, opts, spreads):
+    """Setup-phase kernels of one point set: the bin sort, then SM step 1.
+
+    GM launches none.  GM-sort and SM sort the points (unless
+    ``opts.sort_points`` is off); an SM spread (``spreads``: types 1 and 3)
+    also builds its subproblem lists at ``opts.max_subproblem_size``.
+    ``sort`` is a :class:`BinSort` or a (scaled) :class:`SpreadStats`.
+    """
+    if method not in (SpreadMethod.GM_SORT, SpreadMethod.SM) or not opts.sort_points:
+        return []
+    profiles = binsort_kernel_profiles(
+        sort.n_points, sort.n_bins, len(sort.fine_shape), precision.real_itemsize,
+        opts.threads_per_block,
+    )
+    if method is SpreadMethod.SM and spreads:
+        n_sub = estimate_subproblem_count(sort.bin_counts, opts.max_subproblem_size)
+        profiles.append(_subproblem_setup_profile(sort.n_bins, n_sub))
     return profiles

@@ -34,9 +34,10 @@ from ..gpu.costmodel import CostModel
 from ..gpu.device import Device
 from ..gpu.fft import DeviceFFT
 from ..gpu.profiler import PipelineProfile
+from ..gpu.threadblock import sm_fits
 from ..kernels.es_kernel import ESKernel
 from ..metrics import allocs
-from .binsort import binsort_kernel_profiles, to_grid_coordinates
+from .binsort import setup_kernel_profiles, to_grid_coordinates
 from .deconvolve import CorrectionFactors
 from .gridsize import fine_grid_shape, next_smooth_even_235
 from .options import Opts, SpreadMethod, integral_count, integral_mode_counts
@@ -270,18 +271,10 @@ class Plan:
     def _apply_sm_fallback(self):
         """Paper Remark 2: SM falls back to GM-sort when the padded bin
         exceeds the device's shared memory."""
-        if self.method is not SpreadMethod.SM:
-            return
-        from ..gpu.threadblock import LaunchConfigError, check_shared_memory_fit
-
-        try:
-            check_shared_memory_fit(
-                self.bin_shape,
-                self.kernel.width,
-                self.precision.complex_itemsize,
-                self.device.spec,
-            )
-        except LaunchConfigError:
+        if self.method is SpreadMethod.SM and not sm_fits(
+            self.bin_shape, self.kernel.width, self.precision.complex_itemsize,
+            self.device.spec,
+        ):
             self.method = SpreadMethod.GM_SORT
 
     # ------------------------------------------------------------------ #
@@ -475,27 +468,15 @@ class Plan:
         self.point_set = points
         self.n_points = m = points.n_points
         if self.method in (SpreadMethod.GM_SORT, SpreadMethod.SM) and self.opts.sort_points:
-            idx_bytes = 4 * m
             for label in ("bin index", "sort permutation"):
                 buf = self.device.memory.from_host(
                     np.zeros(m, dtype=np.int32), label=label
                 )
                 self._point_buffers.append(buf)
-                self._setup_pipeline.add_transfer("alloc", idx_bytes, label)
-            for prof in binsort_kernel_profiles(
-                m,
-                points.sort.n_bins,
-                self.ndim,
-                self.precision.real_itemsize,
-                self.opts.threads_per_block,
-            ):
-                self._setup_pipeline.add_kernel(prof, phase="setup")
-            if self.method is SpreadMethod.SM and self.nufft_type != 2:
-                subproblems = points.subproblems(self.opts.max_subproblem_size)
-                self._setup_pipeline.add_kernel(
-                    _subproblem_setup_profile(points.sort, subproblems),
-                    phase="setup",
-                )
+                self._setup_pipeline.add_transfer("alloc", 4 * m, label)
+        for prof in setup_kernel_profiles(self.method, points.sort, self.precision,
+                                          self.opts, spreads=self.nufft_type != 2):
+            self._setup_pipeline.add_kernel(prof, phase="setup")
 
     # ------------------------------------------------------------------ #
     # type-3 planning (the "scale" of the type-2∘scale∘type-1 composition)
@@ -889,15 +870,8 @@ class Plan:
         """Fraction of "exec" time spent in spreading/interpolation kernels."""
         if self._exec_pipeline is None:
             raise RuntimeError("execute must be called before spread_fraction")
-        contention = self.device.contention_factor
-        total = 0.0
-        spread = 0.0
-        for prof in self._exec_pipeline.exec_kernels():
-            t = self.cost_model.kernel_time(prof, contention)
-            total += t
-            if prof.name.startswith(("spread", "interp")):
-                spread += t
-        return spread / total if total > 0 else 0.0
+        return self.cost_model.spread_fraction(self._exec_pipeline,
+                                               self.device.contention_factor)
 
     def report(self):
         """Multi-line human-readable summary of the plan and its last run."""
@@ -979,18 +953,3 @@ class Plan:
             self.destroy()
         except Exception:
             pass
-
-
-def _subproblem_setup_profile(sort, subproblems):
-    """Setup-phase cost of building the subproblem lists (SM step 1)."""
-    from ..gpu.profiler import KernelProfile
-
-    n_bins = sort.n_bins
-    n_sub = subproblems.n_subproblems
-    return KernelProfile(
-        name="sm_subproblem_setup",
-        grid_blocks=max(1.0, n_bins / 128.0),
-        block_threads=128.0,
-        flops=4.0 * n_bins,
-        stream_bytes=8.0 * (n_bins + 3.0 * n_sub),
-    )

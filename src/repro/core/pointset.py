@@ -5,10 +5,10 @@ A :class:`PointSet` holds the caller-order fine-grid coordinates, their
 :func:`~repro.core.stencil.build_stencil_cache` (``None`` for backends that
 evaluate kernels on the fly), the ``permutation`` that lists the caller's
 index of each stencil point, and one memo of the values that depend on the
-points alone: the CSC spreading view, the windowed engine's
-:class:`~repro.core.windowed.Pencils` and the SM subproblem split of each
-``Msub``.  Values that also depend on a plan's method, precision,
-``n_trans`` or device stay with the plan (``Plan._point_state_value``).
+points alone: the CSC spreading view and the windowed engine's
+:class:`~repro.core.windowed.Pencils`.  Values that also depend on a plan's
+method, precision, ``n_trans`` or device stay with the plan
+(``Plan._point_state_value``).
 
 The stencils of a set with a CSR operator list the points in bin-sort
 order.  Those of a windowed set (no operator) list them in engine order: the
@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .binsort import bin_sort, make_subproblems
+from .binsort import bin_sort
 from .stencil import build_stencil_cache
 from .windowed import Pencils
 
@@ -120,11 +120,6 @@ class PointSet:
     def pencils(self):
         """The windowed engine's layout of the stencils (pieces, windows checked)."""
         return self._value("pencils", lambda: Pencils(self.stencil))
-
-    def subproblems(self, max_subproblem_size):
-        """The SM split of the bin-sorted points into subproblems of ``Msub``."""
-        msub = int(max_subproblem_size)
-        return self._value(("subproblems", msub), lambda: make_subproblems(self.sort, msub))
 
 
 def build_point_set(grid_coords, key, kernel, store=None, previous=None):

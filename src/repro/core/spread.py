@@ -44,7 +44,7 @@ from ..gpu.transactions import (
     scattered_sector_ops,
     sectors_for_contiguous_run,
 )
-from .binsort import make_subproblems
+from .binsort import estimate_subproblem_count
 from .options import SpreadMethod
 from .stencil import _tensor_stencil
 
@@ -297,13 +297,13 @@ def _occupancy_stats(sort, kernel_width, complex_itemsize):
 
 
 def spread_kernel_profiles(method, sort, kernel, precision, threads_per_block=128,
-                           spec=None, subproblems=None):
+                           spec=None, n_subproblems=None):
     """Exec-phase kernel profiles for one spreading pass.
 
-    This is the one dispatch from a spreading method to what it costs: the
-    ``device_sim`` backend, :mod:`repro.metrics.modeling` and the baselines
-    all price spreading through it, so executed plans and paper-scale models
-    cannot disagree.
+    This is the one dispatch from a spreading method to what it costs.
+    Executed plans and :mod:`repro.metrics.modeling` reach it through
+    :func:`repro.backends.device_sim.stage_profiles`; the baselines and the
+    slab-local distributed spread call it directly.
 
     Parameters
     ----------
@@ -322,11 +322,10 @@ def spread_kernel_profiles(method, sort, kernel, precision, threads_per_block=12
     spec : DeviceSpec, optional
         Device whose L2 size and SM count the estimates use (the V100 when
         omitted); the SM method also validates its shared-memory fit on it.
-    subproblems : Subproblems, optional
-        The SM split of the points (anything with ``n_subproblems``: a
-        plan's own split, or an estimated count from a scaled histogram).
-        Defaults to ``make_subproblems(sort, 1024)``, paper Remark 1's Msub.
-        Ignored by GM and GM-sort.
+    n_subproblems : int, optional
+        Number of SM subproblems (:func:`~repro.core.binsort.estimate_subproblem_count`
+        of the histogram at the plan's ``Msub``).  Defaults to the count at
+        ``Msub = 1024``, paper Remark 1's value.  Ignored by GM and GM-sort.
 
     Returns
     -------
@@ -377,16 +376,16 @@ def spread_kernel_profiles(method, sort, kernel, precision, threads_per_block=12
         return [profile]
 
     if method is SpreadMethod.SM:
-        if subproblems is None:
-            subproblems = make_subproblems(sort, 1024)
+        if n_subproblems is None:
+            n_subproblems = estimate_subproblem_count(sort.bin_counts, 1024)
         return _sm_kernel_profiles(
-            sort, kernel, precision, subproblems, threads_per_block, spec
+            sort, kernel, precision, n_subproblems, threads_per_block, spec
         )
 
     raise ValueError(f"cannot profile method {method!r}")
 
 
-def _sm_kernel_profiles(sort, kernel, precision, subproblems, threads_per_block,
+def _sm_kernel_profiles(sort, kernel, precision, n_subproblems, threads_per_block,
                         spec):
     """Exec-phase profiles of the SM spreader for a given subproblem split."""
     ndim = len(sort.fine_shape)
@@ -401,7 +400,7 @@ def _sm_kernel_profiles(sort, kernel, precision, subproblems, threads_per_block,
 
     local_shape = padded_bin_shape(sort.bin_shape, w)
     padded_cells = float(np.prod(local_shape))
-    n_sub = max(1, subproblems.n_subproblems)
+    n_sub = max(1, n_subproblems)
     ops = float(m) * (w ** ndim)
 
     # Shared-memory contention: distinct addresses a subproblem's points hit.

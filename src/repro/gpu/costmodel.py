@@ -232,6 +232,17 @@ class CostModel:
             "total+mem": total + mem_t,
         }
 
+    def spread_fraction(self, pipeline, contention_factor=1.0):
+        """Fraction of a pipeline's ``exec`` seconds spent in spread/interp kernels."""
+        total = 0.0
+        spread = 0.0
+        for prof in pipeline.exec_kernels():
+            t = self.kernel_time(prof, contention_factor)
+            total += t
+            if prof.name.startswith(("spread", "interp")):
+                spread += t
+        return spread / total if total > 0 else 0.0
+
     def breakdown_table(self, pipeline, contention_factor=1.0):
         """List of (phase, TimingBreakdown) rows for diagnostic printing."""
         rows = []

@@ -158,11 +158,6 @@ class MemoryPool:
         """Currently allocated device memory in MB (``nvidia-smi`` style)."""
         return self.allocated_bytes / (1024.0 * 1024.0)
 
-    @property
-    def peak_mb(self):
-        """Peak allocated device memory in MB."""
-        return self.peak_bytes / (1024.0 * 1024.0)
-
     def breakdown(self):
         """Dict of label -> live bytes, for RAM-usage tables."""
         out = {}

@@ -17,7 +17,7 @@ result, and what the benchmark harness turns into "exec" / "total" /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, replace
 
 __all__ = ["KernelProfile", "TransferRecord", "PipelineProfile"]
 
@@ -130,9 +130,6 @@ class KernelProfile:
             shared_atomic_ops=self.shared_atomic_ops * batch,
         )
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class TransferRecord:
@@ -192,13 +189,3 @@ class PipelineProfile:
 
     def setup_kernels(self):
         return [k for phase, k in self.kernels if phase == "setup"]
-
-    def kernel_by_name(self, name):
-        """Return the first kernel profile with the given name (or None)."""
-        for _, k in self.kernels:
-            if k.name == name:
-                return k
-        return None
-
-    def total_bytes_transferred(self):
-        return sum(t.nbytes for t in self.transfers if t.kind in ("h2d", "d2h"))

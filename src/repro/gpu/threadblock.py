@@ -4,7 +4,9 @@ These helpers mirror the small amount of launch-configuration arithmetic the
 CUDA code performs: how many blocks cover a work list, how much shared memory
 a padded bin needs, and whether a configuration is launchable on the device.
 They are used by the SM spreader and by tests that pin the paper's Remark 2
-(3D double precision exceeds the 49 kB shared-memory budget for w > 8).
+(3D double precision exceeds the 49 kB shared-memory budget for w > 8);
+:func:`sm_fits` is the one place that turns that limit into the SM-or-GM-sort
+choice, for plans, the paper-scale model, the tuner and the library registry.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ __all__ = [
     "padded_bin_shape",
     "padded_bin_shared_bytes",
     "check_shared_memory_fit",
+    "sm_fits",
     "LaunchConfigError",
 ]
 
@@ -65,3 +68,16 @@ def check_shared_memory_fit(bin_shape, kernel_width, complex_itemsize, spec):
             f"(paper Remark 2) or a smaller bin"
         )
     return need
+
+
+def sm_fits(bin_shape, kernel_width, complex_itemsize, spec):
+    """Whether the SM method can launch: paper Remark 2's fit test.
+
+    False when the padded bin exceeds ``spec``'s shared memory per block,
+    where SM falls back to GM-sort.
+    """
+    try:
+        check_shared_memory_fit(bin_shape, kernel_width, complex_itemsize, spec)
+    except LaunchConfigError:
+        return False
+    return True

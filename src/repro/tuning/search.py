@@ -44,7 +44,7 @@ from ..core.binsort import SpreadStats, bin_sort, to_grid_coordinates
 from ..core.gridsize import fine_grid_shape
 from ..core.options import Opts, Precision, SpreadMethod
 from ..gpu.device import V100_SPEC
-from ..gpu.threadblock import LaunchConfigError, check_shared_memory_fit
+from ..gpu.threadblock import sm_fits
 from ..kernels.es_kernel import ESKernel
 from .cache import SCHEMA_VERSION, TuningCache
 from .signature import TuningProblem
@@ -370,9 +370,12 @@ class Autotuner:
             "stencil_budget": base_opts.stencil_budget,
             "backend": base_opts.backend,
         }
-        if baseline["method"] is SpreadMethod.SM and not self._sm_fits(
-            baseline["bin_shape"], kernel, precision, spec
-        ):
+        spec = spec if spec is not None else V100_SPEC
+
+        def fits(bins):
+            return sm_fits(bins, kernel.width, precision.complex_itemsize, spec)
+
+        if baseline["method"] is SpreadMethod.SM and not fits(baseline["bin_shape"]):
             baseline["method"] = SpreadMethod.GM_SORT
 
         seen = set()
@@ -404,7 +407,7 @@ class Autotuner:
             for bins in space.bin_shapes:
                 bins = tuple(int(b) for b in bins)
                 if method is SpreadMethod.SM:
-                    if not self._sm_fits(bins, kernel, precision, spec):
+                    if not fits(bins):
                         continue
                     for msub in space.msubs:
                         for tpb in space.threads_per_block:
@@ -414,17 +417,6 @@ class Autotuner:
                 else:
                     add(dict(baseline, method=method, bin_shape=bins))
         return candidates
-
-    @staticmethod
-    def _sm_fits(bin_shape, kernel, precision, spec=None):
-        try:
-            check_shared_memory_fit(
-                bin_shape, kernel.width, precision.complex_itemsize,
-                spec if spec is not None else V100_SPEC,
-            )
-        except LaunchConfigError:
-            return False
-        return True
 
     def _stats_for(self, problem, bin_shape, kernel, stats_cache):
         """Occupancy statistics for one candidate bin shape (memoized).
@@ -493,7 +485,7 @@ class Autotuner:
             problem.nufft_type, problem.n_modes, problem.n_points, problem.eps,
             method=method, distribution=problem.distribution,
             precision=problem.precision, opts=opts, spec=spec, rng=self.seed,
-            max_sample=self.max_sample, stats=stats, backend="device_sim",
+            max_sample=self.max_sample, stats=stats,
         )
         return float(result.times[self.objective])
 

@@ -132,6 +132,75 @@ class TestModelCufinufft:
             ns_per_point(1.0, 0)
 
 
+def _kernel_list(pipeline):
+    return [(phase, prof.name) for phase, prof in pipeline.kernels]
+
+
+class TestModelMatchesPlan:
+    """The executed plan is the reference: a model priced on the plan's own
+    sort lists the plan's kernels, in the same phases and order."""
+
+    CASES = [(2, (40, 40)), (3, (12, 12, 12))]
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("method", ["GM", "GM-sort", "SM"])
+    @pytest.mark.parametrize("nufft_type", [1, 2])
+    @pytest.mark.parametrize("ndim,n_modes", CASES)
+    def test_types_1_2_identical_on_the_plans_sort(self, rng, ndim, n_modes,
+                                                    nufft_type, method, precision):
+        from repro import Plan
+        from repro.core.binsort import SpreadStats
+
+        m = 3000
+        points = rng.uniform(-np.pi, np.pi, (ndim, m))
+        data = np.ones(m if nufft_type == 1 else n_modes, dtype=complex)
+        with Plan(nufft_type, n_modes, eps=1e-6, method=method,
+                  precision=precision) as plan:
+            plan.set_pts(*points)
+            plan.execute(data)
+            planned = (_kernel_list(plan._setup_pipeline)
+                       + _kernel_list(plan._exec_pipeline))
+            timings = plan.timings()
+            r = model_cufinufft(nufft_type, n_modes, m, 1e-6, method=method,
+                                precision=precision,
+                                stats=SpreadStats.from_binsort(plan.point_set.sort))
+        assert r.meta["method"] == plan.method.value
+        assert _kernel_list(r.pipeline) == planned
+        assert r.times["exec"] == timings["exec"]
+        assert r.times["setup"] == timings["setup"]
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("method", ["GM", "GM-sort", "SM"])
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_type3_lists_the_executed_kernels(self, rng, ndim, method, precision):
+        from repro import Plan
+
+        m = 2000
+        x = rng.uniform(-np.pi, np.pi, (ndim, m))
+        s = rng.uniform(-8.0, 8.0, (ndim, m))
+        with Plan(3, ndim, eps=1e-6, method=method, precision=precision) as plan:
+            plan.set_pts(**dict(zip("xyz", x)), **dict(zip("stu", s)))
+            plan.execute(np.ones(m, dtype=complex))
+            planned = (_kernel_list(plan._setup_pipeline)
+                       + _kernel_list(plan._exec_pipeline))
+            r = model_cufinufft(3, plan.fine_shape, m, 1e-6, method=method,
+                                precision=precision, rng=0, max_sample=m)
+        assert r.meta["t3_grid"] == plan.fine_shape
+        assert _kernel_list(r.pipeline) == planned
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("ndim", [2, 3])
+    @pytest.mark.parametrize("nufft_type", [1, 3])
+    def test_sm_capability_matches_the_priced_method(self, nufft_type, ndim,
+                                                     precision):
+        sm = get_library("cufinufft (SM)")
+        for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
+            r = model_cufinufft(nufft_type, (16,) * ndim, 2000, eps, method="SM",
+                                precision=precision, rng=0, max_sample=2000)
+            assert sm.supports(nufft_type, ndim, precision, eps) == (
+                r.meta["method"] == "SM"), eps
+
+
 # --------------------------------------------------------------------------- #
 # baseline libraries
 # --------------------------------------------------------------------------- #

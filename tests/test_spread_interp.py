@@ -118,7 +118,7 @@ class TestSpreadMethodsAgree:
                          "SM": ["spread_2d_sm", "spread_2d_sm_writeback"]}
         default = spread_kernel_profiles("SM", sort, kernel, Precision.SINGLE)
         explicit = spread_kernel_profiles("SM", sort, kernel, Precision.SINGLE,
-                                          subproblems=make_subproblems(sort, 1024))
+                                          n_subproblems=make_subproblems(sort, 1024).n_subproblems)
         assert default == explicit
         with pytest.raises(ValueError):
             spread_kernel_profiles("auto", sort, kernel, Precision.SINGLE)
@@ -228,7 +228,7 @@ class TestSpreadProfiles:
         subs = make_subproblems(sort, 1024)
         profiles = spread_kernel_profiles(SpreadMethod.SM, sort, kernel,
                                           Precision.SINGLE, spec=V100_SPEC,
-                                          subproblems=subs)
+                                          n_subproblems=subs.n_subproblems)
         names = [p.name for p in profiles]
         assert any("writeback" in n for n in names)
         spread_prof = profiles[0]
@@ -245,7 +245,7 @@ class TestSpreadProfiles:
         subs = make_subproblems(sort, 1024)
         with pytest.raises(LaunchConfigError):
             spread_kernel_profiles(SpreadMethod.SM, sort, kernel, Precision.DOUBLE,
-                                   spec=V100_SPEC, subproblems=subs)
+                                   spec=V100_SPEC, n_subproblems=subs.n_subproblems)
 
     def test_interp_profiles_have_no_atomics(self, rng):
         fine_shape = (128, 128)
@@ -295,7 +295,7 @@ class TestSpreadProfiles:
                   max_subproblem_size=256) as plan:
             plan.set_pts(x, y)
             plan.execute(c)
-            n_sub = plan.point_set.subproblems(256).n_subproblems
+            n_sub = make_subproblems(plan.point_set.sort, 256).n_subproblems
             default = make_subproblems(plan.point_set.sort, 1024).n_subproblems
             (sm,) = [k for k in plan._exec_pipeline.exec_kernels()
                      if k.name == "spread_2d_sm"]

@@ -28,6 +28,8 @@ if SRC not in sys.path:
 AUDITED = {
     "repro": {"require_examples": False},
     "repro.artifacts": {"require_examples": False},
+    "repro.backends": {"require_examples": False},
+    "repro.baselines": {"require_examples": False},
     "repro.core.env": {"require_examples": False},
     "repro.core.pointset": {"require_examples": False},
     "repro.core.simple": {"require_examples": True},
@@ -38,6 +40,8 @@ AUDITED = {
     "repro.cufinufft": {"require_examples": False},
     "repro.finufft": {"require_examples": False},
     "repro.faults": {"require_examples": False},
+    "repro.gpu": {"require_examples": False},
+    "repro.metrics": {"require_examples": False},
     "repro.mtip": {"require_examples": False},
     "repro.service": {"require_examples": False},
     "repro.service.frontend": {"require_examples": False},
