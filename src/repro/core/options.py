@@ -51,7 +51,7 @@ def integral_mode_counts(n_modes):
     """
     modes_f = tuple(float(n) for n in n_modes)
     if not all(math.isfinite(n) and n == int(n) for n in modes_f):
-        raise ValueError(f"mode counts must be integral, got {modes_f}")
+        raise ValueError(f"n_modes must hold integral mode counts, got {modes_f}")
     modes = tuple(int(n) for n in modes_f)
     if len(modes) not in (1, 2, 3) or min(modes) < 1:
         raise ValueError(f"n_modes must hold 1 to 3 mode counts >= 1, got {modes}")

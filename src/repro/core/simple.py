@@ -7,505 +7,236 @@ plan interface exists -- see the paper's discussion of "exec" timings), and
 :func:`repro.tuning.tune_opts` to autotune the plan parameters the wrappers
 would otherwise take from the paper's defaults.
 
-Every wrapper forwards unknown keyword arguments to :class:`Plan`, so
-``method=``, ``precision=``, ``backend=``, ``isign=``, ``tune=`` and any
-other :class:`~repro.core.options.Opts` field work here too.
+The nine calls here and the eighteen of the upstream facades
+(:mod:`repro.finufft`, :mod:`repro.cufinufft`) are one call surface:
+:data:`CALLS` names each call's arguments, :func:`define_calls` writes each
+call (signature and docstring) from that table, and every call runs through
+:func:`invoke`.  Unknown keyword arguments go to :class:`Plan`, so any
+:class:`~repro.core.options.Opts` field works here too.
 
-Precision inference (as in cuFINUFFT): when neither ``precision=`` nor
-``opts=`` is given, the wrappers infer the working precision from the input
-data dtype -- ``complex64``/``float32`` strengths or coefficients run in
-single precision and return ``complex64``, ``complex128``/``float64`` run in
-double and return ``complex128``.  Other dtypes (e.g. integers) keep the
-:class:`~repro.core.options.Opts` default.  An explicit ``precision=`` always
-wins.
+Precision inference (as in cuFINUFFT): without ``precision=`` or ``opts=``,
+``complex64``/``float32`` data runs in single precision and returns
+``complex64``, ``complex128``/``float64`` data in double; other dtypes keep
+the :class:`~repro.core.options.Opts` default.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .options import integral_mode_counts
 from .plan import Plan
 
-_SINGLE_DTYPES = (np.dtype(np.complex64), np.dtype(np.float32))
-_DOUBLE_DTYPES = (np.dtype(np.complex128), np.dtype(np.float64))
-
-
-def _infer_precision(kwargs, data):
-    """Fill ``kwargs['precision']`` from the data dtype unless explicit.
-
-    The explicit ``precision=`` kwarg (or a full ``opts=``) wins; otherwise
-    ``complex64``/``float32`` inputs select single precision and
-    ``complex128``/``float64`` double, so the output dtype matches the input
-    instead of silently up- or down-casting.
-    """
-    if "precision" in kwargs or "opts" in kwargs:
-        return kwargs
-    dtype = np.asarray(data).dtype
-    if dtype in _SINGLE_DTYPES:
-        kwargs["precision"] = "single"
-    elif dtype in _DOUBLE_DTYPES:
-        kwargs["precision"] = "double"
-    return kwargs
-
 __all__ = [
-    "nufft1d1",
-    "nufft1d2",
-    "nufft1d3",
-    "nufft2d1",
-    "nufft2d2",
-    "nufft2d3",
-    "nufft3d1",
-    "nufft3d2",
-    "nufft3d3",
+    "nufft1d1", "nufft1d2", "nufft1d3",
+    "nufft2d1", "nufft2d2", "nufft2d3",
+    "nufft3d1", "nufft3d2", "nufft3d3",
 ]
 
+#: The simple calls, ``(dim, nufft_type) -> (coordinates, data, targets)``:
+#: the coordinate argument names, the data argument (strengths ``c`` or, for
+#: type 2, modes ``f``) and the type-3 target frequency names.
+CALLS = {
+    (dim, nufft_type): (("x", "y", "z")[:dim], "f" if nufft_type == 2 else "c",
+                        ("s", "t", "u")[:dim] if nufft_type == 3 else ())
+    for dim in (1, 2, 3) for nufft_type in (1, 2, 3)
+}
 
-def _run_type1(coords, strengths, n_modes, eps, kwargs, out=None):
-    strengths = np.asarray(strengths)
-    kwargs = _infer_precision(dict(kwargs), strengths)
-    if strengths.ndim == 2:
-        # Stacked (n_trans, M) strength block: one batched plan execution.
-        kwargs.setdefault("n_trans", strengths.shape[0])
-    with Plan(1, n_modes, eps=eps, **kwargs) as plan:
-        plan.set_pts(*coords)
-        return plan.execute(strengths, out=out)
-
-
-def _run_type2(coords, modes, eps, kwargs, out=None):
-    modes = np.asarray(modes)
-    kwargs = _infer_precision(dict(kwargs), modes)
-    ndim = len(coords)
-    n_modes = modes.shape[modes.ndim - ndim:] if modes.ndim == ndim + 1 else modes.shape
-    with Plan(2, n_modes, eps=eps, **kwargs) as plan:
-        plan.set_pts(*coords)
-        return plan.execute(modes, out=out)
+_PRECISION_OF = {np.dtype(np.complex64): "single", np.dtype(np.float32): "single",
+                 np.dtype(np.complex128): "double", np.dtype(np.float64): "double"}
 
 
-def _run_type3(coords, strengths, targets, eps, kwargs, out=None):
-    strengths = np.asarray(strengths)
-    kwargs = _infer_precision(dict(kwargs), strengths)
-    if strengths.ndim == 2:
-        kwargs.setdefault("n_trans", strengths.shape[0])
-    ndim = len(coords)
-    target_kw = dict(zip(("s", "t", "u"), targets))
-    with Plan(3, ndim, eps=eps, **kwargs) as plan:
-        plan.set_pts(*coords, **target_kw)
-        return plan.execute(strengths, out=out)
+def invoke(nufft_type, coords, data, targets, n_modes, kwargs, eps=1e-6, out=None,
+           stacked_modes=False):
+    """Run one simple call on a guru :class:`Plan`: plan, set points, execute.
 
-
-def nufft1d1(x, c, n_modes, eps=1e-6, out=None, **kwargs):
-    """1D type-1 NUFFT: ``f_k = sum_j c_j exp(-i k x_j)``.
-
-    Parameters
-    ----------
-    x : array_like, shape (M,)
-        Nonuniform points in ``[-pi, pi)`` (any reals are folded in).
-    c : array_like, shape (M,) or (n_trans, M)
-        Complex strengths; a stacked block runs as one batched transform.
-    n_modes : int or 1-tuple
-        Output mode count ``N1``.
-    eps : float
-        Requested relative tolerance.
-    out : ndarray, optional
-        Preallocated output array of exactly the result shape and the
-        transform's complex dtype; the terminal stage writes into it (no
-        intermediate output buffer) and it is returned.  A mismatched shape
-        or dtype raises ``ValueError``.
-    **kwargs
-        Forwarded to :class:`~repro.core.plan.Plan` (``method=``,
-        ``precision=``, ``backend=``, ``isign=``, ``tune=``, ...).
-        ``isign=-1`` (the type-1 default) uses ``e^{-i k x}``; pass
-        ``isign=+1`` for the conjugate convention.  Without an explicit
-        ``precision=``, the working precision is inferred from ``c``'s dtype
-        (``complex64``/``float32`` -> single, ``complex128``/``float64`` ->
-        double) and the output dtype matches.
-
-    Returns
-    -------
-    ndarray, shape (N1,) or (n_trans, N1)
-        Fourier coefficients ordered by ascending frequency from ``-N1//2``.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro import nufft1d1
-    >>> rng = np.random.default_rng(0)
-    >>> x = rng.uniform(-np.pi, np.pi, 500)
-    >>> c = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-    >>> nufft1d1(x, c, 64).shape
-    (64,)
+    ``coords`` and ``targets`` hold the call's coordinate and type-3 target
+    arrays, ``data`` its strengths or modes, and ``kwargs`` the
+    :class:`Plan` keywords, in a dict the call owns (it is filled in place).
+    A leading axis on ``data`` beyond the transform's rank is an ``n_trans``
+    stack; a stacked type-2 mode block needs an explicit ``n_trans`` unless
+    ``stacked_modes`` (the facades, where upstream infers it).  The working
+    precision follows ``data``'s dtype.  A type-1 ``n_modes`` of ``None`` is
+    read from ``out``'s trailing axes; either way it must hold ``dim``
+    integral mode counts.
     """
-    if np.isscalar(n_modes):
-        n_modes = (int(n_modes),)
-    if len(n_modes) != 1:
-        raise ValueError(f"n_modes must be an int or a 1-tuple, got {n_modes!r}")
-    return _run_type1((x,), c, tuple(n_modes), eps, kwargs, out=out)
+    dim = len(coords)
+    data = np.asarray(data)
+    rank = dim if nufft_type == 2 else 1
+    if data.ndim == rank + 1:
+        if nufft_type == 2 and not stacked_modes and "n_trans" not in kwargs:
+            raise ValueError(f"f has shape {data.shape}: pass n_trans= for a stacked "
+                             f"(n_trans, *n_modes) block of {dim}-D mode arrays")
+        kwargs.setdefault("n_trans", data.shape[0])
+    elif data.ndim != rank:
+        name = CALLS[dim, nufft_type][1]
+        raise ValueError(f"{name} must be a {rank}-D array or a stacked (n_trans, ...) "
+                         f"block of them, got shape {data.shape}")
+    if "precision" not in kwargs and "opts" not in kwargs \
+            and data.dtype in _PRECISION_OF:
+        kwargs["precision"] = _PRECISION_OF[data.dtype]
+    if nufft_type == 1:
+        if n_modes is None:
+            if out is None:
+                raise ValueError("either n_modes or out= must be provided")
+            n_modes = np.shape(out)[-dim:]
+        shape = integral_mode_counts(n_modes if np.ndim(n_modes) else (n_modes,))
+        if len(shape) != dim:
+            raise ValueError(f"n_modes must hold {dim} mode count(s), got {n_modes!r}")
+    else:
+        shape = data.shape[-dim:] if nufft_type == 2 else dim
+    with Plan(nufft_type, shape, eps=eps, **kwargs) as plan:
+        plan.set_pts(*coords, **dict(zip(("s", "t", "u"), targets)))
+        return plan.execute(data, out=out)
 
 
-def nufft1d2(x, f, eps=1e-6, out=None, **kwargs):
-    """1D type-2 NUFFT: evaluate the Fourier series ``f`` at the targets ``x``.
+#: Per transform type, as documented: the sum, the data argument, the result
+#: and the facades' note.
+_TYPE_DOCS = {
+    1: ("``f_k = sum_j c_j exp(-i k.x_j)`` (paper Eq. (1))",
+        "Complex strengths; a stacked block runs as one batched transform\n"
+        "    sharing the plan and its stencil cache.",
+        "Fourier coefficients, each axis ordered by ascending frequency\n"
+        "    from ``-N//2``.",
+        "  ``n_modes`` may be\nomitted when ``out=`` is given: its trailing axes are the "
+        "mode counts."),
+    2: ("``c_j = sum_k f_k exp(+i k.x_j)`` (paper Eq. (3))",
+        "Mode coefficients, each axis ordered by ascending frequency from\n"
+        "    ``-N//2``; a stacked block needs an explicit ``n_trans``.",
+        "The series evaluated at each point.",
+        "  A stacked\n``(n_trans, N1, ...)`` block of modes sets ``n_trans`` from its "
+        "leading axis."),
+    3: ("``f_k = sum_j c_j exp(+i s_k.x_j)``",
+        "Complex strengths; a stacked block runs as one batched transform.",
+        "The sums at each target frequency.", ""),
+}
+_EXAMPLE_MODES = {1: (64,), 2: (32, 32), 3: (12, 12, 12)}
 
-    Parameters
-    ----------
-    x : array_like, shape (M,)
-        Evaluation points in ``[-pi, pi)``.
-    f : array_like, shape (N1,) or (n_trans, N1)
-        Mode coefficients; pass ``n_trans`` explicitly for a stacked block.
-    eps : float
-        Requested relative tolerance.
-    out : ndarray, optional
-        Preallocated output array of exactly the result shape and the
-        transform's complex dtype; the terminal stage writes into it (no
-        intermediate output buffer) and it is returned.  A mismatched shape
-        or dtype raises ``ValueError``.
-    **kwargs
-        Forwarded to :class:`~repro.core.plan.Plan` (``method=``,
-        ``precision=``, ``backend=``, ``isign=``, ``tune=``, ...).  The
-        exponent sign defaults to ``+1`` for type-2/type-3 wrappers and
-        ``-1`` for type-1; pass ``isign=`` to flip it.  Without an explicit
-        ``precision=``, precision is inferred from the input data dtype
-        (``complex64``/``float32`` -> single, ``complex128``/``float64`` ->
-        double) and the output dtype matches.
+_TEMPLATE = """{dim}D type-{t} NUFFT: {sum}.
 
-    Returns
-    -------
-    ndarray, shape (M,) or (n_trans, M)
-        ``sum_k f_k exp(+i k x_j)`` per target.
+Parameters
+----------
+{coords} : array_like, shape (M,)
+    {points}
+{data} : array_like, shape {data_shape} or (n_trans, {data_inner})
+    {data_doc}
+{extra}eps : float
+    Requested relative tolerance.
+out : ndarray, optional
+    Preallocated output array of exactly the result shape and the
+    transform's complex dtype; the terminal stage writes into it (no
+    intermediate output buffer) and it is returned.  A mismatched shape
+    or dtype raises ``ValueError``.
+**kwargs
+    Forwarded to :class:`~repro.core.plan.Plan` (``method=``,
+    ``precision=``, ``backend=``, ``isign=``, ``n_trans=``, ``tune=``, ...).
+    ``isign=`` sets the exponent sign (default ``{sign:+d}``, as above).
+    Without an explicit ``precision=``, the working precision is inferred
+    from ``{data}``'s dtype (``complex64``/``float32`` -> single,
+    ``complex128``/``float64`` -> double) and the output dtype matches.
 
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro import nufft1d2
-    >>> rng = np.random.default_rng(0)
-    >>> x = rng.uniform(-np.pi, np.pi, 300)
-    >>> f = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    >>> nufft1d2(x, f).shape
-    (300,)
+Returns
+-------
+ndarray, shape {out_shape} or (n_trans, {out_inner})
+    {returns}
+
+Examples
+--------
+>>> import numpy as np
+>>> from repro import {name}
+>>> rng = np.random.default_rng(0)
+{example}"""
+
+_UPSTREAM_TEMPLATE = """{dim}D type-{t} simple call in upstream ``{module}`` argument order.
+
+Upstream defaults: ``isign={sign:+d}``, ``eps=1e-6``.  Same transform, bit for
+bit, as :func:`repro.core.simple.{name}` at the same sign and precision.
+``isign`` follows upstream's rule (non-negative -> ``+1``, negative ->
+``-1``) and the other keywords are ``{module}`` options.{note}
+"""
+
+
+def _uniform(names, bound, size, dim):
+    """One example line drawing ``dim`` uniform arrays of ``size`` values."""
+    shape = size if dim == 1 else f"({dim}, {size})"
+    return f">>> {', '.join(names)} = rng.uniform(-{bound}, {bound}, {shape})"
+
+
+def _docstring(dim, nufft_type, upstream_module=None):
+    """Docstring of one call: the native template, or the upstream one for a facade."""
+    coords, data, targets = CALLS[dim, nufft_type]
+    summed, data_doc, returns, note = _TYPE_DOCS[nufft_type]
+    name = f"nufft{dim}d{nufft_type}"
+    if upstream_module is not None:
+        return _UPSTREAM_TEMPLATE.format(dim=dim, t=nufft_type, module=upstream_module,
+                                         name=name, sign=-1 if nufft_type == 2 else 1,
+                                         note=note)
+    inner = ", ".join(f"N{d + 1}" for d in range(dim))
+    modes_doc = inner + ("," if dim == 1 else "")
+    modes = _EXAMPLE_MODES[dim]
+    extra, args = "", [*coords, data]
+    example = [_uniform(coords, "1.0" if nufft_type == 3 else "np.pi", 500, dim)]
+    if nufft_type == 2:
+        example.append(f">>> f = rng.standard_normal({modes}) + 1j * rng.standard_normal({modes})")
+    else:
+        example.append(">>> c = rng.standard_normal(500) + 1j * rng.standard_normal(500)")
+    if nufft_type == 1:
+        extra = (f"n_modes : int or tuple of {dim} int\n"
+                 f"    Output mode counts ``({modes_doc})``.\n")
+        args.append(str(modes))
+    elif nufft_type == 3:
+        extra = (f"{', '.join(targets)} : array_like, shape (N_k,)\n"
+                 "    Target frequencies (arbitrary reals).\n")
+        example.append(_uniform(targets, "10.0", 100, dim))
+        args += targets
+    example += [f">>> {name}({', '.join(args)}).shape",
+                str({1: modes, 2: (500,), 3: (100,)}[nufft_type])]
+    return _TEMPLATE.format(
+        dim=dim, t=nufft_type, sum=summed, name=name, coords=", ".join(coords),
+        points=("Source points (arbitrary reals)." if nufft_type == 3 else
+                "Nonuniform points in ``[-pi, pi)`` (any reals are folded in)."),
+        data=data, data_doc=data_doc, extra=extra, sign=-1 if nufft_type == 1 else 1,
+        data_shape=f"({modes_doc})" if nufft_type == 2 else "(M,)",
+        data_inner=inner if nufft_type == 2 else "M",
+        out_shape={1: f"({modes_doc})", 2: "(M,)", 3: "(N_k,)"}[nufft_type],
+        out_inner={1: inner, 2: "M", 3: "N_k"}[nufft_type],
+        returns=returns, example="\n".join(example) + "\n")
+
+
+def define_calls(namespace, runner, upstream=False):
+    """Define the nine simple calls in ``namespace``, a module's globals.
+
+    Each call is an ordinary module function written from :data:`CALLS`, in
+    the native argument order ``(coords, data[, n_modes][, targets],
+    eps=1e-6, out=None, **kwargs)`` or, for a facade (``upstream``), in
+    upstream's ``(coords, data[, n_modes=None][, targets], out=None,
+    eps=1e-6, isign=+-1, **kwargs)``.  Its body hands the arguments to the
+    namespace's ``runner``: ``runner(nufft_type, coords, data, targets,
+    n_modes, kwargs, eps=, out=[, isign=])``.  Generating the source (as
+    :mod:`dataclasses` does for ``__init__``) keeps the real signatures, the
+    doctests and the zero per-call cost of hand-written functions.  Returns
+    the nine functions in table order.
     """
-    f = np.asarray(f)
-    expected = 2 if kwargs.get("n_trans", 1) > 1 else 1
-    if f.ndim != expected:
-        raise ValueError(f"f must be a {expected}-D mode array, got shape {f.shape}")
-    return _run_type2((x,), f, eps, kwargs, out=out)
+    calls = []
+    for (dim, nufft_type), (coords, data, targets) in CALLS.items():
+        name = f"nufft{dim}d{nufft_type}"
+        if upstream:
+            tail = {"out": None, "eps": 1e-6, "isign": -1 if nufft_type == 2 else 1}
+        else:
+            tail = {"eps": 1e-6, "out": None}
+        modes = ["n_modes=None" if upstream else "n_modes"] if nufft_type == 1 else []
+        params = [*coords, data, *modes, *targets, *(f"{k}={v!r}" for k, v in tail.items())]
+        exec(f"def {name}({', '.join(params)}, **kwargs):\n"
+             f"    return {runner}({nufft_type}, [{', '.join(coords)}], {data}, "
+             f"[{', '.join(targets)}], "
+             f"{'n_modes' if modes else None}, kwargs, "
+             f"{', '.join(f'{k}={k}' for k in tail)})\n", namespace)
+        namespace[name].__doc__ = _docstring(
+            dim, nufft_type, namespace["__name__"].rpartition(".")[2] if upstream else None)
+        calls.append(namespace[name])
+    return calls
 
 
-def nufft1d3(x, c, s, eps=1e-6, out=None, **kwargs):
-    """1D type-3 NUFFT: ``f_k = sum_j c_j exp(+i s_k x_j)``.
-
-    Parameters
-    ----------
-    x : array_like, shape (M,)
-        Source points (arbitrary reals).
-    c : array_like, shape (M,) or (n_trans, M)
-        Complex strengths.
-    s : array_like, shape (N_k,)
-        Target frequencies (arbitrary reals).
-    eps : float
-        Requested relative tolerance.
-    out : ndarray, optional
-        Preallocated output array of exactly the result shape and the
-        transform's complex dtype; the terminal stage writes into it (no
-        intermediate output buffer) and it is returned.  A mismatched shape
-        or dtype raises ``ValueError``.
-    **kwargs
-        Forwarded to :class:`~repro.core.plan.Plan` (``method=``,
-        ``precision=``, ``backend=``, ``isign=``, ``tune=``, ...).  The
-        exponent sign defaults to ``+1`` for type-2/type-3 wrappers and
-        ``-1`` for type-1; pass ``isign=`` to flip it.  Without an explicit
-        ``precision=``, precision is inferred from the input data dtype
-        (``complex64``/``float32`` -> single, ``complex128``/``float64`` ->
-        double) and the output dtype matches.
-
-    Returns
-    -------
-    ndarray, shape (N_k,) or (n_trans, N_k)
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro import nufft1d3
-    >>> rng = np.random.default_rng(0)
-    >>> x = rng.uniform(-1.0, 1.0, 400)
-    >>> c = rng.standard_normal(400) + 1j * rng.standard_normal(400)
-    >>> s = rng.uniform(-40.0, 40.0, 250)
-    >>> nufft1d3(x, c, s).shape
-    (250,)
-    """
-    return _run_type3((x,), c, (s,), eps, kwargs, out=out)
-
-
-def nufft2d1(x, y, c, n_modes, eps=1e-6, out=None, **kwargs):
-    """2D type-1 NUFFT (paper Eq. (1)).
-
-    Parameters
-    ----------
-    x, y : array_like, shape (M,)
-        Nonuniform point coordinates in ``[-pi, pi)``.
-    c : array_like, shape (M,) or (n_trans, M)
-        Complex strengths; a stacked block runs as one batched transform
-        sharing the plan and its stencil cache.
-    n_modes : tuple (N1, N2)
-        Output mode counts.
-    eps : float
-        Requested relative tolerance.
-    out : ndarray, optional
-        Preallocated output array of exactly the result shape and the
-        transform's complex dtype; the terminal stage writes into it (no
-        intermediate output buffer) and it is returned.  A mismatched shape
-        or dtype raises ``ValueError``.
-    **kwargs
-        Forwarded to :class:`~repro.core.plan.Plan` (``method=``,
-        ``precision=``, ``isign=``, ``tune=``, ...).  ``isign=-1`` (the
-        type-1 default) uses ``e^{-i k.x}``; without an explicit
-        ``precision=``, precision is inferred from ``c``'s dtype and the
-        output dtype matches.
-
-    Returns
-    -------
-    ndarray, shape (N1, N2)
-        Fourier coefficients, axes ordered by ascending frequency from
-        ``-N//2``.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro import nufft2d1
-    >>> rng = np.random.default_rng(0)
-    >>> x, y = rng.uniform(-np.pi, np.pi, (2, 800))
-    >>> c = rng.standard_normal(800) + 1j * rng.standard_normal(800)
-    >>> nufft2d1(x, y, c, (32, 32)).shape
-    (32, 32)
-    """
-    if len(n_modes) != 2:
-        raise ValueError(f"n_modes must have length 2, got {n_modes!r}")
-    return _run_type1((x, y), c, tuple(n_modes), eps, kwargs, out=out)
-
-
-def nufft2d2(x, y, f, eps=1e-6, out=None, **kwargs):
-    """2D type-2 NUFFT (paper Eq. (3)): evaluate the series ``f`` at ``(x, y)``.
-
-    Parameters
-    ----------
-    x, y : array_like, shape (M,)
-        Evaluation points in ``[-pi, pi)``.
-    f : array_like, shape (N1, N2) or (n_trans, N1, N2)
-        Mode coefficients; pass ``n_trans`` explicitly for a stacked block,
-        evaluated in one batched transform.
-    eps : float
-        Requested relative tolerance.
-    out : ndarray, optional
-        Preallocated output array of exactly the result shape and the
-        transform's complex dtype; the terminal stage writes into it (no
-        intermediate output buffer) and it is returned.  A mismatched shape
-        or dtype raises ``ValueError``.
-    **kwargs
-        Forwarded to :class:`~repro.core.plan.Plan` (``method=``,
-        ``precision=``, ``backend=``, ``isign=``, ``tune=``, ...).  The
-        exponent sign defaults to ``+1`` for type-2/type-3 wrappers and
-        ``-1`` for type-1; pass ``isign=`` to flip it.  Without an explicit
-        ``precision=``, precision is inferred from the input data dtype
-        (``complex64``/``float32`` -> single, ``complex128``/``float64`` ->
-        double) and the output dtype matches.
-
-    Returns
-    -------
-    ndarray, shape (M,) or (n_trans, M)
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro import nufft2d2
-    >>> rng = np.random.default_rng(0)
-    >>> x, y = rng.uniform(-np.pi, np.pi, (2, 600))
-    >>> f = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
-    >>> nufft2d2(x, y, f).shape
-    (600,)
-    """
-    f = np.asarray(f)
-    expected = 3 if kwargs.get("n_trans", 1) > 1 else 2
-    if f.ndim != expected:
-        raise ValueError(f"f must be a {expected}-D mode array, got shape {f.shape}")
-    return _run_type2((x, y), f, eps, kwargs, out=out)
-
-
-def nufft2d3(x, y, c, s, t, eps=1e-6, out=None, **kwargs):
-    """2D type-3 NUFFT: ``f_k = sum_j c_j exp(+i (s_k x_j + t_k y_j))``.
-
-    Parameters
-    ----------
-    x, y : array_like, shape (M,)
-        Source points (arbitrary reals).
-    c : array_like, shape (M,) or (n_trans, M)
-        Complex strengths.
-    s, t : array_like, shape (N_k,)
-        Target frequencies (arbitrary reals).
-    eps : float
-        Requested relative tolerance.
-    out : ndarray, optional
-        Preallocated output array of exactly the result shape and the
-        transform's complex dtype; the terminal stage writes into it (no
-        intermediate output buffer) and it is returned.  A mismatched shape
-        or dtype raises ``ValueError``.
-    **kwargs
-        Forwarded to :class:`~repro.core.plan.Plan` (``method=``,
-        ``precision=``, ``backend=``, ``isign=``, ``tune=``, ...).  The
-        exponent sign defaults to ``+1`` for type-2/type-3 wrappers and
-        ``-1`` for type-1; pass ``isign=`` to flip it.  Without an explicit
-        ``precision=``, precision is inferred from the input data dtype
-        (``complex64``/``float32`` -> single, ``complex128``/``float64`` ->
-        double) and the output dtype matches.
-
-    Returns
-    -------
-    ndarray, shape (N_k,) or (n_trans, N_k)
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro import nufft2d3
-    >>> rng = np.random.default_rng(0)
-    >>> x, y = rng.uniform(-1.0, 1.0, (2, 400))
-    >>> c = rng.standard_normal(400) + 1j * rng.standard_normal(400)
-    >>> s, t = rng.uniform(-20.0, 20.0, (2, 150))
-    >>> nufft2d3(x, y, c, s, t).shape
-    (150,)
-    """
-    return _run_type3((x, y), c, (s, t), eps, kwargs, out=out)
-
-
-def nufft3d1(x, y, z, c, n_modes, eps=1e-6, out=None, **kwargs):
-    """3D type-1 NUFFT.
-
-    Parameters
-    ----------
-    x, y, z : array_like, shape (M,)
-        Nonuniform point coordinates in ``[-pi, pi)``.
-    c : array_like, shape (M,) or (n_trans, M)
-        Complex strengths.
-    n_modes : tuple (N1, N2, N3)
-        Output mode counts.
-    eps : float
-        Requested relative tolerance.
-    out : ndarray, optional
-        Preallocated output array of exactly the result shape and the
-        transform's complex dtype; the terminal stage writes into it (no
-        intermediate output buffer) and it is returned.  A mismatched shape
-        or dtype raises ``ValueError``.
-    **kwargs
-        Forwarded to :class:`~repro.core.plan.Plan` (``method=``,
-        ``precision=``, ``backend=``, ``isign=``, ``tune=``, ...).  The
-        exponent sign defaults to ``+1`` for type-2/type-3 wrappers and
-        ``-1`` for type-1; pass ``isign=`` to flip it.  Without an explicit
-        ``precision=``, precision is inferred from the input data dtype
-        (``complex64``/``float32`` -> single, ``complex128``/``float64`` ->
-        double) and the output dtype matches.
-
-    Returns
-    -------
-    ndarray, shape (N1, N2, N3)
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro import nufft3d1
-    >>> rng = np.random.default_rng(0)
-    >>> x, y, z = rng.uniform(-np.pi, np.pi, (3, 500))
-    >>> c = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-    >>> nufft3d1(x, y, z, c, (12, 12, 12)).shape
-    (12, 12, 12)
-    """
-    if len(n_modes) != 3:
-        raise ValueError(f"n_modes must have length 3, got {n_modes!r}")
-    return _run_type1((x, y, z), c, tuple(n_modes), eps, kwargs, out=out)
-
-
-def nufft3d2(x, y, z, f, eps=1e-6, out=None, **kwargs):
-    """3D type-2 NUFFT: evaluate the series ``f`` at ``(x, y, z)``.
-
-    Parameters
-    ----------
-    x, y, z : array_like, shape (M,)
-        Evaluation points in ``[-pi, pi)``.
-    f : array_like, shape (N1, N2, N3) or (n_trans, N1, N2, N3)
-        Mode coefficients (pass ``n_trans`` for stacked batches).
-    eps : float
-        Requested relative tolerance.
-    out : ndarray, optional
-        Preallocated output array of exactly the result shape and the
-        transform's complex dtype; the terminal stage writes into it (no
-        intermediate output buffer) and it is returned.  A mismatched shape
-        or dtype raises ``ValueError``.
-    **kwargs
-        Forwarded to :class:`~repro.core.plan.Plan` (``method=``,
-        ``precision=``, ``backend=``, ``isign=``, ``tune=``, ...).  The
-        exponent sign defaults to ``+1`` for type-2/type-3 wrappers and
-        ``-1`` for type-1; pass ``isign=`` to flip it.  Without an explicit
-        ``precision=``, precision is inferred from the input data dtype
-        (``complex64``/``float32`` -> single, ``complex128``/``float64`` ->
-        double) and the output dtype matches.
-
-    Returns
-    -------
-    ndarray, shape (M,) or (n_trans, M)
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro import nufft3d2
-    >>> rng = np.random.default_rng(0)
-    >>> x, y, z = rng.uniform(-np.pi, np.pi, (3, 400))
-    >>> f = (rng.standard_normal((10, 10, 10))
-    ...      + 1j * rng.standard_normal((10, 10, 10)))
-    >>> nufft3d2(x, y, z, f).shape
-    (400,)
-    """
-    f = np.asarray(f)
-    expected = 4 if kwargs.get("n_trans", 1) > 1 else 3
-    if f.ndim != expected:
-        raise ValueError(f"f must be a {expected}-D mode array, got shape {f.shape}")
-    return _run_type2((x, y, z), f, eps, kwargs, out=out)
-
-
-def nufft3d3(x, y, z, c, s, t, u, eps=1e-6, out=None, **kwargs):
-    """3D type-3 NUFFT: ``f_k = sum_j c_j exp(+i s_vec_k . x_vec_j)``.
-
-    Parameters
-    ----------
-    x, y, z : array_like, shape (M,)
-        Source points (arbitrary reals).
-    c : array_like, shape (M,) or (n_trans, M)
-        Complex strengths.
-    s, t, u : array_like, shape (N_k,)
-        Target frequencies (arbitrary reals).
-    eps : float
-        Requested relative tolerance.
-    out : ndarray, optional
-        Preallocated output array of exactly the result shape and the
-        transform's complex dtype; the terminal stage writes into it (no
-        intermediate output buffer) and it is returned.  A mismatched shape
-        or dtype raises ``ValueError``.
-    **kwargs
-        Forwarded to :class:`~repro.core.plan.Plan` (``method=``,
-        ``precision=``, ``backend=``, ``isign=``, ``tune=``, ...).  The
-        exponent sign defaults to ``+1`` for type-2/type-3 wrappers and
-        ``-1`` for type-1; pass ``isign=`` to flip it.  Without an explicit
-        ``precision=``, precision is inferred from the input data dtype
-        (``complex64``/``float32`` -> single, ``complex128``/``float64`` ->
-        double) and the output dtype matches.
-
-    Returns
-    -------
-    ndarray, shape (N_k,) or (n_trans, N_k)
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro import nufft3d3
-    >>> rng = np.random.default_rng(0)
-    >>> x, y, z = rng.uniform(-1.0, 1.0, (3, 300))
-    >>> c = rng.standard_normal(300) + 1j * rng.standard_normal(300)
-    >>> s, t, u = rng.uniform(-10.0, 10.0, (3, 120))
-    >>> nufft3d3(x, y, z, c, s, t, u).shape
-    (120,)
-    """
-    return _run_type3((x, y, z), c, (s, t, u), eps, kwargs, out=out)
+(nufft1d1, nufft1d2, nufft1d3,
+ nufft2d1, nufft2d2, nufft2d3,
+ nufft3d1, nufft3d2, nufft3d3) = define_calls(globals(), "invoke")

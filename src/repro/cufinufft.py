@@ -38,17 +38,8 @@ one.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .core.options import Opts
-from .core.plan import Plan as _NativePlan
 from .core import simple as _simple
-from .finufft import (
-    _DEFAULT_EPS,
-    _default_iflag,
-    _parse_dtype,
-    Plan as _FinufftPlan,
-)
+from .finufft import Plan as _FinufftPlan, _simple_runner
 
 __all__ = [
     "Plan",
@@ -75,7 +66,6 @@ def _translate_opts(kwargs):
     """
     native = {}
     bins = {}
-    method = kwargs.get("gpu_method")
     sort = kwargs.get("gpu_sort")
     for name, value in kwargs.items():
         if name in _IGNORED_OPTS or value is None:
@@ -113,9 +103,6 @@ def _translate_opts(kwargs):
                 f"(got axes {sorted(bins)})"
             )
         native["bin_shape"] = tuple(bins[d] for d in range(ndim))
-    if method is not None and int(method) == 1 and sort is not None \
-            and not int(sort):
-        native["sort_points"] = False
     return native
 
 
@@ -142,76 +129,15 @@ class Plan(_FinufftPlan):
     ((48,), dtype('complex64'))
     """
 
+    _translate_opts = staticmethod(_translate_opts)
+
     def __init__(self, nufft_type, n_modes_or_dim, iflag=None, n_trans=1,
                  eps=None, dtype="complex64", **kwargs):
-        precision = _parse_dtype(dtype)
-        if eps is None:
-            eps = _DEFAULT_EPS[precision]
-        if iflag is None:
-            iflag = _default_iflag(nufft_type)
-        overrides = _translate_opts(kwargs)
-        overrides["precision"] = precision
-        overrides["isign"] = int(np.sign(int(iflag))) if int(iflag) != 0 else 0
-        self._plan = _NativePlan(nufft_type, n_modes_or_dim, n_trans=n_trans,
-                                 eps=eps, opts=Opts(**overrides))
+        super().__init__(nufft_type, n_modes_or_dim, iflag, n_trans, eps, dtype,
+                         **kwargs)
 
 
-def _simple_kwargs(isign, kwargs):
-    """Translate simple-call cuFINUFFT opts into native wrapper kwargs."""
-    native = _translate_opts(kwargs)
-    native["isign"] = int(np.sign(int(isign))) if int(isign) != 0 else 0
-    return native
-
-
-def nufft1d1(x, c, n_modes, out=None, eps=1e-6, isign=1, **kwargs):
-    """1D type-1 simple call with upstream defaults (``isign=+1``)."""
-    return _simple.nufft1d1(x, c, n_modes, eps=eps, out=out,
-                            **_simple_kwargs(isign, kwargs))
-
-
-def nufft1d2(x, f, out=None, eps=1e-6, isign=-1, **kwargs):
-    """1D type-2 simple call with upstream defaults (``isign=-1``)."""
-    return _simple.nufft1d2(x, f, eps=eps, out=out,
-                            **_simple_kwargs(isign, kwargs))
-
-
-def nufft1d3(x, c, s, out=None, eps=1e-6, isign=1, **kwargs):
-    """1D type-3 simple call with upstream defaults (``isign=+1``)."""
-    return _simple.nufft1d3(x, c, s, eps=eps, out=out,
-                            **_simple_kwargs(isign, kwargs))
-
-
-def nufft2d1(x, y, c, n_modes, out=None, eps=1e-6, isign=1, **kwargs):
-    """2D type-1 simple call with upstream defaults (``isign=+1``)."""
-    return _simple.nufft2d1(x, y, c, n_modes, eps=eps, out=out,
-                            **_simple_kwargs(isign, kwargs))
-
-
-def nufft2d2(x, y, f, out=None, eps=1e-6, isign=-1, **kwargs):
-    """2D type-2 simple call with upstream defaults (``isign=-1``)."""
-    return _simple.nufft2d2(x, y, f, eps=eps, out=out,
-                            **_simple_kwargs(isign, kwargs))
-
-
-def nufft2d3(x, y, c, s, t, out=None, eps=1e-6, isign=1, **kwargs):
-    """2D type-3 simple call with upstream defaults (``isign=+1``)."""
-    return _simple.nufft2d3(x, y, c, s, t, eps=eps, out=out,
-                            **_simple_kwargs(isign, kwargs))
-
-
-def nufft3d1(x, y, z, c, n_modes, out=None, eps=1e-6, isign=1, **kwargs):
-    """3D type-1 simple call with upstream defaults (``isign=+1``)."""
-    return _simple.nufft3d1(x, y, z, c, n_modes, eps=eps, out=out,
-                            **_simple_kwargs(isign, kwargs))
-
-
-def nufft3d2(x, y, z, f, out=None, eps=1e-6, isign=-1, **kwargs):
-    """3D type-2 simple call with upstream defaults (``isign=-1``)."""
-    return _simple.nufft3d2(x, y, z, f, eps=eps, out=out,
-                            **_simple_kwargs(isign, kwargs))
-
-
-def nufft3d3(x, y, z, c, s, t, u, out=None, eps=1e-6, isign=1, **kwargs):
-    """3D type-3 simple call with upstream defaults (``isign=+1``)."""
-    return _simple.nufft3d3(x, y, z, c, s, t, u, eps=eps, out=out,
-                            **_simple_kwargs(isign, kwargs))
+_run = _simple_runner(_translate_opts)
+(nufft1d1, nufft1d2, nufft1d3,
+ nufft2d1, nufft2d2, nufft2d3,
+ nufft3d1, nufft3d2, nufft3d3) = _simple.define_calls(globals(), "_run", upstream=True)

@@ -17,10 +17,12 @@ at equal settings:
   iflag=None, n_trans=1, eps=None, **kwargs)`` with ``setpts`` /
   ``execute(data, out=None)`` / ``destroy`` methods, and the nine
   ``nufft{1,2,3}d{1,2,3}`` simple calls with upstream argument order and
-  ``out=`` support.
+  ``out=`` support (written from :data:`repro.core.simple.CALLS`; a type-2
+  call reads ``n_trans`` from a stacked mode block's leading axis).
 * **Sign defaults** -- upstream ``iflag`` defaults to ``+1`` for types 1 and
   3 and ``-1`` for type 2 (the *opposite* of the paper's type-1 convention
-  used by the native API, whose type-1 default is ``-1``).
+  used by the native API, whose type-1 default is ``-1``); as upstream, any
+  non-negative ``iflag``/``isign`` means ``+1`` and a negative one ``-1``.
 * **Tolerance defaults** -- upstream ``eps`` defaults to ``1e-6`` in single
   precision and ``1e-14`` in double; precision itself comes from ``dtype=``
   (``"complex64"``/``"complex128"``, upstream's plan dtype option).
@@ -72,9 +74,9 @@ def _parse_dtype(dtype):
     )
 
 
-def _default_iflag(nufft_type):
-    """Upstream sign defaults: +1 for types 1 and 3, -1 for type 2."""
-    return -1 if int(nufft_type) == 2 else 1
+def _upstream_sign(iflag):
+    """Upstream's sign rule for ``iflag``/``isign``: non-negative -> +1, else -1."""
+    return 1 if float(iflag) >= 0 else -1
 
 
 def _translate_opts(kwargs):
@@ -120,8 +122,9 @@ class Plan:
         Mode counts ``(N1[, N2[, N3]])`` for types 1 and 2; the dimension
         for type 3 (as upstream: a type-3 plan has no uniform grid).
     iflag : int, optional
-        Sign of ``i`` in the transform exponent.  Defaults to upstream's
-        convention: ``+1`` for types 1 and 3, ``-1`` for type 2.
+        Sign of ``i`` in the transform exponent: non-negative -> ``+1``,
+        negative -> ``-1``.  Defaults to upstream's convention: ``+1`` for
+        types 1 and 3, ``-1`` for type 2.
     n_trans : int
         Number of transforms sharing one point set (vectorized interface).
     eps : float, optional
@@ -144,23 +147,22 @@ class Plan:
     >>> x = rng.uniform(-np.pi, np.pi, 400)
     >>> c = rng.standard_normal(400) + 1j * rng.standard_normal(400)
     >>> plan = finufft.Plan(1, (48,), eps=1e-6)
-    >>> plan.setpts(x)
+    >>> _ = plan.setpts(x)
     >>> plan.execute(c).shape
     (48,)
     """
 
+    #: This facade's options translator (upstream names -> ``Opts`` fields).
+    _translate_opts = staticmethod(_translate_opts)
+
     def __init__(self, nufft_type, n_modes_or_dim, iflag=None, n_trans=1,
                  eps=None, dtype="complex128", **kwargs):
         precision = _parse_dtype(dtype)
-        if eps is None:
-            eps = _DEFAULT_EPS[precision]
-        if iflag is None:
-            iflag = _default_iflag(nufft_type)
-        overrides = _translate_opts(kwargs)
-        overrides["precision"] = precision
-        overrides["isign"] = int(np.sign(int(iflag))) if int(iflag) != 0 else 0
+        isign = (-1 if int(nufft_type) == 2 else 1) if iflag is None else _upstream_sign(iflag)
+        opts = Opts(precision=precision, isign=isign, **self._translate_opts(kwargs))
         self._plan = _NativePlan(nufft_type, n_modes_or_dim, n_trans=n_trans,
-                                 eps=eps, opts=Opts(**overrides))
+                                 eps=_DEFAULT_EPS[precision] if eps is None else eps,
+                                 opts=opts)
 
     # Upstream-facing attributes ---------------------------------------- #
     @property
@@ -199,84 +201,19 @@ class Plan:
         return False
 
 
-def _simple_kwargs(isign, eps, kwargs):
-    """Translate simple-call upstream opts into native wrapper kwargs."""
-    native = _translate_opts(kwargs)
-    native["isign"] = int(np.sign(int(isign))) if int(isign) != 0 else 0
-    return native
+def _simple_runner(translate):
+    """The facades' simple-call runner: their options and sign onto
+    :func:`repro.core.simple.invoke`, stacked type-2 blocks setting
+    ``n_trans`` as upstream."""
+    def run(nufft_type, coords, data, targets, n_modes, kwargs, out, eps, isign):
+        native = translate(kwargs)
+        native["isign"] = _upstream_sign(isign)
+        return _simple.invoke(nufft_type, coords, data, targets, n_modes, native,
+                              eps=eps, out=out, stacked_modes=True)
+    return run
 
 
-def nufft1d1(x, c, n_modes=None, out=None, eps=1e-6, isign=1, **kwargs):
-    """1D type-1 simple call with upstream defaults (``isign=+1``).
-
-    ``n_modes`` may be omitted when ``out=`` is given (inferred from its
-    shape, as upstream).
-    """
-    n_modes = _modes_from_out(n_modes, out, 1)
-    return _simple.nufft1d1(x, c, n_modes, eps=eps, out=out,
-                            **_simple_kwargs(isign, eps, kwargs))
-
-
-def nufft1d2(x, f, out=None, eps=1e-6, isign=-1, **kwargs):
-    """1D type-2 simple call with upstream defaults (``isign=-1``)."""
-    return _simple.nufft1d2(x, f, eps=eps, out=out,
-                            **_simple_kwargs(isign, eps, kwargs))
-
-
-def nufft1d3(x, c, s, out=None, eps=1e-6, isign=1, **kwargs):
-    """1D type-3 simple call with upstream defaults (``isign=+1``)."""
-    return _simple.nufft1d3(x, c, s, eps=eps, out=out,
-                            **_simple_kwargs(isign, eps, kwargs))
-
-
-def nufft2d1(x, y, c, n_modes=None, out=None, eps=1e-6, isign=1, **kwargs):
-    """2D type-1 simple call with upstream defaults (``isign=+1``)."""
-    n_modes = _modes_from_out(n_modes, out, 2)
-    return _simple.nufft2d1(x, y, c, n_modes, eps=eps, out=out,
-                            **_simple_kwargs(isign, eps, kwargs))
-
-
-def nufft2d2(x, y, f, out=None, eps=1e-6, isign=-1, **kwargs):
-    """2D type-2 simple call with upstream defaults (``isign=-1``)."""
-    return _simple.nufft2d2(x, y, f, eps=eps, out=out,
-                            **_simple_kwargs(isign, eps, kwargs))
-
-
-def nufft2d3(x, y, c, s, t, out=None, eps=1e-6, isign=1, **kwargs):
-    """2D type-3 simple call with upstream defaults (``isign=+1``)."""
-    return _simple.nufft2d3(x, y, c, s, t, eps=eps, out=out,
-                            **_simple_kwargs(isign, eps, kwargs))
-
-
-def nufft3d1(x, y, z, c, n_modes=None, out=None, eps=1e-6, isign=1, **kwargs):
-    """3D type-1 simple call with upstream defaults (``isign=+1``)."""
-    n_modes = _modes_from_out(n_modes, out, 3)
-    return _simple.nufft3d1(x, y, z, c, n_modes, eps=eps, out=out,
-                            **_simple_kwargs(isign, eps, kwargs))
-
-
-def nufft3d2(x, y, z, f, out=None, eps=1e-6, isign=-1, **kwargs):
-    """3D type-2 simple call with upstream defaults (``isign=-1``)."""
-    return _simple.nufft3d2(x, y, z, f, eps=eps, out=out,
-                            **_simple_kwargs(isign, eps, kwargs))
-
-
-def nufft3d3(x, y, z, c, s, t, u, out=None, eps=1e-6, isign=1, **kwargs):
-    """3D type-3 simple call with upstream defaults (``isign=+1``)."""
-    return _simple.nufft3d3(x, y, z, c, s, t, u, eps=eps, out=out,
-                            **_simple_kwargs(isign, eps, kwargs))
-
-
-def _modes_from_out(n_modes, out, ndim):
-    """Upstream type-1 convenience: infer ``n_modes`` from ``out``'s shape."""
-    if n_modes is not None:
-        return n_modes
-    if out is None:
-        raise ValueError("either n_modes or out= must be provided")
-    shape = np.shape(out)
-    trailing = shape[len(shape) - ndim:]
-    if len(trailing) != ndim:
-        raise ValueError(
-            f"out has shape {shape}, cannot infer {ndim}-D mode counts"
-        )
-    return trailing
+_run = _simple_runner(_translate_opts)
+(nufft1d1, nufft1d2, nufft1d3,
+ nufft2d1, nufft2d2, nufft2d3,
+ nufft3d1, nufft3d2, nufft3d3) = _simple.define_calls(globals(), "_run", upstream=True)

@@ -172,14 +172,14 @@ def model_cufinufft(nufft_type, n_modes, n_points, eps, method="auto",
     isign = base_opts.resolve_isign(nufft_type)
     pipeline = PipelineProfile()
 
-    def setup(stage_method, sort, spreads):
-        for prof in setup_kernel_profiles(stage_method, sort, precision, base_opts,
+    def setup(stage_method, sort, spreads, stage_opts=base_opts):
+        for prof in setup_kernel_profiles(stage_method, sort, precision, stage_opts,
                                           spreads):
             pipeline.add_kernel(prof, phase="setup")
 
-    def run(stage, stage_method=None, sort=None, modes=None):
+    def run(stage, stage_method=None, sort=None, modes=None, stage_opts=base_opts):
         for prof in stage_profiles(stage, stage_method, sort, kernel, precision,
-                                   base_opts, spec, modes):
+                                   stage_opts, spec, modes):
             pipeline.add_kernel(prof, phase="exec")
 
     def fft(shape, forward):
@@ -191,20 +191,23 @@ def model_cufinufft(nufft_type, n_modes, n_points, eps, method="auto",
             "nufft_type": nufft_type, "distribution": distribution}
     if nufft_type == 3:
         # Spread onto the composition grid, then the inner type 2, whose
-        # method resolves from the requested one as the plan's inner plan's.
+        # method resolves from the requested one and whose bins are the
+        # defaults, as the plan's inner plan's.
         t3_grid = tuple(next_smooth_even_235(n) for n in n_modes)
         inner_fine = fine_grid_shape(t3_grid, kernel.width, base_opts.upsampfac)
-        interp_method = base_opts.resolve_method(2, ndim, precision)
+        inner_opts = base_opts.copy(bin_shape=None)
+        interp_method = inner_opts.resolve_method(2, ndim, precision)
         stats = sample_spread_stats(distribution, n_points, t3_grid, bin_shape,
                                     rng=rng, max_sample=max_sample)
-        targets = sample_spread_stats("rand", n_points, inner_fine, bin_shape,
+        targets = sample_spread_stats("rand", n_points, inner_fine,
+                                      inner_opts.resolved_bin_shape(ndim),
                                       rng=rng, max_sample=max_sample)
         setup(method, stats, spreads=True)
-        setup(interp_method, targets, spreads=False)
+        setup(interp_method, targets, spreads=False, stage_opts=inner_opts)
         run("spread", method, stats)
-        run("precorrect", modes=t3_grid)
+        run("precorrect", modes=t3_grid, stage_opts=inner_opts)
         fft(inner_fine, forward=isign < 0)
-        run("interp", interp_method, targets)
+        run("interp", interp_method, targets, stage_opts=inner_opts)
         meta.update(fine_shape=inner_fine, t3_grid=t3_grid)
 
         n_t3 = float(np.prod(t3_grid))

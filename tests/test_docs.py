@@ -25,6 +25,8 @@ if TOOLS not in sys.path:
 DOCTEST_MODULES = [
     "repro",
     "repro.core.simple",
+    "repro.cufinufft",
+    "repro.finufft",
     "repro.service",
     "repro.service.frontend",
     "repro.solve",
@@ -44,7 +46,7 @@ def test_doctests_run(module_name):
         f"{results.failed} doctest failure(s) in {module_name}"
     )
     assert results.attempted > 0 or module_name not in (
-        "repro", "repro.core.simple"
+        "repro", "repro.core.simple", "repro.cufinufft", "repro.finufft"
     ), f"{module_name} lost its runnable examples"
 
 

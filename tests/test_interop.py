@@ -5,6 +5,7 @@ baselines-registry adapters."""
 import numpy as np
 import pytest
 
+import repro.core.simple as simple
 import repro.cufinufft as cufinufft
 import repro.finufft as finufft
 from repro import Plan as NativePlan
@@ -239,3 +240,104 @@ class TestRegistryAdapters:
         lib = get_library("repro (cufinufft)")
         result = lib.model_times(1, (64, 64), 4096, 1e-6)
         assert result.times["exec"] > 0
+
+
+class TestOneCallSurface:
+    """The 27 simple calls share one argument table and one invoker."""
+
+    def test_signatures_pinned(self):
+        import inspect
+
+        expected = {
+            "repro.core.simple": [
+                "(x, c, n_modes, eps=1e-06, out=None, **kwargs)",
+                "(x, f, eps=1e-06, out=None, **kwargs)",
+                "(x, c, s, eps=1e-06, out=None, **kwargs)",
+                "(x, y, c, n_modes, eps=1e-06, out=None, **kwargs)",
+                "(x, y, f, eps=1e-06, out=None, **kwargs)",
+                "(x, y, c, s, t, eps=1e-06, out=None, **kwargs)",
+                "(x, y, z, c, n_modes, eps=1e-06, out=None, **kwargs)",
+                "(x, y, z, f, eps=1e-06, out=None, **kwargs)",
+                "(x, y, z, c, s, t, u, eps=1e-06, out=None, **kwargs)",
+            ],
+        }
+        expected["repro.finufft"] = expected["repro.cufinufft"] = [
+            "(x, c, n_modes=None, out=None, eps=1e-06, isign=1, **kwargs)",
+            "(x, f, out=None, eps=1e-06, isign=-1, **kwargs)",
+            "(x, c, s, out=None, eps=1e-06, isign=1, **kwargs)",
+            "(x, y, c, n_modes=None, out=None, eps=1e-06, isign=1, **kwargs)",
+            "(x, y, f, out=None, eps=1e-06, isign=-1, **kwargs)",
+            "(x, y, c, s, t, out=None, eps=1e-06, isign=1, **kwargs)",
+            "(x, y, z, c, n_modes=None, out=None, eps=1e-06, isign=1, **kwargs)",
+            "(x, y, z, f, out=None, eps=1e-06, isign=-1, **kwargs)",
+            "(x, y, z, c, s, t, u, out=None, eps=1e-06, isign=1, **kwargs)",
+        ]
+        for module in (simple, finufft, cufinufft):
+            names = [f"nufft{d}d{t}" for d in (1, 2, 3) for t in (1, 2, 3)]
+            got = [str(inspect.signature(getattr(module, n))) for n in names]
+            assert got == expected[module.__name__], module.__name__
+            for name in names:
+                fn = getattr(module, name)
+                assert (fn.__name__, fn.__module__) == (name, module.__name__)
+                assert fn.__doc__.startswith(f"{name[5]}D type-{name[7]} ")
+
+    @pytest.mark.parametrize("module,dtype", [
+        (finufft, np.complex128), (cufinufft, np.complex64)])
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_stacked_type2_infers_n_trans(self, rng, module, dtype, ndim):
+        coords = _points(rng, ndim)
+        shape = (3,) + MODES[ndim]
+        block = _strengths(rng, int(np.prod(shape)), dtype).reshape(shape)
+        got = getattr(module, f"nufft{ndim}d2")(*coords, block)
+        native = NativePlan(2, MODES[ndim], n_trans=3, eps=1e-6, isign=-1,
+                            precision="single" if dtype == np.complex64
+                            else "double")
+        native.set_pts(*coords)
+        assert got.shape == (3, 500)
+        assert np.array_equal(got, native.execute(block))
+        native.destroy()
+        # The native call keeps asking for n_trans and checks it against f.
+        native_call = getattr(simple, f"nufft{ndim}d2")
+        assert np.array_equal(native_call(*coords, block, n_trans=3, isign=-1), got)
+        with pytest.raises(ValueError):
+            native_call(*coords, block, n_trans=2)
+        with pytest.raises(ValueError):
+            native_call(*coords, block)
+
+    def test_mode_counts_checked(self, rng):
+        from repro import nufft1d1, nufft2d1
+        x, y = _points(rng, 2)
+        c = _strengths(rng, 500, np.complex128)
+        with pytest.raises(ValueError, match="n_modes"):
+            nufft1d1(x, c, 16.5)  # no longer truncated to 16
+        with pytest.raises(ValueError, match="n_modes"):
+            nufft2d1(x, y, c, 16)  # a 1-D count for a 2-D call
+        for module in (finufft, cufinufft):
+            with pytest.raises(ValueError, match="n_modes"):
+                module.nufft1d1(x, c, 16.5)
+            with pytest.raises(ValueError, match="n_modes"):
+                module.nufft2d1(x, y, c, out=np.empty(16, dtype=np.complex128))
+        assert nufft1d1(x, c, 16.0).shape == (16,)
+
+    def test_cufinufft_n_modes_inferred_from_out(self, rng):
+        x, y = _points(rng, 2)
+        c = _strengths(rng, 500, np.complex64)
+        out = np.empty(MODES[2], dtype=np.complex64)
+        assert cufinufft.nufft2d1(x, y, c, out=out) is out
+        assert np.array_equal(out, cufinufft.nufft2d1(x, y, c, MODES[2]))
+
+    @pytest.mark.parametrize("module", [finufft, cufinufft])
+    @pytest.mark.parametrize("flag,sign", [
+        (0, 1), (0.5, 1), (-0.5, -1), (2, 1), (-3, -1)])
+    def test_upstream_sign_rule(self, rng, module, flag, sign):
+        x, = _points(rng, 1)
+        c = _strengths(rng, 500, np.complex128)
+        native = NativePlan(1, (24,), eps=1e-6, isign=sign, precision="double")
+        native.set_pts(x)
+        expected = native.execute(c)
+        native.destroy()
+        assert np.array_equal(module.nufft1d1(x, c, (24,), isign=flag), expected)
+        with module.Plan(1, (24,), iflag=flag, eps=1e-6, dtype="complex128") as plan:
+            assert plan._plan.isign == sign
+            _ = plan.setpts(x)
+            assert np.array_equal(plan.execute(c), expected)

@@ -200,6 +200,32 @@ class TestModelMatchesPlan:
             assert sm.supports(nufft_type, ndim, precision, eps) == (
                 r.meta["method"] == "SM"), eps
 
+    @pytest.mark.parametrize("method", ["GM-sort", "SM"])
+    def test_type3_inner_sort_uses_the_default_bins(self, method):
+        """An executed type-3 plan's inner type-2 plan sorts its targets in
+        the default bins whatever the caller's ``bin_shape``; so does the
+        model."""
+        from repro import Plan
+        from repro.core.options import Opts
+
+        def inner_kernels(opts):
+            r = model_cufinufft(3, (64, 64), 20_000, 1e-6, method=method, opts=opts,
+                                rng=0, max_sample=20_000)
+            setup = [prof for phase, prof in r.pipeline.kernels if phase == "setup"]
+            start = max(i for i, prof in enumerate(setup)
+                        if prof.name == "binsort_compute_index")
+            return setup[start:] + [prof for phase, prof in r.pipeline.kernels
+                                    if prof.name.startswith("interp")]
+
+        tuned = inner_kernels(Opts(precision="single", bin_shape=(8, 8)))
+        assert tuned == inner_kernels(Opts(precision="single"))
+        assert [prof.name for prof in tuned[:4]] == [
+            "binsort_compute_index", "binsort_histogram", "binsort_scan",
+            "binsort_scatter_permutation"]
+        with Plan(3, 2, bin_shape=(8, 8)) as plan:
+            plan.set_pts(np.zeros(4), np.zeros(4), s=np.ones(4), t=np.ones(4))
+            assert plan._t3_inner.bin_shape == Opts().resolved_bin_shape(2)
+
 
 # --------------------------------------------------------------------------- #
 # baseline libraries
