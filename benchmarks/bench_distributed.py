@@ -7,6 +7,10 @@ per rank count: the slowest rank's modelled compute, the SimComm-charged
 communication phases (scatter / halo / transpose / gather), the
 halo-behind-local-FFT overlap credit, the resulting makespan, the
 strong-scaling efficiency relative to one rank, and the exact halo volume.
+Beside the modelled sweeps, the in-process wall clock of ``set_pts`` and
+``execute`` (best of 3) is recorded for one ``Plan`` against a 4-rank plan
+on two fixed type-1 shapes; it carries no gate, since wall-clock bounds
+flake on shared runners.
 
 Results merge into ``BENCH_throughput.json`` under the ``"distributed"``
 key; every run checks ``GATES``.  Measured halo bytes must equal the
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -26,7 +31,8 @@ if REPO_ROOT not in sys.path:  # allow `python benchmarks/bench_distributed.py`
     sys.path.insert(0, REPO_ROOT)
 
 from benchmarks.common import emit, record  # noqa: E402
-from repro.cluster import run_strong_scaling_multinode  # noqa: E402
+from repro.cluster import DistributedPlan, run_strong_scaling_multinode  # noqa: E402
+from repro.core.plan import Plan  # noqa: E402
 from repro.core.gridsize import fine_grid_shape  # noqa: E402
 from repro.core.slab import analytic_halo_bytes  # noqa: E402
 from repro.kernels import ESKernel  # noqa: E402
@@ -40,6 +46,46 @@ GATES = [
     ("halo bytes equal the analytic formula",
      lambda s: bool(s["halo_bytes_exact"]), "==", True),
 ]
+
+
+#: In-process wall-clock shapes ``(label, n_modes, n_points)``: type 1,
+#: double precision, eps 1e-6.
+WALL_CLOCK_SHAPES = (
+    ("2D type1", (128, 128), 1 << 16),
+    ("3D type1", (32, 32, 32), 1 << 15),
+)
+
+
+def _best_ms(fn, repeats):
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3
+
+
+def wall_clock_records(n_ranks=4, repeats=3):
+    """Best-of-``repeats`` ms of ``set_pts`` and ``execute``: one ``Plan``
+    (``plan_*``) against ``n_ranks`` ranks (``ranks_*``), per shape."""
+    records = []
+    for label, n_modes, m in WALL_CLOCK_SHAPES:
+        rng = np.random.default_rng(0)
+        coords = [rng.uniform(-np.pi, np.pi, m) for _ in n_modes]
+        c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        row = {"label": label, "n_modes": list(n_modes), "n_points": m,
+               "n_ranks": n_ranks}
+        for key, plan in (
+            ("plan", Plan(1, n_modes, eps=1e-6, precision="double")),
+            ("ranks", DistributedPlan(1, n_modes, n_ranks, eps=1e-6,
+                                      precision="double")),
+        ):
+            with plan:
+                row[f"{key}_set_pts_ms"] = _best_ms(lambda: plan.set_pts(*coords),
+                                                    repeats)
+                row[f"{key}_execute_ms"] = _best_ms(lambda: plan.execute(c), repeats)
+        records.append(row)
+    return records
 
 
 def _sweeps(quick):
@@ -119,6 +165,15 @@ def run_distributed_bench(quick=False):
         if p["n_ranks"] == 4
     ]
     max_rel_err = max(p["rel_err"] for r in records for p in r["points"])
+    wall_clock = wall_clock_records()
+    emit(
+        f"distributed_wall_clock_{'quick' if quick else 'full'}",
+        "Wall clock, one Plan against 4 ranks (type 1, double, eps 1e-6, best of 3)",
+        ["shape", "M", "plan set_pts ms", "plan execute ms",
+         "4-rank set_pts ms", "4-rank execute ms"],
+        [[r["label"], r["n_points"], r["plan_set_pts_ms"], r["plan_execute_ms"],
+          r["ranks_set_pts_ms"], r["ranks_execute_ms"]] for r in wall_clock],
+    )
     summary = {
         "quick": quick,
         "sweeps": records,
@@ -126,6 +181,7 @@ def run_distributed_bench(quick=False):
         "min_efficiency_4_ranks": min(eff_at_4),
         "max_rel_err": max_rel_err,
         "halo_bytes_exact": True,  # asserted per point in _sweep_record
+        "wall_clock_ms": wall_clock,
     }
 
     for r in records:

@@ -3,9 +3,10 @@
 The fast path introduced by the batched execution engine: ``set_pts``
 precomputes the per-point kernel stencils (and, within budget, the CSR sparse
 spread/interp operator), and every stage then processes the whole ``n_trans``
-block in one fused pass.  Spreading and interpolation take one of two
-engines, chosen by what the plan's :class:`~repro.core.pointset.PointSet`
-holds:
+block in one fused pass.  Spreading and interpolation run through the
+plan's :class:`~repro.core.pointset.PointSet` (its ``spread`` / ``interp``,
+which the ranks of a :class:`~repro.cluster.DistributedPlan` call too), in
+one of two engines, chosen by what the set holds:
 
 * the CSR operator (within the fusion budget): a sparse mat-mat for
   spreading, the transposed sparse gather for interpolation, one real
@@ -33,9 +34,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.interp import interp_cached
-from ..core.spread import spread_cached
-from ..core.windowed import interp_windowed, spread_windowed
 from .base import ExecutionBackend
 
 __all__ = ["CachedBackend"]
@@ -48,14 +46,10 @@ class CachedBackend(ExecutionBackend):
     records_profiles = False
 
     def spread(self, plan, strengths, pipeline, out=None):
-        points = plan.point_set
         if out is None:
             out = np.empty((strengths.shape[0],) + plan.fine_shape,
                            dtype=plan.precision.complex_dtype)
-        strengths = np.take(strengths, points.permutation, axis=1)
-        if points.stencil.interp_matrix is not None:
-            return spread_cached(strengths, points, out=out)
-        return spread_windowed(strengths, points.stencil, out, points.pencils())
+        return plan.point_set.spread(strengths, out)
 
     def fft_forward(self, plan, fine, pipeline):
         # Native precision end to end: pocketfft transforms complex64 blocks
@@ -78,14 +72,7 @@ class CachedBackend(ExecutionBackend):
         )
 
     def interp(self, plan, fine, pipeline, out=None):
-        points = plan.point_set
-        cplx = plan.precision.complex_dtype
         if out is None:
-            out = np.empty((fine.shape[0], points.n_points), dtype=cplx)
-        if points.stencil.interp_matrix is not None:
-            values = interp_cached(fine, points, cplx)
-        else:
-            values = interp_windowed(fine, points.stencil,
-                                     np.empty(out.shape, dtype=cplx), points.pencils())
-        out[:, points.permutation] = values
-        return out
+            out = np.empty((fine.shape[0], plan.point_set.n_points),
+                           dtype=plan.precision.complex_dtype)
+        return plan.point_set.interp(fine, out)

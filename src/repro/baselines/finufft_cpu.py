@@ -3,9 +3,9 @@
 FINUFFT (Barnett, Magland, af Klinteberg 2019) is the parallel CPU library the
 paper uses as its primary comparator, run with 28 threads on a dual Xeon
 E5-2680 v4 node.  It uses the same three-step ES-kernel algorithm as
-cuFINUFFT, so the *numerics* here simply reuse the core spreading /
-interpolation / deconvolution machinery (which is exactly what makes the two
-libraries' outputs agree, as they do in reality).
+cuFINUFFT, so the *numerics* here simply run the core library's
+:class:`~repro.core.plan.Plan` on its ``cached`` backend (which is exactly
+what makes the two libraries' outputs agree, as they do in reality).
 
 The *cost model* captures the documented CPU execution strategy: the spreader
 is cache-blocked and parallelized over sorted chunks of points, the FFT is a
@@ -20,12 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.binsort import to_grid_coordinates
-from ..core.deconvolve import CorrectionFactors
 from ..core.gridsize import fine_grid_shape
-from ..core.interp import interp_direct
 from ..core.options import Precision
-from ..core.spread import spread_direct
+from ..core.plan import Plan
 from ..kernels.es_kernel import ESKernel
 from ..metrics.modeling import ModelResult
 
@@ -89,30 +86,16 @@ class FinufftCPU:
     # ------------------------------------------------------------------ #
     def type1(self, points, strengths, n_modes, eps, precision="double"):
         """Type-1 transform (exact same algorithm as the core library)."""
-        precision = Precision.parse(precision)
-        kernel = ESKernel.from_tolerance(eps)
-        fine_shape = fine_grid_shape(n_modes, kernel.width)
-        ndim = len(n_modes)
-        grid_coords = [to_grid_coordinates(points[d], fine_shape[d]) for d in range(ndim)]
-        strengths = np.asarray(strengths).astype(np.complex128)
-        fine = spread_direct(fine_shape, grid_coords, strengths, kernel, np.complex128)
-        fine_hat = np.fft.fftn(fine)
-        correction = CorrectionFactors(kernel, n_modes, fine_shape)
-        return correction.truncate_and_scale(fine_hat, dtype=precision.complex_dtype)
+        with Plan(1, n_modes, eps=eps, backend="cached", precision=precision) as plan:
+            plan.set_pts(*points)
+            return plan.execute(strengths)
 
     def type2(self, points, modes, eps, precision="double"):
         """Type-2 transform."""
-        precision = Precision.parse(precision)
         modes = np.asarray(modes)
-        n_modes = modes.shape
-        kernel = ESKernel.from_tolerance(eps)
-        fine_shape = fine_grid_shape(n_modes, kernel.width)
-        ndim = len(n_modes)
-        grid_coords = [to_grid_coordinates(points[d], fine_shape[d]) for d in range(ndim)]
-        correction = CorrectionFactors(kernel, n_modes, fine_shape)
-        fine = correction.pad_and_scale(modes, dtype=np.complex128)
-        fine = np.fft.ifftn(fine) * float(np.prod(fine_shape))
-        return interp_direct(fine, grid_coords, kernel, precision.complex_dtype)
+        with Plan(2, modes.shape, eps=eps, backend="cached", precision=precision) as plan:
+            plan.set_pts(*points)
+            return plan.execute(modes)
 
     # ------------------------------------------------------------------ #
     # cost model

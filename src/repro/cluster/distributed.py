@@ -18,13 +18,20 @@ FINUFFT-family distributed implementations do:
   neighbour rows each rank's interpolation stencils reach, interpolate at the
   owned points, and gather the values back into the caller's point order.
 
-Numerically every stage reuses the single-node machinery (the spread/interp
-entry points, :class:`~repro.core.deconvolve.CorrectionFactors`, the
-:class:`~repro.gpu.fft.DeviceFFT`), so the distributed result matches a
-single :class:`~repro.core.plan.Plan` to rounding error; the tests in
-``tests/test_distributed.py`` pin that equivalence property-style, and pin
-the measured halo traffic against the analytic slab-boundary volume
-(:func:`repro.core.slab.analytic_halo_bytes`) *exactly*.
+Each rank runs the single-node plan engine on its padded slab: one
+:class:`~repro.core.pointset.PointSet` built as a
+:class:`~repro.core.plan.Plan` builds its own (same ``kernel_eval``,
+stencil budget and bin shape), spread and interpolated through its
+``spread`` / ``interp`` -- the CSR operator within the budget, the windowed
+engine past it -- and priced through
+:func:`~repro.backends.device_sim.stage_profiles` with the plan's resolved
+method.  :class:`~repro.core.deconvolve.CorrectionFactors` and the
+:class:`~repro.gpu.fft.DeviceFFT` are shared as well, so the distributed
+result matches a single :class:`~repro.core.plan.Plan` to rounding error;
+the tests in ``tests/test_distributed.py`` pin that equivalence
+property-style, and pin the measured halo traffic against the analytic
+slab-boundary volume (:func:`repro.core.slab.analytic_halo_bytes`)
+*exactly*.
 """
 
 from __future__ import annotations
@@ -33,24 +40,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.binsort import bin_sort, to_grid_coordinates
-from ..core.deconvolve import CorrectionFactors, deconvolve_kernel_profile
+from ..backends.device_sim import stage_profiles
+from ..core.binsort import to_grid_coordinates
+from ..core.deconvolve import CorrectionFactors
 from ..core.gridsize import fine_grid_shape
-from ..core.interp import interp_kernel_profiles
-from ..core.options import Opts, SpreadMethod, default_bin_shape, integral_mode_counts
-from ..core.pointset import validated_point_arrays
+from ..core.options import Opts, SpreadMethod, integral_count, integral_mode_counts
+from ..core.pointset import PointSetKey, build_point_set, validated_point_arrays
 from ..core.slab import (
     halo_pads,
     halo_row_map,
-    interp_from_slab,
+    padded_slab_shape,
     partition_points_by_slab,
     slab_partition,
-    spread_to_slab,
 )
-from ..core.spread import spread_kernel_profiles
 from ..gpu.costmodel import CostModel
 from ..gpu.fft import DeviceFFT, fft_kernel_profile
 from ..gpu.profiler import PipelineProfile
+from ..gpu.threadblock import sm_fits
 from ..kernels.es_kernel import ESKernel
 from .comm import CommCostModel, SimComm, exchange_all
 from .node import Node, NodeSpec
@@ -134,8 +140,10 @@ class DistributedPlan:
         Interconnect latency/bandwidth model for the SimComm charges.
     **opt_overrides
         :class:`~repro.core.options.Opts` fields (``precision``, ``isign``,
-        ``upsampfac``, ...).  ``spread_only`` is rejected: the fine grid is
-        never assembled in one place here.
+        ``upsampfac``, ...); ``method``, ``bin_shape``, ``kernel_eval`` and
+        ``stencil_budget`` act on every rank as on a ``Plan``.
+        ``spread_only`` is rejected: the fine grid is never assembled in one
+        place here.
 
     After each :meth:`execute` the plan exposes ``halo_bytes`` -- the exact
     payload bytes the halo exchange moved between distinct ranks -- and
@@ -151,15 +159,11 @@ class DistributedPlan:
                 "fine grid depends on the point extents -- run it on a single "
                 "Plan"
             )
-        if int(n_ranks) < 1:
-            raise ValueError(f"n_ranks must be >= 1, got {n_ranks}")
         self.nufft_type = int(nufft_type)
         self.n_modes = integral_mode_counts(n_modes)
         self.ndim = len(self.n_modes)
-        self.n_ranks = int(n_ranks)
-        self.n_trans = int(n_trans)
-        if self.n_trans < 1:
-            raise ValueError(f"n_trans must be >= 1, got {n_trans}")
+        self.n_ranks = integral_count("n_ranks", n_ranks, 1)
+        self.n_trans = integral_count("n_trans", n_trans, 1)
         self.eps = float(eps)
 
         self.opts = Opts().copy(**opt_overrides) if opt_overrides else Opts()
@@ -177,6 +181,14 @@ class DistributedPlan:
         )
         self.correction = CorrectionFactors(self.kernel, self.n_modes, self.fine_shape)
         self.slabs = slab_partition(self.fine_shape[0], self.n_ranks)
+        #: ``halo_row_map`` of every rank: where each padded row lives.
+        self._row_maps = [
+            halo_row_map(self.fine_shape, self.slabs, r, self.kernel.width)
+            for r in range(self.n_ranks)
+        ]
+        self.method = self.opts.resolve_method(self.nufft_type, self.ndim,
+                                               self.precision)
+        self.bin_shape = self.opts.resolved_bin_shape(self.ndim)
 
         if node is None:
             self.node = Node()
@@ -185,6 +197,15 @@ class DistributedPlan:
         else:
             self.node = node
         self.devices = self.node.assign_ranks(self.n_ranks)
+        # Paper Remark 2 per rank, as Plan applies it: SM falls back to
+        # GM-sort where the padded bin exceeds the rank's shared memory.
+        self._methods = [
+            SpreadMethod.GM_SORT if self.method is SpreadMethod.SM and not sm_fits(
+                self.bin_shape, self.kernel.width, self.precision.complex_itemsize,
+                dev.spec,
+            ) else self.method
+            for dev in self.devices
+        ]
         self._cost_models = [
             CostModel(spec=dev.spec, precision_itemsize=self.precision.real_itemsize)
             for dev in self.devices
@@ -193,8 +214,9 @@ class DistributedPlan:
 
         self._points_ready = False
         self._owned_idx = None
-        self._rank_coords = None
-        self._rank_sorts = None
+        #: Each rank's :class:`~repro.core.pointset.PointSet` on its padded
+        #: slab (``None`` for a rank that owns no points).
+        self.point_sets = None
         self.n_points = 0
         #: Exact data bytes the halo exchange of the last execute moved
         #: between distinct ranks (None before the first execute); equals
@@ -207,39 +229,42 @@ class DistributedPlan:
     # point registration
     # ------------------------------------------------------------------ #
     def set_pts(self, x, y=None, z=None):
-        """Register the nonuniform points and partition them by slab owner.
+        """Register the nonuniform points and build each rank's point set.
 
         Coordinates follow the ``Plan`` convention (one 1-D array per
         dimension, values folded into ``[-pi, pi)``).  Ownership is the
         bin-sort cell of the axis-0 grid coordinate, so points exactly on a
         slab boundary land deterministically in the slab starting there.
+        Each rank's points, shifted by ``start - pad_lo`` along axis 0, are
+        sorted and stencilled on its padded slab exactly as a ``Plan``
+        would on a grid of that shape; the pads cover the kernel's reach,
+        so no stencil wraps along axis 0.
         """
         coords = validated_point_arrays((x, y, z), self.ndim, _COORD_NAMES)
-        m = coords[0].shape[0]
-
         grid_coords = [
             to_grid_coordinates(coords[d], self.fine_shape[d])
             for d in range(self.ndim)
         ]
         self._owned_idx = partition_points_by_slab(grid_coords, self.fine_shape,
                                                    self.slabs)
-        self._rank_coords = []
-        self._rank_sorts = []
-        pad_lo, _ = halo_pads(self.kernel.width)
-        bin_shape = default_bin_shape(self.ndim)
-        for r, idx in enumerate(self._owned_idx):
-            local = [gc[idx] for gc in grid_coords]
-            self._rank_coords.append(local)
+        width = self.kernel.width
+        pad_lo, _ = halo_pads(width)
+        self.point_sets = []
+        for slab, idx in zip(self.slabs, self._owned_idx):
             if idx.shape[0] == 0:
-                self._rank_sorts.append(None)
+                self.point_sets.append(None)
                 continue
-            start, stop = self.slabs[r]
-            height = pad_lo + (stop - start) + (self.kernel.width - pad_lo)
-            shifted = [local[0] - (start - pad_lo)] + local[1:]
-            self._rank_sorts.append(
-                bin_sort(shifted, (height,) + self.fine_shape[1:], bin_shape)
+            local = [gc[idx] for gc in grid_coords]
+            local[0] = local[0] - (slab[0] - pad_lo)
+            key = PointSetKey(
+                fine_shape=padded_slab_shape(self.fine_shape, slab, width)[1:],
+                width=width, beta=self.kernel.beta,
+                kernel_eval=self.opts.kernel_eval,
+                stencil_budget=self.opts.stencil_budget, bin_shape=self.bin_shape,
+                stencils=True,
             )
-        self.n_points = m
+            self.point_sets.append(build_point_set(local, key, self.kernel))
+        self.n_points = coords[0].shape[0]
         self._points_ready = True
         return self
 
@@ -288,10 +313,7 @@ class DistributedPlan:
             np.zeros((self.n_trans, stop - start) + rest, dtype=cplx)
             for start, stop in self.slabs
         ]
-        row_maps = [
-            halo_row_map(self.fine_shape, self.slabs, r, self.kernel.width)
-            for r in range(self.n_ranks)
-        ]
+        row_maps = self._row_maps
         send = [[None] * self.n_ranks for _ in range(self.n_ranks)]
         for r, (start, stop) in enumerate(self.slabs):
             if start == stop:
@@ -338,10 +360,7 @@ class DistributedPlan:
         cplx = self.precision.complex_dtype
         width = self.kernel.width
         rest = self.fine_shape[1:]
-        row_maps = [
-            halo_row_map(self.fine_shape, self.slabs, r, width)
-            for r in range(self.n_ranks)
-        ]
+        row_maps = self._row_maps
         send = [[None] * self.n_ranks for _ in range(self.n_ranks)]
         for d, (d_start, d_stop) in enumerate(self.slabs):
             if d_start == d_stop:
@@ -486,6 +505,20 @@ class DistributedPlan:
         real_dtype = np.real(np.zeros(1, dtype=dtype)).dtype
         return fac.astype(real_dtype, copy=False)
 
+    def _launch(self, pipeline, rank, stage, n_modes=None):
+        """Record ``rank``'s kernels of one exec stage, priced as a Plan's.
+
+        One fused launch per kernel for the whole ``n_trans`` block, at the
+        rank's resolved method and over its own slab sort
+        (:func:`~repro.backends.device_sim.stage_profiles`).
+        """
+        points = self.point_sets[rank]
+        for prof in stage_profiles(
+            stage, self._methods[rank], None if points is None else points.sort,
+            self.kernel, self.precision, self.opts, self.devices[rank].spec, n_modes,
+        ):
+            pipeline.add_kernel(prof.scaled(self.n_trans), phase="exec")
+
     # ------------------------------------------------------------------ #
     # execute
     # ------------------------------------------------------------------ #
@@ -560,20 +593,17 @@ class DistributedPlan:
 
         # Local spread onto the padded slabs.
         padded = []
-        for r, (start, stop) in enumerate(self.slabs):
-            if stop == start:
+        for r, (slab, points) in enumerate(zip(self.slabs, self.point_sets)):
+            if slab[0] == slab[1]:
                 padded.append(None)
                 continue
-            padded.append(spread_to_slab(
-                self.fine_shape, self._rank_coords[r], strengths[r],
-                self.kernel, self.slabs[r], dtype=cplx,
-            ))
-            if self._rank_sorts[r] is not None:
-                for prof in spread_kernel_profiles(
-                    SpreadMethod.GM, self._rank_sorts[r], self.kernel,
-                    self.precision, spec=self.devices[r].spec,
-                ):
-                    pipelines[r].add_kernel(prof, phase="exec")
+            shape = padded_slab_shape(self.fine_shape, slab, self.kernel.width,
+                                      self.n_trans)
+            if points is None:
+                padded.append(np.zeros(shape, dtype=cplx))
+                continue
+            padded.append(points.spread(strengths[r], np.empty(shape, dtype=cplx)))
+            self._launch(pipelines[r], r, "spread")
 
         own, halo_s, halo_bytes = self._halo_export(padded)
         own, local_fft_s, transpose_s, transpose_bytes = self._distributed_fft(
@@ -593,12 +623,7 @@ class DistributedPlan:
             scaled = (gathered * self._mode_factors(k_positions, cplx)).astype(
                 cplx, copy=False
             )
-            pipelines[r].add_kernel(
-                deconvolve_kernel_profile(
-                    scaled.shape[1:], self.precision.complex_itemsize
-                ),
-                phase="exec",
-            )
+            self._launch(pipelines[r], r, "deconvolve", scaled.shape[1:])
             payloads.append((k_positions, scaled))
         mark = self._comm_mark()
         parts = self._gather(payloads)
@@ -638,14 +663,8 @@ class DistributedPlan:
                 fine_slab[(slice(None),) + np.ix_(*sel)] = (
                     mode_blocks[r] * self._mode_factors(k_positions, cplx)
                 )
-                pipelines[r].add_kernel(
-                    deconvolve_kernel_profile(
-                        (k_positions.size,) + self.n_modes[1:],
-                        self.precision.complex_itemsize,
-                        name="precorrect",
-                    ),
-                    phase="exec",
-                )
+                self._launch(pipelines[r], r, "precorrect",
+                             (k_positions.size,) + self.n_modes[1:])
             own.append(fine_slab)
 
         own, local_fft_s, transpose_s, transpose_bytes = self._distributed_fft(
@@ -660,15 +679,10 @@ class DistributedPlan:
             if idx_r.shape[0] == 0:
                 payloads.append(None)
                 continue
-            values = interp_from_slab(
-                padded[r], self._rank_coords[r], self.kernel, self.slabs[r],
-                dtype=cplx,
+            values = self.point_sets[r].interp(
+                padded[r], np.empty((self.n_trans, idx_r.shape[0]), dtype=cplx)
             )
-            for prof in interp_kernel_profiles(
-                SpreadMethod.GM, self._rank_sorts[r], self.kernel,
-                self.precision, spec=self.devices[r].spec,
-            ):
-                pipelines[r].add_kernel(prof, phase="exec")
+            self._launch(pipelines[r], r, "interp")
             payloads.append((idx_r, values))
         mark = self._comm_mark()
         parts = self._gather(payloads)

@@ -10,11 +10,11 @@ paper applies no SM-style scheme to interpolation.
 
 The visiting order reaches only :func:`interp_kernel_profiles`.  The numerics
 have one cache-free path, :func:`interp_direct` (exact kernel values evaluated
-on the fly, points in user order), run by the ``reference`` backend, the
-baselines and the slab-local distributed interp; and one cached path,
-:func:`interp_cached`, the CSR operator of a plan's stencil cache.  The
-``cached`` backend takes the windowed engine of :mod:`repro.core.windowed`
-when the cache holds no operator.
+on the fly, points in user order), run by the ``reference`` backend and the
+CUNFFT / gpuNUFFT baselines; and one cached path, :func:`interp_cached`, the
+CSR operator of a point set's stencil cache.
+:meth:`~repro.core.pointset.PointSet.interp` takes the windowed engine of
+:mod:`repro.core.windowed` when the cache holds no operator.
 """
 
 from __future__ import annotations
@@ -114,21 +114,17 @@ def interp_cached(grid, points, dtype=np.complex64, out=None):
     return result[0]
 
 
-def interp_direct(grid, grid_coords, kernel, dtype, out=None):
+def interp_direct(grid, grid_coords, kernel, dtype):
     """Cache-free interpolation: exact kernel values, points in user order.
 
     The transpose of :func:`~repro.core.spread.spread_direct`.  ``grid`` may
     be ``(*fine_shape)`` or a stacked ``(n_trans, *fine_shape)`` block; the
-    output gains a matching leading axis, or lands in ``out`` (a
-    ``(n_trans, M)`` array) and is returned.
+    output gains a matching leading axis.
     """
     ndim = len(grid_coords)
     grids, batched = _as_grid_batch(grid, ndim)
-    m = grid_coords[0].shape[0]
-    values = out if out is not None else np.empty((grids.shape[0], m), dtype=dtype)
+    values = np.empty((grids.shape[0], grid_coords[0].shape[0]), dtype=dtype)
     _interp_points(grids, grid_coords, kernel, values)
-    if out is not None:
-        return out
     return values if batched else values[0]
 
 

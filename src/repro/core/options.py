@@ -63,9 +63,12 @@ def integral_count(name, value, minimum):
 
     The one check behind counts such as ``Plan(n_trans=)``, the plan pool's
     ``max_plans``, the service's queue and routing bounds and the fleet's
-    device, stream and breaker counts: ``1.5`` is rejected instead of
-    truncated to 1, while ``2.0`` is 2.
+    device, stream and breaker counts and ``DistributedPlan``'s rank count:
+    ``1.5`` is rejected instead of truncated to 1, while ``2.0`` is 2.  A
+    string such as ``"3"`` is not a count.
     """
+    if isinstance(value, (str, bytes)):
+        raise ValueError(f"{name} must be an integral count, got {value!r}")
     value_f = float(value)
     if not math.isfinite(value_f) or value_f != int(value_f):
         raise ValueError(f"{name} must be an integral count, got {value!r}")

@@ -33,8 +33,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .binsort import bin_sort
+from .interp import interp_cached
+from .spread import spread_cached
 from .stencil import build_stencil_cache
-from .windowed import Pencils
+from .windowed import Pencils, interp_windowed, spread_windowed
 
 __all__ = ["PointSet", "PointSetKey", "build_point_set", "validated_point_arrays"]
 
@@ -120,6 +122,35 @@ class PointSet:
     def pencils(self):
         """The windowed engine's layout of the stencils (pieces, windows checked)."""
         return self._value("pencils", lambda: Pencils(self.stencil))
+
+    def spread(self, strengths, out):
+        """Spread a caller-order ``(B, M)`` strength block into ``out``.
+
+        ``out`` is a ``(B, *fine_shape)`` array of any layout; it is
+        returned.  The strengths are permuted into the stencils' order once,
+        then spread by the CSR operator when the set has one, else by the
+        windowed engine.
+        """
+        strengths = np.take(strengths, self.permutation, axis=1)
+        if self.stencil.interp_matrix is not None:
+            return spread_cached(strengths, self, out=out)
+        return spread_windowed(strengths, self.stencil, out, self.pencils())
+
+    def interp(self, fine, out):
+        """Interpolate a ``(B, *fine_shape)`` grid block into ``out``, ``(B, M)``.
+
+        The transpose of :meth:`spread`: the values come out in the
+        stencils' order and are scattered back to the caller's point indices
+        (``out[:, permutation] = values``, any ``out`` layout); ``out`` is
+        returned.
+        """
+        if self.stencil.interp_matrix is not None:
+            values = interp_cached(fine, self, out.dtype)
+        else:
+            values = interp_windowed(fine, self.stencil,
+                                     np.empty(out.shape, dtype=out.dtype), self.pencils())
+        out[:, self.permutation] = values
+        return out
 
 
 def build_point_set(grid_coords, key, kernel, store=None, previous=None):

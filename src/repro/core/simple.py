@@ -46,16 +46,14 @@ _PRECISION_OF = {np.dtype(np.complex64): "single", np.dtype(np.float32): "single
                  np.dtype(np.complex128): "double", np.dtype(np.float64): "double"}
 
 
-def invoke(nufft_type, coords, data, targets, n_modes, kwargs, eps=1e-6, out=None,
-           stacked_modes=False):
+def invoke(nufft_type, coords, data, targets, n_modes, kwargs, eps=1e-6, out=None):
     """Run one simple call on a guru :class:`Plan`: plan, set points, execute.
 
     ``coords`` and ``targets`` hold the call's coordinate and type-3 target
     arrays, ``data`` its strengths or modes, and ``kwargs`` the
     :class:`Plan` keywords, in a dict the call owns (it is filled in place).
     A leading axis on ``data`` beyond the transform's rank is an ``n_trans``
-    stack; a stacked type-2 mode block needs an explicit ``n_trans`` unless
-    ``stacked_modes`` (the facades, where upstream infers it).  The working
+    stack, which sets ``n_trans`` unless the call passes it.  The working
     precision follows ``data``'s dtype.  A type-1 ``n_modes`` of ``None`` is
     read from ``out``'s trailing axes; either way it must hold ``dim``
     integral mode counts.
@@ -64,9 +62,6 @@ def invoke(nufft_type, coords, data, targets, n_modes, kwargs, eps=1e-6, out=Non
     data = np.asarray(data)
     rank = dim if nufft_type == 2 else 1
     if data.ndim == rank + 1:
-        if nufft_type == 2 and not stacked_modes and "n_trans" not in kwargs:
-            raise ValueError(f"f has shape {data.shape}: pass n_trans= for a stacked "
-                             f"(n_trans, *n_modes) block of {dim}-D mode arrays")
         kwargs.setdefault("n_trans", data.shape[0])
     elif data.ndim != rank:
         name = CALLS[dim, nufft_type][1]
@@ -102,10 +97,8 @@ _TYPE_DOCS = {
         "mode counts."),
     2: ("``c_j = sum_k f_k exp(+i k.x_j)`` (paper Eq. (3))",
         "Mode coefficients, each axis ordered by ascending frequency from\n"
-        "    ``-N//2``; a stacked block needs an explicit ``n_trans``.",
-        "The series evaluated at each point.",
-        "  A stacked\n``(n_trans, N1, ...)`` block of modes sets ``n_trans`` from its "
-        "leading axis."),
+        "    ``-N//2``; a stacked block sets ``n_trans`` from its leading axis.",
+        "The series evaluated at each point.", ""),
     3: ("``f_k = sum_j c_j exp(+i s_k.x_j)``",
         "Complex strengths; a stacked block runs as one batched transform.",
         "The sums at each target frequency.", ""),

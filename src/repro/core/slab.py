@@ -8,20 +8,15 @@ onto a *padded* local slab (the kernel of width ``w`` reaches at most
 rows -- contributions that belong to neighbouring slabs, with periodic wrap
 -- are what the halo exchange ships.
 
-This module holds the rank-agnostic geometry and the slab-local
-spread/interp entry points; everything here is plain host-side NumPy reusing
-the single-node :func:`~repro.core.spread.spread_direct` /
-:func:`~repro.core.interp.interp_direct` machinery (including their ``out=``
-destinations), so the distributed numerics are, per point, bit-identical to
-the single-plan pipeline's accumulation terms.
+This module holds the rank-agnostic geometry and the exact halo accounting,
+in plain host-side NumPy.  The ranks spread and interpolate through the
+single-node plan engine, each over a :class:`~repro.core.pointset.PointSet`
+on its padded slab (:meth:`repro.cluster.DistributedPlan.set_pts`).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .interp import interp_direct
-from .spread import spread_direct
 
 __all__ = [
     "slab_partition",
@@ -29,8 +24,6 @@ __all__ = [
     "halo_pads",
     "padded_slab_shape",
     "partition_points_by_slab",
-    "spread_to_slab",
-    "interp_from_slab",
     "halo_row_map",
     "analytic_halo_bytes",
 ]
@@ -109,60 +102,6 @@ def partition_points_by_slab(grid_coords, fine_shape, slabs):
     if np.any(owners < 0):
         raise AssertionError("a point's grid cell fell outside every slab")
     return [np.nonzero(owners == r)[0] for r in range(len(slabs))]
-
-
-def _local_coords(grid_coords, slab, width):
-    """Axis-0-shifted grid coordinates of one slab's points.
-
-    Shifting by the integer ``start - pad_lo`` preserves the fractional part
-    of every coordinate, so the kernel stencil values are bit-identical to
-    the single-grid evaluation; only the write offsets move.
-    """
-    start, _stop = slab
-    pad_lo, _pad_hi = halo_pads(width)
-    local = [np.asarray(c, dtype=np.float64) for c in grid_coords]
-    local[0] = local[0] - (start - pad_lo)
-    return local
-
-
-def spread_to_slab(fine_shape, grid_coords, strengths, kernel, slab, out=None,
-                   dtype=np.complex128):
-    """Spread one slab's points onto its padded local block.
-
-    ``grid_coords`` are the slab's own points in *global* fine-grid units
-    (already partitioned by :func:`partition_points_by_slab`); the result is
-    a ``(n_trans, pad_lo + slab_rows + pad_hi, *fine_shape[1:])`` block whose
-    row 0 is global row ``start - pad_lo``.  Because the pads cover the
-    kernel's exact reach, no write wraps along axis 0 -- the wraparound is
-    resolved later by the halo exchange.  Axes 1.. keep their full (periodic)
-    extent.  ``strengths`` must carry the batched ``(n_trans, M)`` layout.
-    """
-    local_shape = padded_slab_shape(fine_shape, slab, kernel.width,
-                                    strengths.shape[0])[1:]
-    if strengths.shape[1] == 0:
-        if out is not None:
-            out.fill(0)
-            return out
-        return np.zeros((strengths.shape[0],) + local_shape, dtype=dtype)
-    local = _local_coords(grid_coords, slab, kernel.width)
-    return spread_direct(local_shape, local, strengths, kernel, dtype, out=out)
-
-
-def interp_from_slab(padded_block, grid_coords, kernel, slab, out=None,
-                     dtype=np.complex128):
-    """Interpolate one slab's points from its halo-completed padded block.
-
-    The transpose of :func:`spread_to_slab`: ``padded_block`` must already
-    contain the neighbour rows imported by the halo exchange, so every
-    read along axis 0 lands inside the block.
-    """
-    if grid_coords[0].shape[0] == 0:
-        shape = (padded_block.shape[0], 0)
-        if out is not None:
-            return out
-        return np.zeros(shape, dtype=dtype)
-    local = _local_coords(grid_coords, slab, kernel.width)
-    return interp_direct(padded_block, local, kernel, dtype, out=out)
 
 
 def halo_row_map(fine_shape, slabs, rank, width):

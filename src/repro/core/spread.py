@@ -22,11 +22,11 @@ which is what the cost profiles capture:
 
 So the method reaches only :func:`spread_kernel_profiles`.  The numerics have
 one cache-free path, :func:`spread_direct` (exact kernel values evaluated on
-the fly, points in user order), run by the ``reference`` backend, the
-baselines and the slab-local distributed spread; and one cached path,
-:func:`spread_cached`, the CSR operator of a plan's stencil cache.  The
-``cached`` backend takes the windowed engine of :mod:`repro.core.windowed`
-when the cache holds no operator.
+the fly, points in user order), run by the ``reference`` backend and the
+CUNFFT / gpuNUFFT baselines; and one cached path, :func:`spread_cached`, the
+CSR operator of a point set's stencil cache.
+:meth:`~repro.core.pointset.PointSet.spread` takes the windowed engine of
+:mod:`repro.core.windowed` when the cache holds no operator.
 """
 
 from __future__ import annotations
@@ -226,33 +226,17 @@ def spread_cached(strengths, points, dtype=np.complex64, out=None):
     return result[0]
 
 
-def spread_direct(fine_shape, grid_coords, strengths, kernel, dtype, out=None):
+def spread_direct(fine_shape, grid_coords, strengths, kernel, dtype):
     """Cache-free spreading: exact kernel values, points in user order.
 
     Evaluates every point's stencil on the fly (no plan-level cache), so it
-    serves any geometry -- the ``reference`` backend, the baselines and the
-    slab-local distributed spread.  ``strengths`` may be ``(M,)`` or a
-    stacked ``(n_trans, M)`` block; the output gains a matching leading axis,
-    or is written into ``out`` (a ``(n_trans, *fine_shape)`` array of any
-    layout) and returned.
+    serves any geometry -- the ``reference`` backend and the CUNFFT /
+    gpuNUFFT baselines.  ``strengths`` may be ``(M,)`` or a stacked
+    ``(n_trans, M)`` block; the output gains a matching leading axis.
     """
     block, batched = _as_strength_batch(strengths)
-    if out is not None and not out.flags.c_contiguous:
-        # The fused bincount pass needs flat C-order views of the grid;
-        # accumulate into a contiguous scratch and assign through the
-        # destination's strides at the end.
-        grids = np.zeros(out.shape, dtype=out.dtype)
-        _spread_points(grids, grid_coords, block, kernel)
-        out[...] = grids
-        return out
-    if out is not None:
-        grids = out
-        grids.fill(0)
-    else:
-        grids = np.zeros((block.shape[0],) + tuple(fine_shape), dtype=dtype)
+    grids = np.zeros((block.shape[0],) + tuple(fine_shape), dtype=dtype)
     _spread_points(grids, grid_coords, block, kernel)
-    if out is not None:
-        return out
     return grids if batched else grids[0]
 
 
@@ -302,8 +286,8 @@ def spread_kernel_profiles(method, sort, kernel, precision, threads_per_block=12
 
     This is the one dispatch from a spreading method to what it costs.
     Executed plans and :mod:`repro.metrics.modeling` reach it through
-    :func:`repro.backends.device_sim.stage_profiles`; the baselines and the
-    slab-local distributed spread call it directly.
+    :func:`repro.backends.device_sim.stage_profiles`, and so do the ranks of
+    a distributed plan; the CUNFFT baseline calls it directly.
 
     Parameters
     ----------

@@ -17,8 +17,7 @@ at equal settings:
   iflag=None, n_trans=1, eps=None, **kwargs)`` with ``setpts`` /
   ``execute(data, out=None)`` / ``destroy`` methods, and the nine
   ``nufft{1,2,3}d{1,2,3}`` simple calls with upstream argument order and
-  ``out=`` support (written from :data:`repro.core.simple.CALLS`; a type-2
-  call reads ``n_trans`` from a stacked mode block's leading axis).
+  ``out=`` support (written from :data:`repro.core.simple.CALLS`).
 * **Sign defaults** -- upstream ``iflag`` defaults to ``+1`` for types 1 and
   3 and ``-1`` for type 2 (the *opposite* of the paper's type-1 convention
   used by the native API, whose type-1 default is ``-1``); as upstream, any
@@ -203,13 +202,12 @@ class Plan:
 
 def _simple_runner(translate):
     """The facades' simple-call runner: their options and sign onto
-    :func:`repro.core.simple.invoke`, stacked type-2 blocks setting
-    ``n_trans`` as upstream."""
+    :func:`repro.core.simple.invoke`."""
     def run(nufft_type, coords, data, targets, n_modes, kwargs, out, eps, isign):
         native = translate(kwargs)
         native["isign"] = _upstream_sign(isign)
         return _simple.invoke(nufft_type, coords, data, targets, n_modes, native,
-                              eps=eps, out=out, stacked_modes=True)
+                              eps=eps, out=out)
     return run
 
 

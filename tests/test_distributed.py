@@ -10,9 +10,11 @@ same seed is bit-identical.
 
 The parametrized sweep below is the ">= 200 seeded cases" acceptance gate:
 3 dims x 2 types x 2 precisions x 4 rank counts x 5 distributions = 240
-cases, each on its own seed.  The rank-8 paper-scale sweeps are marked
-``slow`` (opt-in via ``--runslow``); the default matrix already covers rank
-8 at small sizes.
+cases, each on its own seed, run once at the default stencil budget (the
+ranks' CSR operators) and once at ``stencil_budget=0`` (the windowed engine
+on every rank and on the reference plan, ids ending ``-windowed``).  The
+rank-8 paper-scale sweeps are marked ``slow`` (opt-in via ``--runslow``);
+the default matrix already covers rank 8 at small sizes.
 """
 
 import numpy as np
@@ -42,7 +44,8 @@ _DISTRIBUTIONS = ("uniform", "uniform-b", "uniform-c", "clustered", "boundary")
 
 
 def _case_matrix():
-    """240 seeded cases: dims x types x precisions x ranks x distributions."""
+    """240 seeded cases (dims x types x precisions x ranks x distributions),
+    each at the default stencil budget (``None``) and then at 0."""
     cases = []
     cid = 0
     for ndim in (1, 2, 3):
@@ -51,17 +54,23 @@ def _case_matrix():
                 for n_ranks in (1, 2, 4, 8):
                     for dist in _DISTRIBUTIONS:
                         cases.append((cid, ndim, nufft_type, precision,
-                                      n_ranks, dist))
+                                      n_ranks, dist, None))
                         cid += 1
-    return cases
+    return cases + [case[:-1] + (0,) for case in cases]
 
 
 CASES = _case_matrix()
 
 
 def _case_id(case):
-    cid, ndim, nufft_type, precision, n_ranks, dist = case
-    return f"c{cid:03d}-{ndim}d-t{nufft_type}-{precision}-p{n_ranks}-{dist}"
+    cid, ndim, nufft_type, precision, n_ranks, dist, budget = case
+    suffix = "" if budget is None else "-windowed"
+    return f"c{cid:03d}-{ndim}d-t{nufft_type}-{precision}-p{n_ranks}-{dist}{suffix}"
+
+
+def _budget_opts(case):
+    """The case's ``stencil_budget`` override, for both plans."""
+    return {} if case[-1] is None else {"stencil_budget": case[-1]}
 
 
 def _coords_for(rng, ndim, m, dist, n_modes, eps, n_ranks):
@@ -92,7 +101,7 @@ def _coords_for(rng, ndim, m, dist, n_modes, eps, n_ranks):
 
 def _build_case(case):
     """Seeded problem instance (modes, eps, coords, data) for one case."""
-    cid, ndim, nufft_type, precision, n_ranks, dist = case
+    cid, ndim, nufft_type, precision, n_ranks, dist, _budget = case
     rng = np.random.default_rng(90_000 + cid)
     if ndim == 1:
         n_modes = (int(rng.integers(24, 40)),)
@@ -112,10 +121,10 @@ def _build_case(case):
 
 def _run_distributed(case, check_halo=True):
     """One distributed execution; returns (output, breakdown)."""
-    cid, ndim, nufft_type, precision, n_ranks, dist = case
+    cid, ndim, nufft_type, precision, n_ranks, dist, _budget = case
     n_modes, eps, coords, data = _build_case(case)
     with DistributedPlan(nufft_type, n_modes, n_ranks=n_ranks, eps=eps,
-                         precision=precision) as dplan:
+                         precision=precision, **_budget_opts(case)) as dplan:
         dplan.set_pts(*coords)
         out = dplan.execute(data)
         if check_halo:
@@ -131,9 +140,10 @@ def _run_distributed(case, check_halo=True):
 
 
 def _run_reference(case):
-    cid, ndim, nufft_type, precision, n_ranks, dist = case
+    cid, ndim, nufft_type, precision, n_ranks, dist, _budget = case
     n_modes, eps, coords, data = _build_case(case)
-    plan = Plan(nufft_type, n_modes, eps=eps, precision=precision)
+    plan = Plan(nufft_type, n_modes, eps=eps, precision=precision,
+                **_budget_opts(case))
     try:
         plan.set_pts(*coords)
         return plan.execute(data)
@@ -147,7 +157,6 @@ def _run_reference(case):
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_distributed_equivalence(case):
     """Distributed == single plan within 10*eps; halo bytes exact."""
-    _cid, _ndim, _t, _precision, _n_ranks, _dist = case
     _n_modes, eps, _coords, _data = _build_case(case)
     out, breakdown = _run_distributed(case)
     ref = _run_reference(case)
@@ -166,7 +175,8 @@ def test_distributed_equivalence(case):
 # --------------------------------------------------------------------- #
 # determinism: same seed -> bit-identical outputs and accounting
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("case", [CASES[i] for i in (3, 37, 101, 158, 214, 239)],
+@pytest.mark.parametrize("case", [CASES[i] for i in (3, 37, 101, 158, 214, 239,
+                                                     341, 479)],
                          ids=_case_id)
 def test_distributed_bit_identical_across_runs(case):
     """Two fresh plans on the same seeded problem agree bit-for-bit."""
@@ -269,6 +279,17 @@ def test_distributed_batched_n_trans():
 def test_type3_rejected():
     with pytest.raises(ValueError, match="type"):
         DistributedPlan(3, (16,), n_ranks=2)
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("n_ranks", {"n_ranks": 2.7}),
+    ("n_ranks", {"n_ranks": "3"}),
+    ("n_trans", {"n_ranks": 2, "n_trans": 2.5}),
+], ids=["n_ranks-2.7", "n_ranks-str", "n_trans-2.5"])
+def test_counts_rejected_by_name(field, kwargs):
+    """Rank and transform counts are integral counts, never truncated."""
+    with pytest.raises(ValueError, match=f"^{field} must be an integral count"):
+        DistributedPlan(1, (16, 16), **kwargs)
 
 
 # --------------------------------------------------------------------- #

@@ -296,13 +296,13 @@ class TestOneCallSurface:
         assert got.shape == (3, 500)
         assert np.array_equal(got, native.execute(block))
         native.destroy()
-        # The native call keeps asking for n_trans and checks it against f.
+        # The native call infers n_trans the same way and checks an explicit
+        # one against f.
         native_call = getattr(simple, f"nufft{ndim}d2")
+        assert np.array_equal(native_call(*coords, block, isign=-1), got)
         assert np.array_equal(native_call(*coords, block, n_trans=3, isign=-1), got)
         with pytest.raises(ValueError):
             native_call(*coords, block, n_trans=2)
-        with pytest.raises(ValueError):
-            native_call(*coords, block)
 
     def test_mode_counts_checked(self, rng):
         from repro import nufft1d1, nufft2d1

@@ -328,8 +328,8 @@ class TestSimpleAPI:
         x, y, c = make_points_2d(rng, m=50)
         with pytest.raises(ValueError):
             nufft2d1(x, y, c, (16, 16, 16))
-        with pytest.raises(ValueError):
-            nufft2d2(x, y, np.zeros((4, 4, 4), dtype=complex))
+        with pytest.raises(ValueError):  # neither modes nor a stack of them
+            nufft2d2(x, y, np.zeros((2, 4, 4, 4), dtype=complex))
 
 
 class TestValidationAndAtomicity:
