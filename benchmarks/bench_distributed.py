@@ -71,7 +71,11 @@ def wall_clock_records(n_ranks=4, repeats=3):
     records = []
     for label, n_modes, m in WALL_CLOCK_SHAPES:
         rng = np.random.default_rng(0)
-        coords = [rng.uniform(-np.pi, np.pi, m) for _ in n_modes]
+        # New points for every repeat: re-setting a plan's own points keeps
+        # its point set, which would time a lookup instead of a build.  The
+        # plan executes on the last set.
+        point_sets = [[rng.uniform(-np.pi, np.pi, m) for _ in n_modes]
+                      for _ in range(repeats)]
         c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         row = {"label": label, "n_modes": list(n_modes), "n_points": m,
                "n_ranks": n_ranks}
@@ -81,8 +85,9 @@ def wall_clock_records(n_ranks=4, repeats=3):
                                       precision="double")),
         ):
             with plan:
-                row[f"{key}_set_pts_ms"] = _best_ms(lambda: plan.set_pts(*coords),
-                                                    repeats)
+                pending = iter(point_sets)
+                row[f"{key}_set_pts_ms"] = _best_ms(
+                    lambda: plan.set_pts(*next(pending)), repeats)
                 row[f"{key}_execute_ms"] = _best_ms(lambda: plan.execute(c), repeats)
         records.append(row)
     return records

@@ -45,7 +45,8 @@ from ..core.binsort import to_grid_coordinates
 from ..core.deconvolve import CorrectionFactors
 from ..core.gridsize import fine_grid_shape
 from ..core.options import Opts, SpreadMethod, integral_count, integral_mode_counts
-from ..core.pointset import PointSetKey, build_point_set, validated_point_arrays
+from ..core.pointset import (PointSetKey, build_point_set, live_point_set,
+                             validated_point_arrays)
 from ..core.slab import (
     halo_pads,
     halo_row_map,
@@ -238,21 +239,23 @@ class DistributedPlan:
         Each rank's points, shifted by ``start - pad_lo`` along axis 0, are
         sorted and stencilled on its padded slab exactly as a ``Plan``
         would on a grid of that shape; the pads cover the kernel's reach,
-        so no stencil wraps along axis 0.
+        so no stencil wraps along axis 0.  A rank takes the set a live plan
+        or rank already holds for equal points under the same key
+        (:func:`~repro.core.pointset.live_point_set`), so a type-1/type-2
+        pair on one trajectory builds each rank's set once.
         """
         coords = validated_point_arrays((x, y, z), self.ndim, _COORD_NAMES)
         grid_coords = [
             to_grid_coordinates(coords[d], self.fine_shape[d])
             for d in range(self.ndim)
         ]
-        self._owned_idx = partition_points_by_slab(grid_coords, self.fine_shape,
-                                                   self.slabs)
+        owned_idx = partition_points_by_slab(grid_coords, self.fine_shape, self.slabs)
         width = self.kernel.width
         pad_lo, _ = halo_pads(width)
-        self.point_sets = []
-        for slab, idx in zip(self.slabs, self._owned_idx):
+        ranks = []
+        for slab, idx in zip(self.slabs, owned_idx):
             if idx.shape[0] == 0:
-                self.point_sets.append(None)
+                ranks.append(None)
                 continue
             local = [gc[idx] for gc in grid_coords]
             local[0] = local[0] - (slab[0] - pad_lo)
@@ -263,7 +266,14 @@ class DistributedPlan:
                 stencil_budget=self.opts.stencil_budget, bin_shape=self.bin_shape,
                 stencils=True,
             )
-            self.point_sets.append(build_point_set(local, key, self.kernel))
+            ranks.append((local, key, live_point_set(local, key)))
+        self._release_point_sets()
+        self._owned_idx = owned_idx
+        self.point_sets = [
+            None if rank is None
+            else (rank[2] or build_point_set(rank[0], rank[1], self.kernel)).hold()
+            for rank in ranks
+        ]
         self.n_points = coords[0].shape[0]
         self._points_ready = True
         return self
@@ -708,8 +718,17 @@ class DistributedPlan:
         """Total modelled communication seconds accumulated so far."""
         return self._comms[0].comm_seconds
 
+    def _release_point_sets(self):
+        for points in self.point_sets or ():
+            if points is not None:
+                points.release()
+        self.point_sets = None
+        self._points_ready = False
+
     def destroy(self):
-        """Release the node's device contexts (idempotent)."""
+        """Release the ranks' point sets and the node's device contexts
+        (idempotent)."""
+        self._release_point_sets()
         self.node.release_all()
 
     def __enter__(self):

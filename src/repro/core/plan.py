@@ -41,7 +41,8 @@ from .binsort import setup_kernel_profiles, to_grid_coordinates
 from .deconvolve import CorrectionFactors
 from .gridsize import fine_grid_shape, next_smooth_even_235
 from .options import Opts, SpreadMethod, integral_count, integral_mode_counts
-from .pointset import PointSet, PointSetKey, build_point_set, validated_point_arrays
+from .pointset import (PointSet, PointSetKey, build_point_set, live_point_set,
+                       validated_point_arrays)
 from .workspace import Workspace
 
 __all__ = ["Plan", "CUDA_CONTEXT_MB"]
@@ -326,14 +327,21 @@ class Plan:
         cuFINUFFT, so one plan can be reused across point sets of equal size
         or not.
 
+        Plans given equal points share one :attr:`point_set`: when a live
+        plan already holds a set for coordinates equal to these, under the
+        same key (below), this plan takes that set and skips the sort and
+        the stencil build -- a type-1/type-2 pair on one trajectory keeps
+        one CSR operator.  It still records the same uploads, allocations
+        and setup kernels, so its outputs, :meth:`timings` and
+        :meth:`gpu_ram_mb` are those of a plan that built its own set.
+        Re-setting a plan's own points keeps its set.
+
         ``points=`` takes another plan's :attr:`point_set` in place of
-        coordinates: the plan attaches that set and skips the sort and the
-        stencil build (it still records the same uploads, allocations and
-        setup kernels).  Its key -- fine grid, kernel, ``kernel_eval``,
-        stencil budget, bin shape, and whether it carries stencils -- must
-        match this plan's; a mismatch, a type-3 or tuned plan, or a set no
-        plan holds any more raises ``ValueError`` (:meth:`can_attach` tells
-        in advance).
+        coordinates: the plan attaches that set, as above.  Its key -- fine
+        grid, kernel, ``kernel_eval``, stencil budget, bin shape, and whether
+        it carries stencils -- must match this plan's; a mismatch, a type-3
+        or tuned plan, or a set no plan holds any more raises ``ValueError``
+        (:meth:`can_attach` tells in advance).
 
         Failure contract (all transform types): set_pts is all-or-nothing.
         Every validation and host-side planning step -- shape/finiteness
@@ -367,24 +375,29 @@ class Plan:
 
         # All remaining planning is host-side arithmetic that cannot fail on
         # validated inputs, so compute it before releasing the old point set
-        # (the all-or-nothing contract above).
+        # (the all-or-nothing contract above).  The lookup of a held set on
+        # equal points comes first too, so this plan's own set is still held.
         grid_coords = [
             to_grid_coordinates(coords[d], self.fine_shape[d]) for d in range(self.ndim)
         ]
+        key = self._point_set_key()
+        points = live_point_set(grid_coords, key)
         # An equal point count gives an operator of equal size: the new
         # stencil cache may then be written into the old one's arrays.
         previous = self.point_set if coords[0].shape[0] == self.n_points else None
         self._release_point_state()
         self._upload_points(coords)
-        self._install(build_point_set(grid_coords, self._point_set_key(), self.kernel,
-                                      store=self.artifact_store, previous=previous))
+        self._install(points or build_point_set(grid_coords, key, self.kernel,
+                                                store=self.artifact_store,
+                                                previous=previous))
         self._points_ready = True
         return self
 
-    def _point_set_key(self):
+    def _point_set_key(self, fine_shape=None):
         return PointSetKey(
-            fine_shape=self.fine_shape, width=self.kernel.width,
-            beta=self.kernel.beta, kernel_eval=self.opts.kernel_eval,
+            fine_shape=self.fine_shape if fine_shape is None else fine_shape,
+            width=self.kernel.width, beta=self.kernel.beta,
+            kernel_eval=self.opts.kernel_eval,
             stencil_budget=self.opts.stencil_budget, bin_shape=self.bin_shape,
             stencils=self.backend.wants_stencil_cache(),
         )
@@ -447,7 +460,7 @@ class Plan:
 
     def _drop_point_set(self):
         if self.point_set is not None:
-            self.point_set.holders -= 1
+            self.point_set.release()
             self.point_set = None
 
     def _upload_points(self, coords):
@@ -460,12 +473,11 @@ class Plan:
     def _install(self, points):
         """Hold ``points`` and record the sort's buffers and setup kernels.
 
-        Runs the same way whether the plan built ``points`` or attached
+        Runs the same way whether the plan built ``points`` or shares
         them, so both report the same ``timings()`` and ``gpu_ram_mb()``.
         For type 3 the set holds the rescaled sources over the derived grid.
         """
-        points.holders += 1
-        self.point_set = points
+        self.point_set = points.hold()
         self.n_points = m = points.n_points
         if self.method in (SpreadMethod.GM_SORT, SpreadMethod.SM) and self.opts.sort_points:
             for label in ("bin index", "sort permutation"):
@@ -557,8 +569,10 @@ class Plan:
         # Tune the outer spread on the derived composition grid (the actual
         # spread coordinates are the rescaled sources; the tuner's sampled
         # statistics stand in for them).  Before _release_point_state, like
-        # every other fallible step.
+        # every other fallible step, and like the lookup of a held set.
         self._maybe_tune(fine_shape, m)
+        key = self._point_set_key(fine_shape)
+        points = live_point_set(grid_coords, key)
 
         self._release_point_state()
         self.n_targets = nk
@@ -586,8 +600,8 @@ class Plan:
             self._point_buffers.append(buf)
             self._setup_pipeline.add_transfer("h2d", buf.nbytes, label)
 
-        self._install(build_point_set(grid_coords, self._point_set_key(), self.kernel,
-                                      store=self.artifact_store))
+        self._install(points or build_point_set(grid_coords, key, self.kernel,
+                                                store=self.artifact_store))
 
         # Inner type-2 plan over the same backend: evaluates the fine grid's
         # trigonometric sum at the rescaled target frequencies, with the

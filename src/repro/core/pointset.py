@@ -18,16 +18,30 @@ pencil piece the windowed engine multiplies is a column range of the set's
 own arrays, which it reads in place on every execute.  ``permutation`` is
 the bin-sort permutation composed with that order.
 
-Plans on the same points share one set: ``t2.set_pts(points=t1.point_set)``
-attaches ``t1``'s set when their :class:`PointSetKey` agree.  ``holders``
-counts the plans holding a set; a re-point writes its new CSR operator into
-the old set's arrays only once no plan holds that set, and never into
-arrays served by an artifact store, which other readers may share.
+Plans on equal points share one set.  ``holders`` counts the plans holding
+a set (:meth:`PointSet.hold` / :meth:`PointSet.release`), and while it is
+above zero the set is listed in an index keyed by its :class:`PointSetKey`,
+point count and first and last grid coordinate.  :func:`live_point_set`
+finds it there: ``Plan.set_pts``, the outer set of a type-3 plan and each
+``DistributedPlan`` rank ask it before they build, so a second plan given
+equal coordinates -- in any array objects -- takes the held set instead of
+sorting and stencilling them again.  A hit is confirmed by comparing the
+stored caller-order ``grid_coords``; a miss costs one dict probe.  The index
+holds sets weakly and drops each when its last holder lets go, so it never
+outgrows the sets that plans hold.  ``t2.set_pts(points=t1.point_set)``
+attaches a set explicitly.
+
+A re-point writes its new CSR operator into the old set's arrays only once
+no plan holds that set, and never into arrays served by an artifact store,
+which other readers may share.  Such a set has left the index by then, so
+no later lookup hands out recycled arrays.
 """
 
 from __future__ import annotations
 
 import hashlib
+import weakref
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +52,8 @@ from .spread import spread_cached
 from .stencil import build_stencil_cache
 from .windowed import Pencils, interp_windowed, spread_windowed
 
-__all__ = ["PointSet", "PointSetKey", "build_point_set", "validated_point_arrays"]
+__all__ = ["PointSet", "PointSetKey", "build_point_set", "live_point_set",
+           "validated_point_arrays"]
 
 
 def validated_point_arrays(arrays, ndim, names, what="coordinate", owner="plan"):
@@ -88,6 +103,41 @@ class PointSetKey(NamedTuple):
                     None)
 
 
+_ENDS = itemgetter(0, -1)
+
+
+def _index_key(key, grid_coords):
+    """``key``, the point count and each axis's first and last coordinate."""
+    return key, grid_coords[0].shape[0], tuple(map(_ENDS, grid_coords))
+
+
+#: A weak reference to each held set, by ``_index_key``; see
+#: :func:`live_point_set`.
+_LIVE = {}
+
+
+def _forget(index, ref):
+    if _LIVE.get(index) is ref:
+        del _LIVE[index]
+
+
+def live_point_set(grid_coords, key):
+    """The held set under ``key`` whose grid coordinates equal ``grid_coords``.
+
+    ``None`` on a miss.  Callers ask before they release their own set, so
+    re-setting a plan's points finds the set it holds.  Releasing never
+    rewrites a set's arrays (only a build recycles them), so a set found
+    here stays intact until the caller holds it.
+    """
+    ref = _LIVE.get(_index_key(key, grid_coords))
+    points = None if ref is None else ref()
+    if points is None or points.holders == 0:
+        return None
+    if not all(np.array_equal(a, b) for a, b in zip(points.grid_coords, grid_coords)):
+        return None
+    return points
+
+
 class PointSet:
     """A point set's sort, stencils and point-only memo; see module docstring."""
 
@@ -104,11 +154,32 @@ class PointSet:
         #: Whether the stencils came through an artifact store.
         self.stored = stored
         self.holders = 0
+        #: ``(index key, weak reference)`` of the set's entry in ``_LIVE``.
+        self._entry = None
         self._memo = {}
 
     @property
     def n_points(self):
         return self.grid_coords[0].shape[0]
+
+    def hold(self):
+        """Count one more holder and list the set for :func:`live_point_set`."""
+        self.holders += 1
+        if self.key is not None:
+            if self._entry is None:
+                index = _index_key(self.key, self.grid_coords)
+                # A set collected while still counted held (its holder was
+                # dropped without releasing it) leaves the index too.
+                self._entry = index, weakref.ref(self, lambda ref: _forget(index, ref))
+            index, ref = self._entry
+            _LIVE[index] = ref
+        return self
+
+    def release(self):
+        """Count one holder less; the last one takes the set off the index."""
+        self.holders -= 1
+        if self.holders == 0 and self._entry is not None:
+            _forget(*self._entry)
 
     def _value(self, key, build):
         if key not in self._memo:

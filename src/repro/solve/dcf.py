@@ -82,7 +82,7 @@ def pipe_menon_weights(points, n_modes, n_iter=8, eps=1e-6, isign=1,
     kwargs = dict(eps=eps, precision="double", isign=isign, service=service,
                   device=device, backend=backend)
     forward = ForwardOperator(points, n_modes, **kwargs)
-    adjoint = AdjointOperator(points, n_modes, share=forward, **kwargs)
+    adjoint = AdjointOperator(points, n_modes, **kwargs)
     try:
         for _ in range(n_iter):
             # P w at the sample locations: grid the weights, re-evaluate at

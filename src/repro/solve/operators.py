@@ -60,12 +60,6 @@ def validate_weights(weights, n_points):
     return weights
 
 
-def _same_points(a, b):
-    """Whether two per-dimension coordinate lists hold the same points."""
-    return len(a) == len(b) and all(p is q or np.array_equal(p, q)
-                                    for p, q in zip(a, b))
-
-
 class _PlanOperator:
     """The one plan holder of the solve and M-TIP operators.
 
@@ -80,23 +74,19 @@ class _PlanOperator:
     The nonuniform ``points`` are bound at construction (``set_pts``), so
     every ``apply`` reuses the plan's bin sort and stencil cache -- the whole
     reason iterative solvers want planned transforms; :meth:`set_points`
-    re-points the same plan (M-TIP does, every iteration).  ``share=``,
-    another operator on the same points, lets the plan attach that
-    operator's :class:`~repro.core.pointset.PointSet` instead of building its
-    own when the two plans' keys agree (a forward/adjoint pair then keeps one
-    sort and one CSR operator).
+    re-points the same plan (M-TIP does, every iteration).  A forward /
+    adjoint pair on equal points keeps one sort and one CSR operator:
+    ``Plan.set_pts`` shares the :class:`~repro.core.pointset.PointSet` a live
+    plan holds for equal points when the two plans' keys agree.
     """
 
     _nufft_type = None
 
     def __init__(self, points, n_modes, eps=1e-6, precision="double", isign=1,
-                 n_trans=1, plan=None, service=None, device=None, share=None,
-                 **plan_kwargs):
+                 n_trans=1, plan=None, service=None, device=None, **plan_kwargs):
         self.n_modes, self.points = operator_geometry(points, n_modes)
         self.ndim = len(self.n_modes)
         self.n_points = int(self.points[0].shape[0])
-        if share is not None and not _same_points(self.points, share.points):
-            raise ValueError("share= must be an operator on the same points")
         self.eps = float(eps)
         self.isign = int(isign)
         plan_isign = self._plan_isign()
@@ -138,10 +128,7 @@ class _PlanOperator:
         # lease back / destroy an owned plan before re-raising (a borrowed
         # plan stays the caller's problem, with its old points intact).
         try:
-            if share is not None and self.plan.can_attach(share.plan.point_set):
-                self.plan.set_pts(points=share.plan.point_set)
-            else:
-                self.plan.set_pts(*self.points)
+            self.plan.set_pts(*self.points)
         except BaseException:
             self.close()
             raise
@@ -273,7 +260,8 @@ class NormalOperator:
         if forward.n_modes != adjoint.n_modes:
             raise ValueError("forward and adjoint operators disagree on geometry")
         if (forward.plan.point_set is not adjoint.plan.point_set
-                and not _same_points(forward.points, adjoint.points)):
+                and not all(np.array_equal(p, q)
+                            for p, q in zip(forward.points, adjoint.points))):
             raise ValueError("forward and adjoint operators act on different points")
         self.forward = forward
         self.adjoint = adjoint

@@ -277,7 +277,7 @@ def execute_solve(request, service=None, device=None):
         close_normal = lambda: None  # noqa: E731 - PSF plan already released
     else:
         forward = ForwardOperator(points, request.n_modes, **common)
-        adj2 = AdjointOperator(points, request.n_modes, share=forward, **common)
+        adj2 = AdjointOperator(points, request.n_modes, **common)
         normal = NormalOperator(forward, adj2, weights=weights)
         psf_build_s = 0.0
         close_normal = normal.close

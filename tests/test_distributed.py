@@ -276,6 +276,39 @@ def test_distributed_batched_n_trans():
     assert np.linalg.norm(out - ref) / np.linalg.norm(ref) <= 1e-8
 
 
+def test_type1_type2_pair_builds_each_rank_set_once():
+    """A type-1 and a type-2 plan on equal points share every rank's set,
+    re-pointing or destroying one leaves the other's, and the pair's
+    outputs are bit-identical to plans that built their own sets."""
+    rng = np.random.default_rng(29)
+    m, modes = 600, (12, 14)
+    x, y = (rng.uniform(-np.pi, np.pi, m) for _ in range(2))
+    c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    expected = []
+    for nufft_type in (1, 2):
+        with DistributedPlan(nufft_type, modes, n_ranks=3, eps=1e-9,
+                             precision="double") as alone:
+            alone.set_pts(x, y)
+            expected.append(alone.execute(c if nufft_type == 1 else expected[0]))
+    t1 = DistributedPlan(1, modes, n_ranks=3, eps=1e-9, precision="double")
+    t2 = DistributedPlan(2, modes, n_ranks=3, eps=1e-9, precision="double")
+    t1.set_pts(x, y)
+    t2.set_pts(x.copy(), y.copy())
+    sets = t1.point_sets
+    assert all(s is not None for s in sets)
+    assert all(a is b for a, b in zip(t2.point_sets, sets))
+    assert all(s.holders == 2 for s in sets)
+    assert np.array_equal(t1.execute(c), expected[0])
+    assert np.array_equal(t2.execute(expected[0]), expected[1])
+    t1.set_pts(*(rng.uniform(-np.pi, np.pi, m) for _ in range(2)))
+    assert all(s.holders == 1 for s in sets)
+    assert np.array_equal(t2.execute(expected[0]), expected[1])
+    for plan in (t1, t2):
+        plan.destroy()
+    assert all(s.holders == 0 for s in sets)
+    assert t2.point_sets is None
+
+
 def test_type3_rejected():
     with pytest.raises(ValueError, match="type"):
         DistributedPlan(3, (16,), n_ranks=2)

@@ -4,7 +4,9 @@
 boundaries in its ``BOUNDARIES`` table.  A refactor that routes work around
 one of them would make that layer read 0 ns/pt without failing anything;
 this test runs a small 2D type-1 and type-2 ``set_pts`` + ``execute`` under
-the tracer and requires a call on each engine layer.
+the tracer and requires a call on each engine layer.  The type-2 plan is
+given the same points, so it shares the type-1 plan's point set and the
+stencils are built once.
 """
 
 import importlib.util
@@ -40,7 +42,8 @@ def test_engine_layer_boundaries_see_work():
             modes = t1.execute(c)
             t2.set_pts(x, y)
             t2.execute(modes)
+            assert t2.point_set is t1.point_set
     calls = {layer: n for layer, (_, n) in tracer.self_times().items()}
     missing = [layer for layer in ENGINE_LAYERS if calls.get(layer, 0) < 1]
     assert not missing, f"layers with no recorded call: {missing} (calls: {calls})"
-    assert tracer.counters["stencil_builds"] == 2
+    assert tracer.counters["stencil_builds"] == 1

@@ -227,26 +227,32 @@ def test_shared_pair_matches_two_set_pts_calls(case, n_trans):
     rng = np.random.default_rng([n_trans, len(case)])
     ndim, m = len(SHARED_CASES[case][0]), SHARED_CASES[case][2]
     pts = tuple(rng.uniform(-np.pi, np.pi, m) for _ in range(ndim))
+    # The plans apart run (and are destroyed) first: while they hold their
+    # set, set_pts on equal points would share it.
+    datas, expected = [], []
+    for t in (1, 2):
+        with _shared_case(case, t, n_trans) as b:
+            b.set_pts(*pts)
+            data = _case_data(rng, b, m)
+            out = np.empty_like(b.execute(data))
+            b.execute(data, out=out)
+            datas.append(data)
+            expected.append((out, b.timings(), b.gpu_ram_mb(), b.last_allocs))
     shared = [_shared_case(case, t, n_trans) for t in (1, 2)]
-    apart = [_shared_case(case, t, n_trans) for t in (1, 2)]
     assert shared[0].kernel.width == 13
     shared[0].set_pts(*pts)
     shared[1].set_pts(points=shared[0].point_set)
-    for plan in apart:
-        plan.set_pts(*pts)
     assert shared[1].point_set is shared[0].point_set
     assert shared[0].point_set.holders == 2
     assert np.shares_memory(_operator_data(shared[0].point_set),
                             _operator_data(shared[1].point_set))
-    for a, b in zip(shared, apart):
-        data = _case_data(rng, a, m)
-        outs = [np.empty_like(b.execute(data)) for _ in range(2)]
-        assert a.execute(data, out=outs[0]) is outs[0]
-        b.execute(data, out=outs[1])
-        assert np.array_equal(*outs)
-        assert a.timings() == b.timings()
-        assert a.gpu_ram_mb() == b.gpu_ram_mb()
-        assert a.last_allocs == b.last_allocs
+    for a, data, (out, timings, ram, allocs) in zip(shared, datas, expected):
+        got = np.empty_like(out)
+        assert a.execute(data, out=got) is got
+        assert np.array_equal(got, out)
+        assert a.timings() == timings
+        assert a.gpu_ram_mb() == ram
+        assert a.last_allocs == allocs
 
 
 def test_holders_stay_independent():
