@@ -15,12 +15,13 @@ one of two engines, chosen by what the set holds:
   from the per-dimension stencils over a wrap-padded fine grid, whatever the
   plan's spreading method, in two regimes: crowded windows (pencils of
   points sharing one window cross-section) as dense real matrix products,
-  every other point by the chunked scatter / window gather.
+  every other point by tile GEMMs to spread and a window gather to
+  interpolate (in 1D, per-point scatter and gather).
 
 The stencil cache lists the points in bin-sort order (the GM-sort order of
 the paper), so consecutive points touch nearby fine-grid memory; without the
 CSR operator, in the windowed engine's order (its pencils' points first,
-then the rest in bin-sort order).  Either way the point set's
+then the rest tile by tile).  Either way the point set's
 ``permutation`` names each listed point's caller index: spreading permutes
 the strengths into that order once on the way in; interpolation scatters
 its values back to the caller's point indices once on the way out

@@ -41,7 +41,7 @@ from .binsort import setup_kernel_profiles, to_grid_coordinates
 from .deconvolve import CorrectionFactors
 from .gridsize import fine_grid_shape, next_smooth_even_235
 from .options import Opts, SpreadMethod, integral_count, integral_mode_counts
-from .pointset import (PointSet, PointSetKey, build_point_set, live_point_set,
+from .pointset import (PointSet, PointSetKey, build_point_set, index_key, live_point_set,
                        validated_point_arrays)
 from .workspace import Workspace
 
@@ -381,7 +381,8 @@ class Plan:
             to_grid_coordinates(coords[d], self.fine_shape[d]) for d in range(self.ndim)
         ]
         key = self._point_set_key()
-        points = live_point_set(grid_coords, key)
+        index = index_key(key, grid_coords)
+        points = live_point_set(grid_coords, key, index)
         # An equal point count gives an operator of equal size: the new
         # stencil cache may then be written into the old one's arrays.
         previous = self.point_set if coords[0].shape[0] == self.n_points else None
@@ -389,7 +390,7 @@ class Plan:
         self._upload_points(coords)
         self._install(points or build_point_set(grid_coords, key, self.kernel,
                                                 store=self.artifact_store,
-                                                previous=previous))
+                                                previous=previous, index=index))
         self._points_ready = True
         return self
 
@@ -572,50 +573,61 @@ class Plan:
         # every other fallible step, and like the lookup of a held set.
         self._maybe_tune(fine_shape, m)
         key = self._point_set_key(fine_shape)
-        points = live_point_set(grid_coords, key)
+        index = index_key(key, grid_coords)
+        points = live_point_set(grid_coords, key, index)
 
-        self._release_point_state()
-        self.n_targets = nk
-        self.fine_shape = fine_shape
-        self._t3_prephase = np.exp(self.isign * 1j * prephase)
-        self._t3_postphase = factors * np.exp(self.isign * 1j * postphase)
+        # The inner plan's set stays held while the inner plan is replaced,
+        # so that equal targets find it again.
+        inner = getattr(self._t3_inner, "point_set", None)
+        if inner is not None:
+            inner.hold()
+        try:
+            self._release_point_state()
+            self.n_targets = nk
+            self.fine_shape = fine_shape
+            self._t3_prephase = np.exp(self.isign * 1j * prephase)
+            self._t3_postphase = factors * np.exp(self.isign * 1j * postphase)
 
-        # Workspace buffers of the composition, sized for the new geometry.
-        # Allocated here (not lazily in execute) so a simulated OOM surfaces
-        # during set_pts -- leaving the plan in the explicit "no points"
-        # state -- and so steady-state executes start at zero allocations.
-        # Matching shapes from a previous point set are reused in place.
-        cplx = self.precision.complex_dtype
-        batch = (self.n_trans,)
-        self.workspace.array("fine grid", batch + self.fine_shape, cplx,
-                             pipeline=self._setup_pipeline)
-        self.workspace.array("t3 strengths", batch + (m,), cplx,
-                             pipeline=self._setup_pipeline)
-        self.workspace.array("t3 tau", batch + (nk,), cplx,
-                             pipeline=self._setup_pipeline)
-        self._upload_points(coords)
-        for label, vec in (("t3 prephase", self._t3_prephase),
-                           ("t3 deconvolve factors", self._t3_postphase)):
-            buf = self.device.memory.from_host(vec.astype(cplx), label=label)
-            self._point_buffers.append(buf)
-            self._setup_pipeline.add_transfer("h2d", buf.nbytes, label)
+            # Workspace buffers of the composition, sized for the new geometry.
+            # Allocated here (not lazily in execute) so a simulated OOM surfaces
+            # during set_pts -- leaving the plan in the explicit "no points"
+            # state -- and so steady-state executes start at zero allocations.
+            # Matching shapes from a previous point set are reused in place.
+            cplx = self.precision.complex_dtype
+            batch = (self.n_trans,)
+            self.workspace.array("fine grid", batch + self.fine_shape, cplx,
+                                 pipeline=self._setup_pipeline)
+            self.workspace.array("t3 strengths", batch + (m,), cplx,
+                                 pipeline=self._setup_pipeline)
+            self.workspace.array("t3 tau", batch + (nk,), cplx,
+                                 pipeline=self._setup_pipeline)
+            self._upload_points(coords)
+            for label, vec in (("t3 prephase", self._t3_prephase),
+                               ("t3 deconvolve factors", self._t3_postphase)):
+                buf = self.device.memory.from_host(vec.astype(cplx), label=label)
+                self._point_buffers.append(buf)
+                self._setup_pipeline.add_transfer("h2d", buf.nbytes, label)
 
-        self._install(points or build_point_set(grid_coords, key, self.kernel,
-                                                store=self.artifact_store))
+            self._install(points or build_point_set(grid_coords, key, self.kernel,
+                                                    store=self.artifact_store,
+                                                    index=index))
 
-        # Inner type-2 plan over the same backend: evaluates the fine grid's
-        # trigonometric sum at the rescaled target frequencies, with the
-        # composition's exponent sign (not the type-2 default).
-        inner_opts = self.opts.copy(spread_only=False, bin_shape=None,
-                                    isign=self.isign)
-        self._t3_inner = Plan(2, self.fine_shape, n_trans=self.n_trans,
-                              eps=self.eps, opts=inner_opts, device=self.device,
-                              artifact_store=self.artifact_store)
-        rescaled_targets = [
-            (targets[d] - centers_s[d]) * (np.pi / (sigma * spread_half[d]))
-            for d in range(self.ndim)
-        ]
-        self._t3_inner.set_pts(*rescaled_targets)
+            # Inner type-2 plan over the same backend: evaluates the fine grid's
+            # trigonometric sum at the rescaled target frequencies, with the
+            # composition's exponent sign (not the type-2 default).
+            inner_opts = self.opts.copy(spread_only=False, bin_shape=None,
+                                        isign=self.isign)
+            self._t3_inner = Plan(2, self.fine_shape, n_trans=self.n_trans,
+                                  eps=self.eps, opts=inner_opts, device=self.device,
+                                  artifact_store=self.artifact_store)
+            rescaled_targets = [
+                (targets[d] - centers_s[d]) * (np.pi / (sigma * spread_half[d]))
+                for d in range(self.ndim)
+            ]
+            self._t3_inner.set_pts(*rescaled_targets)
+        finally:
+            if inner is not None:
+                inner.release()
         self._setup_pipeline.merge(self._t3_inner._plan_pipeline)
         self._setup_pipeline.merge(self._t3_inner._setup_pipeline)
         self._points_ready = True

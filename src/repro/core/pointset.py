@@ -12,11 +12,12 @@ method, precision, ``n_trans`` or device stay with the plan
 
 The stencils of a set with a CSR operator list the points in bin-sort
 order.  Those of a windowed set (no operator) list them in engine order: the
-points of the crowded pencils first, pencil by pencil, then the others in
-bin-sort order; every kernel value array is node-major, ``(w, M)``.  So each
-pencil piece the windowed engine multiplies is a column range of the set's
-own arrays, which it reads in place on every execute.  ``permutation`` is
-the bin-sort permutation composed with that order.
+points of the crowded pencils first, pencil by pencil, then the others tile
+by tile (in 1D, in bin-sort order); every kernel value array is node-major,
+``(w, M)``.  So each pencil piece and tile batch the windowed engine
+multiplies is a column range of the set's own arrays, which it reads in
+place on every execute.  ``permutation`` is the bin-sort permutation
+composed with that order.
 
 Plans on equal points share one set.  ``holders`` counts the plans holding
 a set (:meth:`PointSet.hold` / :meth:`PointSet.release`), and while it is
@@ -52,7 +53,7 @@ from .spread import spread_cached
 from .stencil import build_stencil_cache
 from .windowed import Pencils, interp_windowed, spread_windowed
 
-__all__ = ["PointSet", "PointSetKey", "build_point_set", "live_point_set",
+__all__ = ["PointSet", "PointSetKey", "build_point_set", "index_key", "live_point_set",
            "validated_point_arrays"]
 
 
@@ -106,12 +107,13 @@ class PointSetKey(NamedTuple):
 _ENDS = itemgetter(0, -1)
 
 
-def _index_key(key, grid_coords):
-    """``key``, the point count and each axis's first and last coordinate."""
+def index_key(key, grid_coords):
+    """The index key of a set: ``key``, the point count and each axis's first
+    and last coordinate."""
     return key, grid_coords[0].shape[0], tuple(map(_ENDS, grid_coords))
 
 
-#: A weak reference to each held set, by ``_index_key``; see
+#: A weak reference to each held set, by :func:`index_key`; see
 #: :func:`live_point_set`.
 _LIVE = {}
 
@@ -121,15 +123,17 @@ def _forget(index, ref):
         del _LIVE[index]
 
 
-def live_point_set(grid_coords, key):
+def live_point_set(grid_coords, key, index=None):
     """The held set under ``key`` whose grid coordinates equal ``grid_coords``.
 
-    ``None`` on a miss.  Callers ask before they release their own set, so
-    re-setting a plan's points finds the set it holds.  Releasing never
-    rewrites a set's arrays (only a build recycles them), so a set found
-    here stays intact until the caller holds it.
+    ``None`` on a miss.  ``index`` is :func:`index_key` of the two, when the
+    caller has it: a caller that builds on a miss computes it once and hands
+    it to :func:`build_point_set` too.  Callers ask before they release their
+    own set, so re-setting a plan's points finds the set it holds.
+    Releasing never rewrites a set's arrays (only a build recycles them), so
+    a set found here stays intact until the caller holds it.
     """
-    ref = _LIVE.get(_index_key(key, grid_coords))
+    ref = _LIVE.get(index_key(key, grid_coords) if index is None else index)
     points = None if ref is None else ref()
     if points is None or points.holders == 0:
         return None
@@ -141,7 +145,8 @@ def live_point_set(grid_coords, key):
 class PointSet:
     """A point set's sort, stencils and point-only memo; see module docstring."""
 
-    def __init__(self, grid_coords, sort=None, stencil=None, key=None, stored=False):
+    def __init__(self, grid_coords, sort=None, stencil=None, key=None, stored=False,
+                 index=None):
         self.grid_coords = grid_coords
         self.sort = sort
         self.stencil = stencil
@@ -154,6 +159,8 @@ class PointSet:
         #: Whether the stencils came through an artifact store.
         self.stored = stored
         self.holders = 0
+        #: The set's :func:`index_key`, when its builder has it.
+        self._index = index
         #: ``(index key, weak reference)`` of the set's entry in ``_LIVE``.
         self._entry = None
         self._memo = {}
@@ -167,7 +174,8 @@ class PointSet:
         self.holders += 1
         if self.key is not None:
             if self._entry is None:
-                index = _index_key(self.key, self.grid_coords)
+                index = (index_key(self.key, self.grid_coords) if self._index is None
+                         else self._index)
                 # A set collected while still counted held (its holder was
                 # dropped without releasing it) leaves the index too.
                 self._entry = index, weakref.ref(self, lambda ref: _forget(index, ref))
@@ -224,7 +232,7 @@ class PointSet:
         return out
 
 
-def build_point_set(grid_coords, key, kernel, store=None, previous=None):
+def build_point_set(grid_coords, key, kernel, store=None, previous=None, index=None):
     """Bin-sort ``grid_coords`` and build the stencils ``key`` asks for.
 
     The stencils are built from the bin-sorted coordinates; without a CSR
@@ -233,7 +241,9 @@ def build_point_set(grid_coords, key, kernel, store=None, previous=None):
 
     ``store`` is the plan's artifact store, which keys stencils by a digest
     of the points.  ``previous`` is the set the calling plan just released;
-    its CSR arrays are reused when no plan holds it any more.
+    its CSR arrays are reused when no plan holds it any more.  ``index`` is
+    the set's :func:`index_key`, when the caller computed it for
+    :func:`live_point_set`.
     """
     sort = bin_sort(grid_coords, key.fine_shape, key.bin_shape)
     stencil = None
@@ -254,4 +264,4 @@ def build_point_set(grid_coords, key, kernel, store=None, previous=None):
             store=store, points_digest=points_digest, bin_shape=key.bin_shape,
             recycle=recycle,
         )
-    return PointSet(grid_coords, sort, stencil, key, stored=store is not None)
+    return PointSet(grid_coords, sort, stencil, key, stored=store is not None, index=index)

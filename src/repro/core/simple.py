@@ -18,6 +18,12 @@ Precision inference (as in cuFINUFFT): without ``precision=`` or ``opts=``,
 ``complex64``/``float32`` data runs in single precision and returns
 ``complex64``, ``complex128``/``float64`` data in double; other dtypes keep
 the :class:`~repro.core.options.Opts` default.
+
+A simple call is one ``set_pts`` and one ``execute``, so an operator it
+would read once is pure cost: without ``stencil_budget=`` or ``opts=``, a
+2D/3D call plans with ``stencil_budget=0`` and the windowed engine
+(:mod:`repro.core.windowed`) spreads its points by tiles instead.  1D calls
+keep the CSR operator, which is faster there.
 """
 
 from __future__ import annotations
@@ -70,6 +76,9 @@ def invoke(nufft_type, coords, data, targets, n_modes, kwargs, eps=1e-6, out=Non
     if "precision" not in kwargs and "opts" not in kwargs \
             and data.dtype in _PRECISION_OF:
         kwargs["precision"] = _PRECISION_OF[data.dtype]
+    if dim > 1 and "stencil_budget" not in kwargs and "opts" not in kwargs:
+        # The call reads its points once (see the module docstring).
+        kwargs["stencil_budget"] = 0
     if nufft_type == 1:
         if n_modes is None:
             if out is None:
@@ -126,7 +135,7 @@ out : ndarray, optional
     ``isign=`` sets the exponent sign (default ``{sign:+d}``, as above).
     Without an explicit ``precision=``, the working precision is inferred
     from ``{data}``'s dtype (``complex64``/``float32`` -> single,
-    ``complex128``/``float64`` -> double) and the output dtype matches.
+    ``complex128``/``float64`` -> double) and the output dtype matches.{operator}
 
 Returns
 -------
@@ -189,6 +198,10 @@ def _docstring(dim, nufft_type, upstream_module=None):
         points=("Source points (arbitrary reals)." if nufft_type == 3 else
                 "Nonuniform points in ``[-pi, pi)`` (any reals are folded in)."),
         data=data, data_doc=data_doc, extra=extra, sign=-1 if nufft_type == 1 else 1,
+        operator="" if dim == 1 else (
+            "\n    The call reads its points once, so it builds no CSR operator\n"
+            "    (``stencil_budget=0`` unless ``stencil_budget=`` or ``opts=`` is\n"
+            "    given): the windowed engine spreads and interpolates."),
         data_shape=f"({modes_doc})" if nufft_type == 2 else "(M,)",
         data_inner=inner if nufft_type == 2 else "M",
         out_shape={1: f"({modes_doc})", 2: "(M,)", 3: "(N_k,)"}[nufft_type],

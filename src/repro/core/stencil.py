@@ -40,11 +40,12 @@ coordinates it was built from.  ``Plan`` builds it from the bin-sorted
 coordinates (the GM-sort order of paper Sec. III-A), so consecutive points
 -- and CSR rows -- touch nearby fine-grid memory.  A cache without it lists
 them in the windowed engine's order instead
-(:func:`~repro.core.windowed.group_pencils`): the points of the crowded
-pencils first, pencil by pencil, then the others in build order; ``order``
-maps each listed point to its build index, and ``pencil_starts`` bounds the
-pencils.  Every pencil piece is then a column range of ``vals``, which the
-engine reads in place.  The backend permutes strengths into the cache's
+(:func:`~repro.core.windowed.engine_order`): the points of the crowded
+pencils first, pencil by pencil, then the others tile by tile, in build
+order within a tile; ``order`` maps each listed point to its build index,
+and ``pencil_starts`` bounds the pencils.  Every pencil piece and every
+batch of tiles is then a column range of ``vals``, which the engine reads in
+place.  The backend permutes strengths into the cache's
 order and scatters outputs back to the caller's point indices.
 """
 
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse as _sparse
 
-from .windowed import group_pencils
+from .windowed import engine_order
 
 __all__ = [
     "StencilCache",
@@ -106,7 +107,7 @@ class StencilCache:
     pencil_starts : ndarray of int64 or None
         Without ``interp_matrix``: the boundaries of the windowed engine's
         GEMM pencils, which come first; the points from ``pencil_starts[-1]``
-        on are scattered.  ``None`` with ``interp_matrix``.
+        on are listed tile by tile (d >= 2).  ``None`` with ``interp_matrix``.
     """
 
     fine_shape: tuple
@@ -287,7 +288,7 @@ def _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
     order = pencil_starts = None
     if not with_matrix:
         # The windowed engine's order, before any value is evaluated.
-        order, pencil_starts = group_pencils(i0_list, fine_shape, w)
+        order, pencil_starts = engine_order(i0_list, fine_shape, w)
         if order is not None:
             coords = [g[order] for g in coords]
             i0_list = [i0[order] for i0 in i0_list]

@@ -27,7 +27,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.artifacts import ArtifactStore, default_store, reset_default_store
+from repro.artifacts import ARRAY_KINDS, ArtifactStore, default_store, reset_default_store
 from repro.core.plan import Plan
 from repro.core.stencil import build_stencil_cache, stencil_cache_key
 from repro.gpu.device import Device
@@ -383,6 +383,29 @@ class TestProducerRoundtrips:
         assert orders[0] is not None and np.array_equal(*orders)
         for cold, warm in zip(*outputs):
             assert np.array_equal(cold, warm)
+
+    def test_stencil_v4_entry_is_rebuilt(self, tmp_path, rng):
+        """A stencil entry of schema 4 (its non-pencil points in bin order,
+        not tile order) is stale: the store skips it and rebuilds, and the
+        plan's output is that of a plan without a store."""
+        assert ARRAY_KINDS["stencil"] == 5
+        x, y, _ = make_points_2d(rng, m=2000)
+        c = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
+
+        def run(store):
+            with Plan(1, (32, 32), eps=1e-9, precision="double", stencil_budget=0,
+                      artifact_store=store) as plan:
+                plan.set_pts(x, y)
+                return plan.execute(c)
+
+        old = ArtifactStore(root=tmp_path).register_array_kind("stencil", 4)
+        run(old)
+        assert old.stats.by_kind["stencil"]["builds"] == 1
+        new = ArtifactStore(root=tmp_path)
+        got = run(new)
+        stats = new.stats.by_kind["stencil"]
+        assert (stats["stale"], stats["hits"], stats["builds"]) == (1, 0, 1)
+        assert np.array_equal(got, run(None))
 
     def test_stencil_key_covers_inputs(self):
         kernel = ESKernel.from_tolerance(1e-6)

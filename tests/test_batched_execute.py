@@ -115,10 +115,12 @@ class TestStencilCache:
         lean = build_stencil_cache(grid_coords, fine_shape, kernel, fuse_budget=0)
         assert fused.interp_matrix is not None
         assert lean.interp_matrix is None
-        # The per-dimension arrays are identical: the windowed engine reads them.
+        # The per-dimension arrays are identical, listed in the windowed
+        # engine's order (tile by tile), which the engine reads them in.
+        assert np.array_equal(np.sort(lean.order), np.arange(500))
         for d in range(2):
-            np.testing.assert_array_equal(fused.i0[d], lean.i0[d])
-            np.testing.assert_array_equal(fused.vals[d], lean.vals[d])
+            np.testing.assert_array_equal(fused.i0[d][lean.order], lean.i0[d])
+            np.testing.assert_array_equal(fused.vals[d][:, lean.order], lean.vals[d])
         assert lean.nbytes() < fused.nbytes()
 
     def test_sm_spread_with_cache(self, rng):

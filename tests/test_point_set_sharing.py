@@ -120,6 +120,26 @@ def test_resetting_own_points_keeps_the_set():
     assert pointset.live_point_set(own.grid_coords, own.key) is own
 
 
+def test_resetting_own_type3_points_keeps_both_sets():
+    rng = np.random.default_rng(8)
+    pts, targets = _points(rng), _targets(rng)
+    c = (rng.standard_normal(M) + 1j * rng.standard_normal(M)).astype(np.complex64)
+    plan = _plan(3)
+    plan.set_pts(*pts, **targets)
+    outer, inner = plan.point_set, plan._t3_inner.point_set
+    expected = plan.execute(c)
+    plan.set_pts(*(p.copy() for p in pts), **{k: v.copy() for k, v in targets.items()})
+    assert plan.point_set is outer and plan._t3_inner.point_set is inner
+    assert outer.holders == inner.holders == 1
+    assert np.array_equal(plan.execute(c), expected)
+    # Other targets give the inner plan a new set and let the old one go.
+    plan.set_pts(*pts, **_targets(rng))
+    assert plan._t3_inner.point_set is not inner
+    assert inner.holders == 0
+    assert pointset.live_point_set(inner.grid_coords, inner.key) is None
+    plan.destroy()
+
+
 def test_recycled_set_is_never_returned():
     rng = np.random.default_rng(5)
     pts, new = _points(rng), _points(rng)

@@ -6,10 +6,12 @@ through :mod:`repro.core.windowed`; default plans at these sizes use the CSR
 operator.  Both engines run the same stencils and differ only in summation
 order, so they must agree within the ``eps / 10`` backend-equivalence bound
 of ``tests/test_property_equivalence.py``.  The same bound holds between the
-windowed engine's two regimes (dense GEMM per crowded pencil, scatter /
-gather for the rest), which the tests below force by patching the pencil
-threshold, and between either engine over a plan's bin-sorted stencil cache
-and a CSR operator built in the caller's point order.
+windowed engine's two regimes (dense GEMM per crowded pencil; for the rest,
+the tile GEMM to spread and the window gather to interpolate), which the
+tests below force by patching the pencil threshold, and between either
+engine over a plan's bin-sorted stencil cache and a CSR operator built in the
+caller's point order.  One-shot 2D/3D simple calls run on the windowed
+engine (they build no CSR operator); 1D ones keep the operator.
 """
 
 import tracemalloc
@@ -274,7 +276,8 @@ def test_windows_outside_padded_grid_raise():
 
 
 # --------------------------------------------------------------------------- #
-# the two regimes: dense GEMM per crowded pencil, scatter / gather otherwise
+# the two regimes: dense GEMM per crowded pencil; otherwise tiles to spread,
+# window gather to interpolate (the "scatter" regime below)
 # --------------------------------------------------------------------------- #
 #: Pencil thresholds (window entries) that send every point to one regime.
 _ALL_GEMM, _ALL_SCATTER = 1, 1 << 62
@@ -319,6 +322,8 @@ def test_pencil_regimes_agree(ndim, nufft_type, precision, n_trans, regime, dist
     got, points = _run_windowed(*args, out=out)
     n_gemm = points.pencils().n_gemm
     assert {"gemm": n_gemm == m, "scatter": n_gemm == 0, "mixed": 0 < n_gemm < m}[regime]
+    if regime != "gemm":  # the other points spread by tiles
+        assert points.pencils().tiles().bounds[[0, -1]].tolist() == [n_gemm, m]
     assert got is out
 
     csr, operators = _run(nufft_type, ndim, precision, n_trans, pts, None, data)
@@ -334,22 +339,29 @@ def test_pencil_regimes_agree(ndim, nufft_type, precision, n_trans, regime, dist
     assert _error(got, exact) <= _SAFETY * _EPS[precision]
 
 
-@pytest.mark.parametrize("regime", ["gemm", "mixed"])
+@pytest.mark.parametrize("regime", ["gemm", "mixed", "tiles"])
 @pytest.mark.parametrize("fine_shape", [(24, 18), (12, 10, 14), (3, 4, 5)])
 def test_gemm_spread_is_adjoint_of_gemm_interp(fine_shape, regime, monkeypatch):
-    """<spread(c), g> == <c, interp(g)> with crowded pencils on the GEMM path."""
+    """<spread(c), g> == <c, interp(g)> with crowded pencils on the pencil
+    GEMM path, the rest on the tile GEMM path (pieces of at most 16 points,
+    so crowded tiles split)."""
     rng = np.random.default_rng(len(fine_shape))
     width = ESKernel.from_tolerance(1e-9).width
-    monkeypatch.setattr(windowed, "_PENCIL_MIN_ENTRIES",
-                        _ALL_GEMM if regime == "gemm" else 8 * width ** len(fine_shape))
+    threshold = {"gemm": _ALL_GEMM, "mixed": 8 * width ** len(fine_shape),
+                 "tiles": _ALL_SCATTER}[regime]
+    monkeypatch.setattr(windowed, "_PENCIL_MIN_ENTRIES", threshold)
+    monkeypatch.setattr(windowed, "_TILE_POINTS", 16)
     _, cache = _engine_setup(rng, fine_shape, 1e-9, m=400, dist="cluster",
                              build_matrix=False)
     c = _random(rng, (2, cache.n_points), np.complex128)
     g = _random(rng, (2,) + fine_shape, np.complex128)
     spread = spread_windowed(c, cache, np.zeros_like(g))
     values = interp_windowed(g, cache, np.zeros_like(c))
-    n_gemm = windowed.Pencils(cache).n_gemm
-    assert n_gemm == cache.n_points if regime == "gemm" else 0 < n_gemm < cache.n_points
+    pencils = windowed.Pencils(cache)
+    n_gemm, m = pencils.n_gemm, cache.n_points
+    assert {"gemm": n_gemm == m, "mixed": 0 < n_gemm < m, "tiles": n_gemm == 0}[regime]
+    if regime != "gemm":
+        assert pencils.tiles().bounds[[0, -1]].tolist() == [n_gemm, m]
     lhs = np.vdot(g, spread)
     rhs = np.vdot(values, c)
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
@@ -376,7 +388,17 @@ def test_pencil_split_assigns_every_point_once():
     assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
     assert len(chunks) > 1 and all(0 < c.stop - c.start <= 100 for c in chunks)
     assert np.array_equal(np.sort(cache.order), np.arange(m))
-    assert np.all(np.diff(cache.order[n_gemm:]) > 0)
+    # The rest is listed tile by tile, in build order within a tile, and the
+    # tile pieces tile it: each piece in one tile, none over the cap.
+    key, _ = windowed._tile_keys([a[n_gemm:] for a in cache.i0], fine_shape, cache.width)
+    key = key.astype(np.int64)
+    assert np.all(np.diff(key) >= 0)
+    assert np.all(np.diff(cache.order[n_gemm:])[np.diff(key) == 0] > 0)
+    bounds = pencils.tiles().bounds
+    assert bounds[0] == n_gemm and bounds[-1] == m and np.all(np.diff(bounds) > 0)
+    assert np.diff(bounds).max() <= windowed._TILE_POINTS
+    assert all(np.unique(key[a - n_gemm:b - n_gemm]).size == 1
+               for a, b in zip(bounds[:-1], bounds[1:]))
 
     before, _ = windowed._padding(cache.width)
     for piece in pieces:
@@ -461,3 +483,103 @@ def test_pencil_temporaries_stay_flat(monkeypatch):
             tracemalloc.stop()
     assert max(peaks) <= 3 * padded_bytes, (peaks, padded_bytes)
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+# --------------------------------------------------------------------------- #
+# the tile regime: the spread of every point no crowded pencil takes (d >= 2)
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("eps", [1e-6, 1e-12])
+@pytest.mark.parametrize("fine_shape", [(32, 24), (6, 5), (16, 12, 20), (4, 3, 5)])
+def test_tiles_on_periodic_margins(fine_shape, eps, monkeypatch):
+    """Points hugging the period edges put their windows in the padded
+    margins (and past them, on grids narrower than the kernel): the tile
+    boxes there fold back onto the grid as the CSR operator wraps them."""
+    monkeypatch.setattr(windowed, "_PENCIL_MIN_ENTRIES", _ALL_SCATTER)
+    rng = np.random.default_rng([len(fine_shape), sum(fine_shape)])
+    kernel = ESKernel.from_tolerance(eps)
+    m = 600
+    # Half the points within a cell of 0, half within a cell of the far edge.
+    grid_coords = [np.where(rng.random(m) < 0.5, rng.uniform(0, 1, m),
+                            rng.uniform(n - 1, n, m) % n) for n in fine_shape]
+    cache = build_stencil_cache(grid_coords, fine_shape, kernel, build_matrix=False)
+    assert windowed.Pencils(cache).tiles().bounds[[0, -1]].tolist() == [0, m]
+    operator = build_stencil_cache([g[cache.order] for g in grid_coords], fine_shape,
+                                   kernel)
+    c = _random(rng, (2, m), np.complex128)
+    spread = spread_windowed(c, cache, np.zeros((2,) + fine_shape, complex))
+    expected = spread_cached(c, PointSet(grid_coords, stencil=operator), np.complex128)
+    np.testing.assert_allclose(spread, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_tile_temporaries_stay_flat(monkeypatch):
+    """One tile holding every point: host peak is flat in M.
+
+    With no pencil taking them, ``M`` points inside one tile are spread by
+    pieces of at most ``_TILE_POINTS``, batched within ``_CHUNK_ENTRIES``, so
+    the spread stays within 3x the padded complex128 grid plus four float64
+    buffers of ``_CHUNK_ENTRIES`` of host memory (traced by ``tracemalloc``),
+    whether ``M`` is 20k or 80k.
+    """
+    monkeypatch.setattr(windowed, "_PENCIL_MIN_ENTRIES", _ALL_SCATTER)
+    monkeypatch.setattr(windowed, "_CHUNK_ENTRIES", 1 << 15)
+    fine_shape = (64, 64)
+    kernel = ESKernel.from_tolerance(1e-6)
+    before, after = windowed._padding(kernel.width)
+    padded_bytes = 16 * int(np.prod([n + before + after for n in fine_shape]))
+    peaks = []
+    for m in (20_000, 80_000):
+        rng = np.random.default_rng(m)
+        grid_coords = [rng.uniform(30.6, 31.9, m) for _ in fine_shape]
+        cache = build_stencil_cache(grid_coords, fine_shape, kernel, build_matrix=False)
+        pencils = windowed.Pencils(cache)
+        assert pencils.n_gemm == 0
+        assert np.unique(windowed._tile_keys(cache.i0, fine_shape, cache.width)[0]).size == 1
+        c = _random(rng, (1, m), np.complex128)
+        spread = np.zeros((1,) + fine_shape, complex)
+        # The first pass lays out the set's tile pieces and batches, kept for
+        # the following ones; the traced pass holds only temporaries.
+        spread_windowed(c, cache, spread, pencils)
+        tracemalloc.start()
+        try:
+            spread_windowed(c, cache, spread, pencils)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    bound = 3 * padded_bytes + 4 * 8 * windowed._CHUNK_ENTRIES
+    assert max(peaks) <= bound, (peaks, bound)
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_simple_calls_skip_the_operator_in_2d_and_3d(monkeypatch):
+    """A one-shot 2D/3D simple call reads its points once and builds no CSR
+    operator (types 1, 2 and 3, the inner type-2 plan included); a 1D call,
+    or one that passes ``stencil_budget`` or ``opts``, keeps it."""
+    import repro.core.pointset as pointset
+    from repro import Opts, nufft1d1, nufft2d1, nufft2d3, nufft3d2
+
+    built = []
+
+    def recording(*args, **kwargs):
+        cache = build(*args, **kwargs)
+        built.append(cache.interp_matrix is not None)
+        return cache
+
+    build = pointset.build_stencil_cache
+    monkeypatch.setattr(pointset, "build_stencil_cache", recording)
+    rng = np.random.default_rng(12)
+    x, y, z = (rng.uniform(-np.pi, np.pi, 300) for _ in range(3))
+    c = _random(rng, 300, np.complex128)
+    calls = {
+        "1d1": lambda **kw: nufft1d1(x, c, 20, **kw),
+        "2d1": lambda **kw: nufft2d1(x, y, c, (12, 10), **kw),
+        "2d3": lambda **kw: nufft2d3(x, y, c, x[:50] * 3, y[:50] * 3, **kw),
+        "3d2": lambda **kw: nufft3d2(x, y, z, _random(rng, (6, 8, 6), np.complex128),
+                                     **kw),
+    }
+    for name, call in calls.items():
+        for kwargs, operator in (({}, name == "1d1"),
+                                 ({"stencil_budget": 1 << 25}, True),
+                                 ({"opts": Opts()}, True)):
+            built.clear()
+            call(**kwargs)
+            assert built and all(b == operator for b in built), (name, kwargs, built)
