@@ -47,6 +47,7 @@ if REPO_ROOT not in sys.path:  # allow `python benchmarks/bench_interop.py`
 
 from benchmarks.common import emit, record  # noqa: E402
 from repro.core.plan import Plan  # noqa: E402
+from repro.core.simple import skips_operator  # noqa: E402
 
 SECTION = "interop"
 
@@ -173,11 +174,13 @@ def _facade_check(n_modes, x, y, rng):
     ref.destroy()
 
     # GPU-flavoured facade, single precision, SM method, simple call + out=.
-    # A 2D simple call reads its points once and plans no CSR operator.
+    # A simple call reads its points once and plans no CSR operator where
+    # the windowed engine pays (always for type 2).
     out = np.empty(n_modes, dtype=np.complex64)
     got = cufinufft.nufft2d1(x, y, c_single, n_modes, out=out, gpu_method=2)
+    skip = skips_operator(1, (x, y), (), n_modes, 1e-6)
     ref = Plan(1, n_modes, eps=1e-6, precision="single", isign=+1,
-               method="SM", stencil_budget=0)
+               method="SM", **({"stencil_budget": 0} if skip else {}))
     ref.set_pts(x, y)
     checks.append(got is out and np.array_equal(out, ref.execute(c_single)))
     ref.destroy()

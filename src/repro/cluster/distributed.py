@@ -45,7 +45,7 @@ from ..core.binsort import to_grid_coordinates
 from ..core.deconvolve import CorrectionFactors
 from ..core.gridsize import fine_grid_shape
 from ..core.options import Opts, SpreadMethod, integral_count, integral_mode_counts
-from ..core.pointset import (PointSetKey, build_point_set, index_key, live_point_set,
+from ..core.pointset import (PointSetKey, build_point_set, live_point_set,
                              validated_point_arrays)
 from ..core.slab import (
     halo_pads,
@@ -266,14 +266,12 @@ class DistributedPlan:
                 stencil_budget=self.opts.stencil_budget, bin_shape=self.bin_shape,
                 stencils=True,
             )
-            index = index_key(key, local)
-            ranks.append((local, key, index, live_point_set(local, key, index)))
+            ranks.append((local, key, live_point_set(local, key)))
         self._release_point_sets()
         self._owned_idx = owned_idx
         self.point_sets = [
             None if rank is None
-            else (rank[3] or build_point_set(rank[0], rank[1], self.kernel,
-                                             index=rank[2])).hold()
+            else (rank[2] or build_point_set(rank[0], rank[1], self.kernel)).hold()
             for rank in ranks
         ]
         self.n_points = coords[0].shape[0]

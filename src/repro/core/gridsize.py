@@ -15,6 +15,7 @@ __all__ = [
     "next_smooth_even_235",
     "fine_grid_size",
     "fine_grid_shape",
+    "type3_axis",
 ]
 
 
@@ -88,3 +89,25 @@ def fine_grid_size(n_modes, kernel_width, upsampfac=2.0):
 def fine_grid_shape(modes_shape, kernel_width, upsampfac=2.0):
     """Fine grid shape for a multi-dimensional transform."""
     return tuple(fine_grid_size(n, kernel_width, upsampfac) for n in modes_shape)
+
+
+def type3_axis(x, s, kernel_width, upsampfac=2.0):
+    """One axis of a type-3 fine grid for sources ``x`` and targets ``s``.
+
+    Returns ``(nf, cx, cs, half_s)``: the grid size
+    ``nf ~ 2 sigma S X / pi + w`` (an even 5-smooth size, at least ``2w``),
+    the sources' and targets' centres, and the targets' half-extent ``S``
+    (``X`` is the sources').  Degenerate extents (all sources and/or
+    targets coincident) keep ``X * S`` bounded away from zero, as
+    FINUFFT's ``set_nhg`` does.
+    """
+    cx = 0.5 * (float(x.max()) + float(x.min()))
+    cs = 0.5 * (float(s.max()) + float(s.min()))
+    half_x = float(np.abs(x - cx).max())
+    half_s = float(np.abs(s - cs).max())
+    if half_x == 0.0:
+        half_x = 1.0 if half_s == 0.0 else max(half_x, 1.0 / half_s)
+    if half_s == 0.0:
+        half_s = max(half_s, 1.0 / half_x)
+    nf = int(2.0 * upsampfac * half_s * half_x / np.pi + (kernel_width + 1))
+    return next_smooth_even_235(max(nf, 2 * kernel_width)), cx, cs, half_s

@@ -39,9 +39,9 @@ from ..kernels.es_kernel import ESKernel
 from ..metrics import allocs
 from .binsort import setup_kernel_profiles, to_grid_coordinates
 from .deconvolve import CorrectionFactors
-from .gridsize import fine_grid_shape, next_smooth_even_235
+from .gridsize import fine_grid_shape, type3_axis
 from .options import Opts, SpreadMethod, integral_count, integral_mode_counts
-from .pointset import (PointSet, PointSetKey, build_point_set, index_key, live_point_set,
+from .pointset import (PointSet, PointSetKey, build_point_set, live_point_set,
                        validated_point_arrays)
 from .workspace import Workspace
 
@@ -381,8 +381,7 @@ class Plan:
             to_grid_coordinates(coords[d], self.fine_shape[d]) for d in range(self.ndim)
         ]
         key = self._point_set_key()
-        index = index_key(key, grid_coords)
-        points = live_point_set(grid_coords, key, index)
+        points = live_point_set(grid_coords, key)
         # An equal point count gives an operator of equal size: the new
         # stencil cache may then be written into the old one's arrays.
         previous = self.point_set if coords[0].shape[0] == self.n_points else None
@@ -390,7 +389,7 @@ class Plan:
         self._upload_points(coords)
         self._install(points or build_point_set(grid_coords, key, self.kernel,
                                                 store=self.artifact_store,
-                                                previous=previous, index=index))
+                                                previous=previous))
         self._points_ready = True
         return self
 
@@ -518,19 +517,7 @@ class Plan:
         centers_s = []
         spread_half = []
         for d in range(self.ndim):
-            xd, sd = coords[d], targets[d]
-            cx = 0.5 * (float(xd.max()) + float(xd.min()))
-            cs = 0.5 * (float(sd.max()) + float(sd.min()))
-            half_x = float(np.abs(xd - cx).max())
-            half_s = float(np.abs(sd - cs).max())
-            # Degenerate extents (all sources and/or targets coincident):
-            # ensure X*S is bounded away from zero, as FINUFFT's set_nhg does.
-            if half_x == 0.0:
-                half_x = 1.0 if half_s == 0.0 else max(half_x, 1.0 / half_s)
-            if half_s == 0.0:
-                half_s = max(half_s, 1.0 / half_x)
-            nf = int(2.0 * sigma * half_s * half_x / np.pi + (w + 1))
-            nf = next_smooth_even_235(max(nf, 2 * w))
+            nf, cx, cs, half_s = type3_axis(coords[d], targets[d], w, sigma)
             fine.append(nf)
             gamma.append(nf / (2.0 * sigma * half_s))
             centers_x.append(cx)
@@ -573,12 +560,14 @@ class Plan:
         # every other fallible step, and like the lookup of a held set.
         self._maybe_tune(fine_shape, m)
         key = self._point_set_key(fine_shape)
-        index = index_key(key, grid_coords)
-        points = live_point_set(grid_coords, key, index)
-
-        # The inner plan's set stays held while the inner plan is replaced,
-        # so that equal targets find it again.
-        inner = getattr(self._t3_inner, "point_set", None)
+        points = live_point_set(grid_coords, key)
+        rescaled_targets = [
+            (targets[d] - centers_s[d]) * (np.pi / (sigma * spread_half[d]))
+            for d in range(self.ndim)
+        ]
+        # A set the new inner plan will find stays held while the inner plan
+        # is replaced; any other is freed before the new one is built.
+        inner = self._kept_inner_set(fine_shape, rescaled_targets)
         if inner is not None:
             inner.hold()
         try:
@@ -609,8 +598,7 @@ class Plan:
                 self._setup_pipeline.add_transfer("h2d", buf.nbytes, label)
 
             self._install(points or build_point_set(grid_coords, key, self.kernel,
-                                                    store=self.artifact_store,
-                                                    index=index))
+                                                    store=self.artifact_store))
 
             # Inner type-2 plan over the same backend: evaluates the fine grid's
             # trigonometric sum at the rescaled target frequencies, with the
@@ -620,10 +608,6 @@ class Plan:
             self._t3_inner = Plan(2, self.fine_shape, n_trans=self.n_trans,
                                   eps=self.eps, opts=inner_opts, device=self.device,
                                   artifact_store=self.artifact_store)
-            rescaled_targets = [
-                (targets[d] - centers_s[d]) * (np.pi / (sigma * spread_half[d]))
-                for d in range(self.ndim)
-            ]
             self._t3_inner.set_pts(*rescaled_targets)
         finally:
             if inner is not None:
@@ -632,6 +616,26 @@ class Plan:
         self._setup_pipeline.merge(self._t3_inner._setup_pipeline)
         self._points_ready = True
         return self
+
+    def _kept_inner_set(self, fine_shape, targets):
+        """The inner plan's set, when an inner plan over ``fine_shape`` will
+        find it for the rescaled ``targets``; else ``None``.
+
+        It will when the grid, the target count and the targets' grid
+        coordinates are unchanged.  The end points are compared first, so
+        other targets cost two-point conversions, not a pass over them.
+        """
+        inner = self._t3_inner
+        points = getattr(inner, "point_set", None)
+        if (points is None or fine_shape != self.fine_shape
+                or points.n_points != targets[0].shape[0]):
+            return None
+        ends = [0, -1]
+        for t, g, n in zip(targets, points.grid_coords, inner.fine_shape):
+            if not np.array_equal(to_grid_coordinates(t[ends], n), g[ends]):
+                return None
+        grid_coords = [to_grid_coordinates(t, n) for t, n in zip(targets, inner.fine_shape)]
+        return points if live_point_set(grid_coords, points.key) is points else None
 
     # ------------------------------------------------------------------ #
     # execute

@@ -53,7 +53,7 @@ from .spread import spread_cached
 from .stencil import build_stencil_cache
 from .windowed import Pencils, interp_windowed, spread_windowed
 
-__all__ = ["PointSet", "PointSetKey", "build_point_set", "index_key", "live_point_set",
+__all__ = ["PointSet", "PointSetKey", "build_point_set", "live_point_set",
            "validated_point_arrays"]
 
 
@@ -107,13 +107,12 @@ class PointSetKey(NamedTuple):
 _ENDS = itemgetter(0, -1)
 
 
-def index_key(key, grid_coords):
-    """The index key of a set: ``key``, the point count and each axis's first
-    and last coordinate."""
+def _index_key(key, grid_coords):
+    """``key``, the point count and each axis's first and last coordinate."""
     return key, grid_coords[0].shape[0], tuple(map(_ENDS, grid_coords))
 
 
-#: A weak reference to each held set, by :func:`index_key`; see
+#: A weak reference to each held set, by ``_index_key``; see
 #: :func:`live_point_set`.
 _LIVE = {}
 
@@ -123,17 +122,15 @@ def _forget(index, ref):
         del _LIVE[index]
 
 
-def live_point_set(grid_coords, key, index=None):
+def live_point_set(grid_coords, key):
     """The held set under ``key`` whose grid coordinates equal ``grid_coords``.
 
-    ``None`` on a miss.  ``index`` is :func:`index_key` of the two, when the
-    caller has it: a caller that builds on a miss computes it once and hands
-    it to :func:`build_point_set` too.  Callers ask before they release their
-    own set, so re-setting a plan's points finds the set it holds.
-    Releasing never rewrites a set's arrays (only a build recycles them), so
-    a set found here stays intact until the caller holds it.
+    ``None`` on a miss.  Callers ask before they release their own set, so
+    re-setting a plan's points finds the set it holds.  Releasing never
+    rewrites a set's arrays (only a build recycles them), so a set found
+    here stays intact until the caller holds it.
     """
-    ref = _LIVE.get(index_key(key, grid_coords) if index is None else index)
+    ref = _LIVE.get(_index_key(key, grid_coords))
     points = None if ref is None else ref()
     if points is None or points.holders == 0:
         return None
@@ -145,8 +142,7 @@ def live_point_set(grid_coords, key, index=None):
 class PointSet:
     """A point set's sort, stencils and point-only memo; see module docstring."""
 
-    def __init__(self, grid_coords, sort=None, stencil=None, key=None, stored=False,
-                 index=None):
+    def __init__(self, grid_coords, sort=None, stencil=None, key=None, stored=False):
         self.grid_coords = grid_coords
         self.sort = sort
         self.stencil = stencil
@@ -159,8 +155,6 @@ class PointSet:
         #: Whether the stencils came through an artifact store.
         self.stored = stored
         self.holders = 0
-        #: The set's :func:`index_key`, when its builder has it.
-        self._index = index
         #: ``(index key, weak reference)`` of the set's entry in ``_LIVE``.
         self._entry = None
         self._memo = {}
@@ -174,8 +168,7 @@ class PointSet:
         self.holders += 1
         if self.key is not None:
             if self._entry is None:
-                index = (index_key(self.key, self.grid_coords) if self._index is None
-                         else self._index)
+                index = _index_key(self.key, self.grid_coords)
                 # A set collected while still counted held (its holder was
                 # dropped without releasing it) leaves the index too.
                 self._entry = index, weakref.ref(self, lambda ref: _forget(index, ref))
@@ -232,7 +225,7 @@ class PointSet:
         return out
 
 
-def build_point_set(grid_coords, key, kernel, store=None, previous=None, index=None):
+def build_point_set(grid_coords, key, kernel, store=None, previous=None):
     """Bin-sort ``grid_coords`` and build the stencils ``key`` asks for.
 
     The stencils are built from the bin-sorted coordinates; without a CSR
@@ -241,9 +234,7 @@ def build_point_set(grid_coords, key, kernel, store=None, previous=None, index=N
 
     ``store`` is the plan's artifact store, which keys stencils by a digest
     of the points.  ``previous`` is the set the calling plan just released;
-    its CSR arrays are reused when no plan holds it any more.  ``index`` is
-    the set's :func:`index_key`, when the caller computed it for
-    :func:`live_point_set`.
+    its CSR arrays are reused when no plan holds it any more.
     """
     sort = bin_sort(grid_coords, key.fine_shape, key.bin_shape)
     stencil = None
@@ -264,4 +255,4 @@ def build_point_set(grid_coords, key, kernel, store=None, previous=None, index=N
             store=store, points_digest=points_digest, bin_shape=key.bin_shape,
             recycle=recycle,
         )
-    return PointSet(grid_coords, sort, stencil, key, stored=store is not None, index=index)
+    return PointSet(grid_coords, sort, stencil, key, stored=store is not None)

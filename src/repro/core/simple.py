@@ -19,24 +19,30 @@ Precision inference (as in cuFINUFFT): without ``precision=`` or ``opts=``,
 ``complex64``, ``complex128``/``float64`` data in double; other dtypes keep
 the :class:`~repro.core.options.Opts` default.
 
-A simple call is one ``set_pts`` and one ``execute``, so an operator it
-would read once is pure cost: without ``stencil_budget=`` or ``opts=``, a
-2D/3D call plans with ``stencil_budget=0`` and the windowed engine
-(:mod:`repro.core.windowed`) spreads its points by tiles instead.  1D calls
-keep the CSR operator, which is faster there.
+A simple call is one ``set_pts`` and one ``execute``, so it reads a CSR
+operator once: without ``stencil_budget=`` or ``opts=``, it builds one only
+where the windowed engine (:mod:`repro.core.windowed`) would be slower
+(:func:`skips_operator`).  2D/3D type-2 calls never build it; 2D/3D type-1
+and type-3 calls skip it when their points fill the grid densely enough
+for the tile regime to pay; 1D calls keep it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..kernels.es_kernel import kernel_params_for_tolerance
+from .gridsize import fine_grid_shape, type3_axis
 from .options import integral_mode_counts
 from .plan import Plan
+from .pointset import validated_point_arrays
+from .windowed import tiles_pay
 
 __all__ = [
     "nufft1d1", "nufft1d2", "nufft1d3",
     "nufft2d1", "nufft2d2", "nufft2d3",
     "nufft3d1", "nufft3d2", "nufft3d3",
+    "skips_operator",
 ]
 
 #: The simple calls, ``(dim, nufft_type) -> (coordinates, data, targets)``:
@@ -76,9 +82,6 @@ def invoke(nufft_type, coords, data, targets, n_modes, kwargs, eps=1e-6, out=Non
     if "precision" not in kwargs and "opts" not in kwargs \
             and data.dtype in _PRECISION_OF:
         kwargs["precision"] = _PRECISION_OF[data.dtype]
-    if dim > 1 and "stencil_budget" not in kwargs and "opts" not in kwargs:
-        # The call reads its points once (see the module docstring).
-        kwargs["stencil_budget"] = 0
     if nufft_type == 1:
         if n_modes is None:
             if out is None:
@@ -89,9 +92,53 @@ def invoke(nufft_type, coords, data, targets, n_modes, kwargs, eps=1e-6, out=Non
             raise ValueError(f"n_modes must hold {dim} mode count(s), got {n_modes!r}")
     else:
         shape = data.shape[-dim:] if nufft_type == 2 else dim
+    if "stencil_budget" not in kwargs and "opts" not in kwargs \
+            and skips_operator(nufft_type, coords, targets, shape, eps):
+        kwargs["stencil_budget"] = 0
     with Plan(nufft_type, shape, eps=eps, **kwargs) as plan:
         plan.set_pts(*coords, **dict(zip(("s", "t", "u"), targets)))
         return plan.execute(data, out=out)
+
+
+def skips_operator(nufft_type, coords, targets, n_modes, eps):
+    """Whether a simple call plans without the CSR operator (``stencil_budget=0``).
+
+    The call reads its points once, so the operator's build is pure cost
+    where the windowed engine is as fast.  In 2D/3D a type-2 call always
+    skips it: the window gather reads each window once, as the operator
+    would, without building it.  Type-1 and type-3 calls skip it when the
+    tile regime pays on the grid they spread to
+    (:func:`~repro.core.windowed.tiles_pay`): their points fill it densely
+    enough.  1D calls keep it, and so does an invalid ``eps``, which the
+    plan rejects.  The arguments are as for :func:`invoke`; ``n_modes`` is
+    the mode shape (types 1 and 2).
+
+    Examples
+    --------
+    >>> import numpy as np
+    >>> from repro.core.simple import skips_operator
+    >>> x, y = np.random.default_rng(0).uniform(-np.pi, np.pi, (2, 65536))
+    >>> skips_operator(1, (x, y), (), (128, 128), 1e-6)
+    True
+    >>> skips_operator(1, (x[:4096], y[:4096]), (), (256, 256), 1e-6)
+    False
+    >>> skips_operator(2, (x[:4096], y[:4096]), (), (256, 256), 1e-6)
+    True
+    """
+    dim = len(coords)
+    if dim == 1 or not 0.0 < float(eps) < 1.0:
+        return False
+    if nufft_type == 2:
+        return True
+    width, _ = kernel_params_for_tolerance(eps)
+    if nufft_type == 1:
+        fine_shape = fine_grid_shape(n_modes, width)
+    else:
+        names = CALLS[dim, 3]
+        coords = validated_point_arrays(coords, dim, names[0])
+        targets = validated_point_arrays(targets, dim, names[2], "target frequency")
+        fine_shape = [type3_axis(x, s, width)[0] for x, s in zip(coords, targets)]
+    return tiles_pay(np.size(coords[0]), fine_shape, width)
 
 
 #: Per transform type, as documented: the sum, the data argument, the result
@@ -113,6 +160,16 @@ _TYPE_DOCS = {
         "The sums at each target frequency.", ""),
 }
 _EXAMPLE_MODES = {1: (64,), 2: (32, 32), 3: (12, 12, 12)}
+#: The 2D/3D calls' operator note, for types 1 and 3 and for type 2.
+_OPERATOR_DOCS = {
+    False: ("\n    The call reads its points once: unless ``stencil_budget=`` or\n"
+            "    ``opts=`` is given, it builds no CSR operator when its points fill\n"
+            "    the fine grid densely enough for the windowed engine's tiles to\n"
+            "    pay (:func:`~repro.core.simple.skips_operator`)."),
+    True: ("\n    The call reads its points once, so it builds no CSR operator\n"
+           "    (``stencil_budget=0`` unless ``stencil_budget=`` or ``opts=`` is\n"
+           "    given): the windowed engine interpolates."),
+}
 
 _TEMPLATE = """{dim}D type-{t} NUFFT: {sum}.
 
@@ -198,10 +255,7 @@ def _docstring(dim, nufft_type, upstream_module=None):
         points=("Source points (arbitrary reals)." if nufft_type == 3 else
                 "Nonuniform points in ``[-pi, pi)`` (any reals are folded in)."),
         data=data, data_doc=data_doc, extra=extra, sign=-1 if nufft_type == 1 else 1,
-        operator="" if dim == 1 else (
-            "\n    The call reads its points once, so it builds no CSR operator\n"
-            "    (``stencil_budget=0`` unless ``stencil_budget=`` or ``opts=`` is\n"
-            "    given): the windowed engine spreads and interpolates."),
+        operator="" if dim == 1 else _OPERATOR_DOCS[nufft_type == 2],
         data_shape=f"({modes_doc})" if nufft_type == 2 else "(M,)",
         data_inner=inner if nufft_type == 2 else "M",
         out_shape={1: f"({modes_doc})", 2: "(M,)", 3: "(N_k,)"}[nufft_type],

@@ -43,7 +43,8 @@ them in the windowed engine's order instead
 (:func:`~repro.core.windowed.engine_order`): the points of the crowded
 pencils first, pencil by pencil, then the others tile by tile, in build
 order within a tile; ``order`` maps each listed point to its build index,
-and ``pencil_starts`` bounds the pencils.  Every pencil piece and every
+``pencil_starts`` bounds the pencils, and ``tile_starts`` / ``tile_keys``
+the runs of points in one tile and their tiles.  Every pencil piece and every
 batch of tiles is then a column range of ``vals``, which the engine reads in
 place.  The backend permutes strengths into the cache's
 order and scatters outputs back to the caller's point indices.
@@ -108,6 +109,11 @@ class StencilCache:
         Without ``interp_matrix``: the boundaries of the windowed engine's
         GEMM pencils, which come first; the points from ``pencil_starts[-1]``
         on are listed tile by tile (d >= 2).  ``None`` with ``interp_matrix``.
+    tile_starts, tile_keys : ndarray of int64 or None
+        Without ``interp_matrix``, in d >= 2: the boundaries of the runs of
+        points from ``pencil_starts[-1]`` on that share a tile, and each
+        run's tile (:func:`~repro.core.windowed.engine_order`).  ``None``
+        otherwise.
     """
 
     fine_shape: tuple
@@ -118,6 +124,8 @@ class StencilCache:
     kernel_eval: str = "horner"
     order: object = None
     pencil_starts: object = None
+    tile_starts: object = None
+    tile_keys: object = None
 
     @property
     def n_points(self):
@@ -131,7 +139,8 @@ class StencilCache:
         """Host memory held by the cache (for reporting)."""
         total = sum(a.nbytes for a in self.i0)
         total += sum(a.nbytes for a in self.vals)
-        total += sum(a.nbytes for a in (self.order, self.pencil_starts) if a is not None)
+        total += sum(a.nbytes for a in (self.order, self.pencil_starts, self.tile_starts,
+                                        self.tile_keys) if a is not None)
         if self.interp_matrix is not None:
             total += (self.interp_matrix.data.nbytes
                       + self.interp_matrix.indices.nbytes
@@ -285,10 +294,10 @@ def _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
     m = i0_list[0].shape[0]
     k = w ** ndim
     with_matrix = build_matrix and m * k <= fuse_budget
-    order = pencil_starts = None
+    order = pencil_starts = tile_starts = tile_keys = None
     if not with_matrix:
         # The windowed engine's order, before any value is evaluated.
-        order, pencil_starts = engine_order(i0_list, fine_shape, w)
+        order, pencil_starts, tile_starts, tile_keys = engine_order(i0_list, fine_shape, w)
         if order is not None:
             coords = [g[order] for g in coords]
             i0_list = [i0[order] for i0 in i0_list]
@@ -329,12 +338,18 @@ def _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
         kernel_eval="horner" if use_horner else "exact",
         order=order,
         pencil_starts=pencil_starts,
+        tile_starts=tile_starts,
+        tile_keys=tile_keys,
     )
 
 
 # --------------------------------------------------------------------------- #
 # artifact-store serialization
 # --------------------------------------------------------------------------- #
+#: The optional arrays of the windowed engine's layout.
+_ENGINE_LAYOUT = ("order", "pencil_starts", "tile_starts", "tile_keys")
+
+
 def stencil_cache_key(points_digest, fine_shape, kernel, kernel_eval,
                       fuse_budget, build_matrix, bin_shape=None):
     """The artifact key one stencil cache is stored under.
@@ -372,7 +387,7 @@ def stencil_cache_arrays(cache):
         arrays["csr_data"] = cache.interp_matrix.data
         arrays["csr_indices"] = cache.interp_matrix.indices
         arrays["csr_indptr"] = cache.interp_matrix.indptr
-    for name in ("order", "pencil_starts"):
+    for name in _ENGINE_LAYOUT:
         if getattr(cache, name) is not None:
             arrays[name] = getattr(cache, name)
     return arrays
@@ -396,6 +411,5 @@ def stencil_cache_from_arrays(arrays):
         vals=[arrays["vals"][d] for d in range(ndim)],
         interp_matrix=matrix,
         kernel_eval=str(arrays["kernel_eval"]),
-        order=arrays.get("order"),
-        pencil_starts=arrays.get("pencil_starts"),
+        **{name: arrays.get(name) for name in _ENGINE_LAYOUT},
     )

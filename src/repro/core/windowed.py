@@ -67,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-__all__ = ["spread_windowed", "interp_windowed", "engine_order", "Pencils"]
+__all__ = ["spread_windowed", "interp_windowed", "engine_order", "tiles_pay", "Pencils"]
 
 #: Window entries (points x w^d) per gather (and 1D scatter) chunk; also the
 #: entry bound of each dense-GEMM temporary and of each tile batch.
@@ -85,6 +85,10 @@ _PENCIL_MIN_ENTRIES = 1 << 15
 _TILE = 8
 #: Points per tile piece: a fuller tile is split into near-equal pieces.
 _TILE_POINTS = 256
+#: How many times the points' window entries must cover the tiles' boxes
+#: for the tile regime to beat an operator built for one spread (see
+#: :func:`tiles_pay`).
+_TILE_COVER = 4
 
 
 class _Piece(NamedTuple):
@@ -125,8 +129,40 @@ def _step(entries_per_point):
     return max(1, _CHUNK_ENTRIES // max(1, entries_per_point))
 
 
+def _tiles_per_axis(fine_shape, width):
+    """Tiles per axis that hold every window inside the padded grid."""
+    before, _ = _padding(width)
+    return [(int(n) + before) // _TILE + 1 for n in fine_shape]
+
+
+def tiles_pay(n_points, fine_shape, width):
+    """Whether the tile regime spreads ``n_points`` points faster than a CSR
+    operator built for one spread.
+
+    Through the operator a point costs its ``w^d`` window entries, built
+    once and read once; a tile piece costs its whole box of
+    ``(_TILE + w - 1)^d`` cells however few points it holds.  The tiles pay
+    once the points' window entries cover the boxes of all the grid's tiles
+    ``_TILE_COVER`` times.  Clustering only helps: fewer tiles then hold
+    points.  (1D has no tiles.)
+
+    Examples
+    --------
+    >>> from repro.core.windowed import tiles_pay
+    >>> tiles_pay(65536, (256, 256), 7)  # about 60 points a tile
+    True
+    >>> tiles_pay(4096, (512, 512), 7)  # about one
+    False
+    """
+    ndim = len(fine_shape)
+    if ndim == 1:
+        return False
+    tiles = int(np.prod(_tiles_per_axis(fine_shape, width)))
+    return n_points * width ** ndim >= _TILE_COVER * tiles * (_TILE + width - 1) ** ndim
+
+
 def _tile_keys(i0, fine_shape, width):
-    """Each point's tile, as a flat index with axis 0 fastest, and the tiles per axis.
+    """Each point's tile, as a flat index with axis 0 fastest.
 
     A window starting at padded cell ``s`` lies in tile ``s // _TILE`` (a
     shift: ``_TILE`` is a power of two).  The keys are 16-bit when at most
@@ -135,7 +171,7 @@ def _tile_keys(i0, fine_shape, width):
     """
     before, _ = _padding(width)
     shift = _TILE.bit_length() - 1
-    per_axis = [(n + before) // _TILE + 1 for n in fine_shape]
+    per_axis = _tiles_per_axis(fine_shape, width)
     small = np.prod(per_axis) <= 1 << 16
     # In place, in the narrowest dtypes: fresh pages cost more than the passes.
     key = np.zeros(i0[0].shape[0], dtype=np.uint16 if small else np.int64)
@@ -145,7 +181,9 @@ def _tile_keys(i0, fine_shape, width):
         part >>= shift
         key *= n
         np.add(key, part, out=key, casting="unsafe")
-    return key, per_axis
+    return key
+
+
 
 
 def _crowded_pencils(i0, fine_shape, width):
@@ -174,31 +212,41 @@ def _crowded_pencils(i0, fine_shape, width):
 def engine_order(i0, fine_shape, width):
     """The engine order of points whose windows start at ``i0``.
 
-    Returns ``(order, starts)``: ``order`` lists the points of the crowded
-    pencils, pencil by pencil, then every other point tile by tile (axis 0
-    fastest), in input order within a tile (``None`` in 1D: the input
-    order); ``starts`` holds the ``n_pencils + 1`` boundaries of the crowded
-    pencils in that order.  A crowded pencil's points lie in
-    ``_PENCIL_TILE // _TILE`` tiles, so when no tile holds that share of a
-    crowded pencil's points, none can exist and the pencil grouping (a sort
-    of every point) is skipped.  Windows outside the padded grid have no
-    tile: in d >= 2 they raise ``ValueError``.
+    Returns ``(order, starts, tile_starts, tile_keys)``: ``order`` lists the
+    points of the crowded pencils, pencil by pencil, then every other point
+    tile by tile (axis 0 fastest), in input order within a tile; ``starts``
+    holds the ``n_pencils + 1`` boundaries of the crowded pencils in that
+    order, ``tile_starts`` the ``n_runs + 1`` boundaries of the runs of
+    other points in one tile, and ``tile_keys`` each run's tile.  In 1D, or
+    without points, ``order`` and the tile runs are ``None``.  A crowded
+    pencil's points lie in ``_PENCIL_TILE // _TILE`` tiles, so when no tile
+    holds that share of a crowded pencil's points, none can exist and the
+    pencil grouping (a sort of every point) is skipped.  Windows outside
+    the padded grid have no tile: in d >= 2 they raise ``ValueError``.
     """
     starts = np.zeros(1, dtype=np.int64)
     if len(fine_shape) == 1 or not i0[0].shape[0]:
-        return None, starts
+        return None, starts, None, None
     _check_windows(i0, fine_shape, width)
-    key, _ = _tile_keys(i0, fine_shape, width)
+    key = _tile_keys(i0, fine_shape, width)
     most = int(np.bincount(key).max())
+    points = None
     if (_PENCIL_TILE // _TILE) * most * width ** len(fine_shape) >= _PENCIL_MIN_ENTRIES:
         points, starts = _crowded_pencils(i0, fine_shape, width)
-        if points.size:
-            rest = np.ones(key.shape[0], dtype=bool)
-            rest[points] = False
-            rest = np.flatnonzero(rest)
-            return (np.concatenate((points, rest[np.argsort(key[rest], kind="stable")])),
-                    starts)
-    return np.argsort(key, kind="stable"), starts
+    if points is not None and points.size:
+        rest = np.ones(key.shape[0], dtype=bool)
+        rest[points] = False
+        rest = np.flatnonzero(rest)
+        rest = rest[np.argsort(key[rest], kind="stable")]
+        order = np.concatenate((points, rest))
+    else:
+        rest = order = np.argsort(key, kind="stable")
+    key = key[rest]
+    first = np.ones(key.shape[0], dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    runs = np.flatnonzero(first)
+    return (order, starts, np.append(runs, key.shape[0]) + starts[-1],
+            key[runs].astype(np.int64))
 
 
 class _Tiles(NamedTuple):
@@ -220,8 +268,7 @@ class Pencils:
     cache's crowded pencils (``cache.pencil_starts``; none for a cache with a
     CSR operator) into near-equal pieces of at most ``step`` points with
     their point-only geometry, once per ``step``.  In d >= 2 the other points
-    are split into tile pieces (:meth:`tiles`), which any point order keeps
-    correct and engine order keeps few.
+    are split into tile pieces (:meth:`tiles`) along the cache's tile runs.
     """
 
     def __init__(self, cache):
@@ -276,23 +323,21 @@ class Pencils:
         """
         if self._tiles is None:
             cache = self.cache
-            lo, m = self.n_gemm, cache.n_points
-            key, per_axis = _tile_keys([a[lo:] for a in cache.i0], cache.fine_shape,
-                                       cache.width)
-            runs = np.concatenate(([0], np.flatnonzero(key[1:] != key[:-1]) + 1))
-            sizes = np.diff(np.append(runs, m - lo))
+            bounds = cache.tile_starts
+            sizes = np.diff(bounds)
             pieces = -(-sizes // _TILE_POINTS)
             k = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-            starts = (np.repeat(runs, pieces)
+            starts = (np.repeat(bounds[:-1], pieces)
                       + np.repeat(sizes, pieces) * k // np.repeat(pieces, pieces))
+            per_axis = _tiles_per_axis(cache.fine_shape, cache.width)
             extent = tuple(n * _TILE + cache.width - 1 for n in per_axis)
-            tile = key[starts].astype(np.int64)
+            tile = np.repeat(cache.tile_keys, pieces)
             base, stride = np.zeros(starts.shape[0], np.int64), 1
             for n, e in zip(per_axis, extent):
                 base += tile % n * _TILE * stride
-                tile //= n
+                tile = tile // n
                 stride *= e
-            self._tiles = _Tiles(np.append(starts, m - lo) + lo, base, extent)
+            self._tiles = _Tiles(np.append(starts, bounds[-1]), base, extent)
         return self._tiles
 
     def tile_batches(self, per_point, per_piece):
@@ -367,11 +412,11 @@ def _fold_axis(a, axis, n, before):
 def spread_windowed(strengths, cache, out, pencils=None):
     """Spread a complex ``(B, M)`` strength block into ``out`` of shape ``(B, *fine)``.
 
-    The strengths follow the cache's point order, which is also the order
-    the tiles are accumulated in (engine order keeps a tile's points
-    together; any order gives the same sum up to rounding).  ``out`` may
-    have any layout; it is returned.  ``pencils`` is the cache's
-    :class:`Pencils`, computed here when omitted.
+    ``cache`` is one built without the CSR operator, which carries the
+    engine layout (:func:`engine_order`); the strengths follow its point
+    order, the order the tiles are accumulated in.  ``out`` may have any
+    layout; it is returned.  ``pencils`` is the cache's :class:`Pencils`,
+    computed here when omitted.
     """
     if pencils is None:
         pencils = Pencils(cache)

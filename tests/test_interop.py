@@ -27,10 +27,12 @@ def _strengths(rng, m, dtype):
 MODES = {1: (24,), 2: (14, 12), 3: (8, 8, 6)}
 
 
-def _call_opts(ndim):
-    """The options a simple call plans with beyond the caller's: a 2D/3D
-    call reads its points once, so it builds no CSR operator."""
-    return {"stencil_budget": 0} if ndim > 1 else {}
+def _call_opts(nufft_type, coords, targets=(), n_modes=None):
+    """The options a simple call at eps 1e-6 plans with beyond the caller's:
+    no CSR operator where the windowed engine pays (here: 2D type 1 and 2D/3D
+    type 2; the 3D type-1 and the type-3 points are too sparse)."""
+    skip = simple.skips_operator(nufft_type, coords, targets, n_modes, 1e-6)
+    return {"stencil_budget": 0} if skip else {}
 
 
 class TestSimpleCallParity:
@@ -47,7 +49,7 @@ class TestSimpleCallParity:
         got = fn(*coords, c, MODES[ndim])
         native = NativePlan(1, MODES[ndim], eps=1e-6, isign=+1,
                             precision="single" if dtype == np.complex64
-                            else "double", **_call_opts(ndim))
+                            else "double", **_call_opts(1, coords, n_modes=MODES[ndim]))
         native.set_pts(*coords)
         assert np.array_equal(got, native.execute(c))
         native.destroy()
@@ -63,7 +65,7 @@ class TestSimpleCallParity:
         got = fn(*coords, modes)
         native = NativePlan(2, MODES[ndim], eps=1e-6, isign=-1,
                             precision="single" if dtype == np.complex64
-                            else "double", **_call_opts(ndim))
+                            else "double", **_call_opts(2, coords))
         native.set_pts(*coords)
         assert np.array_equal(got, native.execute(modes))
         native.destroy()
@@ -79,7 +81,7 @@ class TestSimpleCallParity:
         got = fn(*coords, c, *targets)
         native = NativePlan(3, ndim, eps=1e-6, isign=+1,
                             precision="single" if dtype == np.complex64
-                            else "double", **_call_opts(ndim))
+                            else "double", **_call_opts(3, coords, targets))
         native.set_pts(*coords, **dict(zip("stu", targets)))
         assert np.array_equal(got, native.execute(c))
         native.destroy()
@@ -91,7 +93,7 @@ class TestSimpleCallParity:
         got = cufinufft.nufft2d1(x, y, c, MODES[2], out=out, isign=-1)
         assert got is out
         native = NativePlan(1, MODES[2], eps=1e-6, isign=-1,
-                            precision="single", **_call_opts(2))
+                            precision="single", **_call_opts(1, (x, y), n_modes=MODES[2]))
         native.set_pts(x, y)
         assert np.array_equal(out, native.execute(c))
         native.destroy()
@@ -297,7 +299,7 @@ class TestOneCallSurface:
         got = getattr(module, f"nufft{ndim}d2")(*coords, block)
         native = NativePlan(2, MODES[ndim], n_trans=3, eps=1e-6, isign=-1,
                             precision="single" if dtype == np.complex64
-                            else "double", **_call_opts(ndim))
+                            else "double", **_call_opts(2, coords))
         native.set_pts(*coords)
         assert got.shape == (3, 500)
         assert np.array_equal(got, native.execute(block))

@@ -140,6 +140,35 @@ def test_resetting_own_type3_points_keeps_both_sets():
     plan.destroy()
 
 
+def test_type3_plan_frees_its_inner_set_before_building_another(monkeypatch):
+    """Re-set to other targets, a type-3 plan lets its inner set go before
+    it builds the new one: the old set is not held across the build."""
+    import repro.core.plan as plan_module
+
+    rng = np.random.default_rng(9)
+    pts, targets = _points(rng), _targets(rng)
+    plan = _plan(3)
+    plan.set_pts(*pts, **targets)
+    held = []
+    build = plan_module.build_point_set
+
+    def recording(*args, **kwargs):
+        held.append(inner.holders)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(plan_module, "build_point_set", recording)
+    # Equal ends and extents (so an equal grid), then other targets.
+    shuffled = {k: np.concatenate(([v[0]], rng.permutation(v[1:-1]), [v[-1]]))
+                for k, v in targets.items()}
+    for new in (shuffled, _targets(rng)):
+        inner = plan._t3_inner.point_set
+        held.clear()
+        plan.set_pts(*pts, **new)
+        assert held and held[-1] == 0 and set(held) == {0}, held
+        assert plan._t3_inner.point_set is not inner and inner.holders == 0
+    plan.destroy()
+
+
 def test_recycled_set_is_never_returned():
     rng = np.random.default_rng(5)
     pts, new = _points(rng), _points(rng)

@@ -220,16 +220,19 @@ def test_bin_ordered_plan_matches_user_order(ndim, nufft_type, precision, n_tran
 # --------------------------------------------------------------------------- #
 # engine level: grids narrower than the kernel, adjointness, bad windows
 # --------------------------------------------------------------------------- #
-def _engine_setup(rng, fine_shape, eps, m=200, dist="rand", build_matrix=True):
-    """Bin-sorted grid coordinates and their stencil cache, as a plan builds it
-    (without the CSR operator, the cache lists them in engine order)."""
+def _engine_setup(rng, fine_shape, eps, m=200, dist="rand"):
+    """The windowed stencil cache of bin-sorted points, as a plan builds it
+    without the CSR operator, and the points' grid coordinates in the
+    cache's (engine) order."""
     kernel = ESKernel.from_tolerance(eps)
     coords = _points(rng, len(fine_shape), dist, m, fine_shape)
     grid_coords = [to_grid_coordinates(c, n) for c, n in zip(coords, fine_shape)]
     sort = bin_sort(grid_coords, fine_shape, (4,) * len(fine_shape))
     grid_coords = [g[sort.permutation] for g in grid_coords]
-    return grid_coords, build_stencil_cache(grid_coords, fine_shape, kernel,
-                                            build_matrix=build_matrix)
+    cache = build_stencil_cache(grid_coords, fine_shape, kernel, build_matrix=False)
+    if cache.order is not None:
+        grid_coords = [g[cache.order] for g in grid_coords]
+    return grid_coords, cache
 
 
 @pytest.mark.parametrize("fine_shape", [(3,), (5,), (5, 4), (2, 7), (4, 3, 5)])
@@ -238,15 +241,17 @@ def test_margins_wider_than_grid(fine_shape):
     rng = np.random.default_rng(sum(fine_shape))
     grid_coords, cache = _engine_setup(rng, fine_shape, 1e-12)
     assert cache.width > max(fine_shape)
+    operator = PointSet(grid_coords, stencil=build_stencil_cache(
+        grid_coords, fine_shape, ESKernel.from_tolerance(1e-12)))
     m = cache.n_points
     c = _random(rng, (2, m), np.complex128)
     spread = spread_windowed(c, cache, np.zeros((2,) + fine_shape, complex))
-    expected = spread_cached(c, PointSet(grid_coords, stencil=cache), np.complex128)
+    expected = spread_cached(c, operator, np.complex128)
     np.testing.assert_allclose(spread, expected, rtol=1e-12, atol=1e-12)
 
     grid = _random(rng, (2,) + fine_shape, np.complex128)
     values = interp_windowed(grid, cache, np.zeros((2, m), complex))
-    expected = interp_cached(grid, PointSet(grid_coords, stencil=cache), np.complex128)
+    expected = interp_cached(grid, operator, np.complex128)
     np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12)
 
 
@@ -351,8 +356,7 @@ def test_gemm_spread_is_adjoint_of_gemm_interp(fine_shape, regime, monkeypatch):
                  "tiles": _ALL_SCATTER}[regime]
     monkeypatch.setattr(windowed, "_PENCIL_MIN_ENTRIES", threshold)
     monkeypatch.setattr(windowed, "_TILE_POINTS", 16)
-    _, cache = _engine_setup(rng, fine_shape, 1e-9, m=400, dist="cluster",
-                             build_matrix=False)
+    _, cache = _engine_setup(rng, fine_shape, 1e-9, m=400, dist="cluster")
     c = _random(rng, (2, cache.n_points), np.complex128)
     g = _random(rng, (2,) + fine_shape, np.complex128)
     spread = spread_windowed(c, cache, np.zeros_like(g))
@@ -372,8 +376,7 @@ def test_pencil_split_assigns_every_point_once():
     scatter chunks tile the rest, which keeps the bin-sort order."""
     rng = np.random.default_rng(11)
     fine_shape = (40, 36, 32)
-    _, cache = _engine_setup(rng, fine_shape, 1e-6, m=3000, dist="mixture",
-                             build_matrix=False)
+    _, cache = _engine_setup(rng, fine_shape, 1e-6, m=3000, dist="mixture")
     pencils = windowed.Pencils(cache)
     m, n_gemm = cache.n_points, pencils.n_gemm
     step = 10  # splits the crowded pencils into several pieces
@@ -388,12 +391,16 @@ def test_pencil_split_assigns_every_point_once():
     assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
     assert len(chunks) > 1 and all(0 < c.stop - c.start <= 100 for c in chunks)
     assert np.array_equal(np.sort(cache.order), np.arange(m))
-    # The rest is listed tile by tile, in build order within a tile, and the
-    # tile pieces tile it: each piece in one tile, none over the cap.
-    key, _ = windowed._tile_keys([a[n_gemm:] for a in cache.i0], fine_shape, cache.width)
+    # The rest is listed tile by tile, in build order within a tile; the
+    # cache's tile runs are its runs of one tile, and the tile pieces tile
+    # the rest: each piece in one tile, none over the cap.
+    key = windowed._tile_keys([a[n_gemm:] for a in cache.i0], fine_shape, cache.width)
     key = key.astype(np.int64)
     assert np.all(np.diff(key) >= 0)
     assert np.all(np.diff(cache.order[n_gemm:])[np.diff(key) == 0] > 0)
+    runs = np.unique(key, return_index=True)
+    assert np.array_equal(cache.tile_keys, runs[0])
+    assert np.array_equal(cache.tile_starts, np.append(runs[1], m - n_gemm) + n_gemm)
     bounds = pencils.tiles().bounds
     assert bounds[0] == n_gemm and bounds[-1] == m and np.all(np.diff(bounds) > 0)
     assert np.diff(bounds).max() <= windowed._TILE_POINTS
@@ -533,7 +540,7 @@ def test_tile_temporaries_stay_flat(monkeypatch):
         cache = build_stencil_cache(grid_coords, fine_shape, kernel, build_matrix=False)
         pencils = windowed.Pencils(cache)
         assert pencils.n_gemm == 0
-        assert np.unique(windowed._tile_keys(cache.i0, fine_shape, cache.width)[0]).size == 1
+        assert np.unique(windowed._tile_keys(cache.i0, fine_shape, cache.width)).size == 1
         c = _random(rng, (1, m), np.complex128)
         spread = np.zeros((1,) + fine_shape, complex)
         # The first pass lays out the set's tile pieces and batches, kept for
@@ -550,12 +557,26 @@ def test_tile_temporaries_stay_flat(monkeypatch):
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
-def test_simple_calls_skip_the_operator_in_2d_and_3d(monkeypatch):
-    """A one-shot 2D/3D simple call reads its points once and builds no CSR
-    operator (types 1, 2 and 3, the inner type-2 plan included); a 1D call,
-    or one that passes ``stencil_budget`` or ``opts``, keeps it."""
+def test_tiles_pay_at_four_covers():
+    """The tile regime pays once the points' window entries cover the boxes
+    of all the grid's tiles ``_TILE_COVER`` times; 1D has no tiles."""
+    assert windowed._TILE_COVER == 4
+    # (24, 20) cells, width 7: 4 x 4 tiles of 14^2 cells, 49 entries a point.
+    assert windowed._tiles_per_axis((24, 20), 7) == [4, 4]
+    assert windowed.tiles_pay(256, (24, 20), 7)  # 256 * 49 == 4 * 16 * 196
+    assert not windowed.tiles_pay(255, (24, 20), 7)
+    assert not windowed.tiles_pay(1 << 20, (64,), 7)
+
+
+def test_simple_calls_skip_the_operator_where_the_engine_pays(monkeypatch):
+    """A 2D/3D simple call reads its points once: a type-2 call builds no CSR
+    operator, and a type-1 or type-3 call (the inner type-2 plan included)
+    builds none when its points fill the grid densely enough for tiles.  A
+    sparse type-1/3 call, a 1D call, or one that passes ``stencil_budget``
+    or ``opts`` keeps it."""
     import repro.core.pointset as pointset
-    from repro import Opts, nufft1d1, nufft2d1, nufft2d3, nufft3d2
+    from repro import Opts, nufft1d1, nufft2d1, nufft2d3, nufft3d1, nufft3d2
+    from repro.core.simple import skips_operator
 
     built = []
 
@@ -569,15 +590,27 @@ def test_simple_calls_skip_the_operator_in_2d_and_3d(monkeypatch):
     rng = np.random.default_rng(12)
     x, y, z = (rng.uniform(-np.pi, np.pi, 300) for _ in range(3))
     c = _random(rng, 300, np.complex128)
-    calls = {
-        "1d1": lambda **kw: nufft1d1(x, c, 20, **kw),
-        "2d1": lambda **kw: nufft2d1(x, y, c, (12, 10), **kw),
-        "2d3": lambda **kw: nufft2d3(x, y, c, x[:50] * 3, y[:50] * 3, **kw),
-        "3d2": lambda **kw: nufft3d2(x, y, z, _random(rng, (6, 8, 6), np.complex128),
-                                     **kw),
+    f = _random(rng, (6, 8, 6), np.complex128)
+    # Fine grids at eps 1e-6 (width 7): (24, 20) for (12, 10) modes, 4 x 4
+    # tiles, dense from 256 points; (15, 16, 15) for (6, 8, 6), 27 tiles of
+    # 14^3 cells, dense from 864; the type-3 grid is (16, 16) for targets
+    # within pi/2, 9 tiles, and (48, 48) within 3 pi, 49 tiles.
+    calls = {  # name: (call, builds the operator by default)
+        "1d1": (lambda **kw: nufft1d1(x, c, 20, **kw), True),
+        "2d1": (lambda **kw: nufft2d1(x, y, c, (12, 10), **kw), False),
+        "2d1-sparse": (lambda **kw: nufft2d1(x[:100], y[:100], c[:100], (12, 10), **kw),
+                       True),
+        "2d3": (lambda **kw: nufft2d3(x, y, c, x[:50] / 2, y[:50] / 2, **kw), False),
+        "2d3-sparse": (lambda **kw: nufft2d3(x, y, c, x[:50] * 3, y[:50] * 3, **kw), True),
+        "3d1-sparse": (lambda **kw: nufft3d1(x, y, z, c, (6, 8, 6), **kw), True),
+        "3d2-sparse": (lambda **kw: nufft3d2(x, y, z, f, **kw), False),
     }
-    for name, call in calls.items():
-        for kwargs, operator in (({}, name == "1d1"),
+    assert skips_operator(1, (x, y), (), (12, 10), 1e-6)
+    assert not skips_operator(1, (x[:100], y[:100]), (), (12, 10), 1e-6)
+    assert skips_operator(3, (x, y), (x[:50] / 2, y[:50] / 2), 2, 1e-6)
+    assert not skips_operator(3, (x, y), (x[:50] * 3, y[:50] * 3), 2, 1e-6)
+    for name, (call, default) in calls.items():
+        for kwargs, operator in (({}, default),
                                  ({"stencil_budget": 1 << 25}, True),
                                  ({"opts": Opts()}, True)):
             built.clear()
