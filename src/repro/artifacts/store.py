@@ -59,7 +59,7 @@ __all__ = [
 
 #: Built-in array kinds and their schema versions (bump on layout change;
 #: mismatched entries are skipped as stale and rebuilt).
-ARRAY_KINDS = {"stencil": 5, "horner": 1, "psf": 1}
+ARRAY_KINDS = {"stencil": 6, "horner": 1, "psf": 1}
 
 #: Built-in record kinds (tolerant JSON tables) and their schema versions.
 RECORD_KINDS = {"tuning": 1, "plans": 1}

@@ -66,7 +66,7 @@ class DeviceSimBackend(CachedBackend):
         a single pass, so the *work* scales with the batch but the launch
         does not -- matching cuFINUFFT's batched kernels.  The scaled
         profiles depend only on the plan and its point set, so they are built
-        on the first execute and kept with the point set
+        and validated on the first execute and kept with the point set
         (:meth:`~repro.core.plan.Plan._point_state_value`).
 
         Each launch first passes the device's fault gate
@@ -77,14 +77,14 @@ class DeviceSimBackend(CachedBackend):
         """
         profiles = plan._point_state_value(
             (stage, n_trans),
-            lambda: [prof.scaled(n_trans) for prof in stage_profiles(
+            lambda: [prof.scaled(n_trans).validate() for prof in stage_profiles(
                 stage, plan.method, plan.point_set.sort, plan.kernel, plan.precision,
                 plan.opts, plan.device.spec, plan.n_modes,
             )],
         )
         for prof in profiles:
             plan.device.check_launch(prof.name)
-            pipeline.add_kernel(prof, phase="exec")
+            pipeline.add_kernel(prof, phase="exec", checked=True)
 
     # ------------------------------------------------------------------ #
     def spread(self, plan, strengths, pipeline, out=None):

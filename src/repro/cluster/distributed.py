@@ -264,7 +264,7 @@ class DistributedPlan:
                 width=width, beta=self.kernel.beta,
                 kernel_eval=self.opts.kernel_eval,
                 stencil_budget=self.opts.stencil_budget, bin_shape=self.bin_shape,
-                stencils=True,
+                stencils=True, weights=np.dtype(self.precision.real_dtype).name,
             )
             ranks.append((local, key, live_point_set(local, key)))
         self._release_point_sets()

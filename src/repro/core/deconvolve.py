@@ -19,6 +19,8 @@ the planning stage (as the CUDA library does) and apply them with broadcasting.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from ..gpu.profiler import KernelProfile
@@ -66,7 +68,7 @@ class CorrectionFactors:
             correction_factors_1d(kernel, nf, nm)
             for nm, nf in zip(self.modes_shape, self.fine_shape)
         ]
-        self._mode_index = None
+        self._blocks = None
         self._broadcast = {}  # real dtype -> as_broadcast_factors(dtype)
 
     def as_dense(self, dtype=np.float64):
@@ -85,20 +87,27 @@ class CorrectionFactors:
         ``(k + n_fine) mod n_fine``.  We return, per dimension, the index
         vector in *ascending k* order.
         """
-        return [ix.ravel() for ix in self._open_mode_index()]
+        return [np.mod(np.arange(-(nm // 2), (nm + 1) // 2, dtype=np.int64), nf)
+                for nm, nf in zip(self.modes_shape, self.fine_shape)]
 
-    def _open_mode_index(self):
-        """``np.ix_`` of :meth:`_mode_slices`, built once (read-only arrays)."""
-        if self._mode_index is None:
-            idx = []
+    def _mode_blocks(self):
+        """The centred modes as contiguous blocks: ``(fine slices, mode slices)``.
+
+        Per axis, the negative modes ``[-N//2, 0)`` sit at the end of the
+        FFT-ordered fine grid and the others ``[0, (N+1)//2)`` at its start,
+        so the modes form at most ``2^d`` boxes, each one slice per axis on
+        both sides: the elements :meth:`_mode_slices` indexes, copied box by
+        box without a fancy index.
+        """
+        if self._blocks is None:
+            per_axis = []
             for nm, nf in zip(self.modes_shape, self.fine_shape):
-                k = np.arange(-(nm // 2), (nm + 1) // 2, dtype=np.int64)
-                idx.append(np.mod(k, nf))
-            index = np.ix_(*idx)
-            for ix in index:
-                ix.flags.writeable = False
-            self._mode_index = index
-        return self._mode_index
+                half = nm // 2
+                segments = [(slice(nf - half, nf), slice(0, half))] if half else []
+                segments.append((slice(0, nm - half), slice(half, nm)))
+                per_axis.append(segments)
+            self._blocks = [tuple(zip(*box)) for box in itertools.product(*per_axis)]
+        return self._blocks
 
     def truncate_and_scale(self, fine_hat, dtype=None, out=None):
         """Type-1 step 3: select the central modes and apply the factors.
@@ -127,12 +136,15 @@ class CorrectionFactors:
                 f"fine_hat has shape {fine_hat.shape}, expected {self.fine_shape}"
             )
         lead = (slice(None),) if batched else ()
-        gathered = fine_hat[lead + self._open_mode_index()]
-        if out is not None:
-            np.multiply(gathered, self.as_broadcast_factors(out.dtype), out=out)
-            return out
-        result = gathered * self.as_broadcast_factors(gathered.dtype)
-        if dtype is not None:
+        result = out
+        if out is None:
+            result = np.empty(fine_hat.shape[:fine_hat.ndim - self.ndim] + self.modes_shape,
+                              dtype=fine_hat.dtype)
+        factors = self.as_broadcast_factors(result.dtype)
+        for fine_box, mode_box in self._mode_blocks():
+            np.multiply(fine_hat[lead + fine_box], factors[mode_box],
+                        out=result[lead + mode_box])
+        if out is None and dtype is not None:
             result = result.astype(dtype, copy=False)
         return result
 
@@ -159,7 +171,9 @@ class CorrectionFactors:
         else:
             fine = np.zeros(lead_shape + self.fine_shape, dtype=dtype)
         lead = (slice(None),) if batched else ()
-        fine[lead + self._open_mode_index()] = modes * self.as_broadcast_factors(dtype)
+        factors = self.as_broadcast_factors(dtype)
+        for fine_box, mode_box in self._mode_blocks():
+            fine[lead + fine_box] = modes[lead + mode_box] * factors[mode_box]
         return fine
 
     def as_broadcast_factors(self, dtype):

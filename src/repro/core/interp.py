@@ -12,7 +12,7 @@ The visiting order reaches only :func:`interp_kernel_profiles`.  The numerics
 have one cache-free path, :func:`interp_direct` (exact kernel values evaluated
 on the fly, points in user order), run by the ``reference`` backend and the
 CUNFFT / gpuNUFFT baselines; and one cached path, :func:`interp_cached`, the
-CSR operator of a point set's stencil cache.
+CSR operator of a point set's stencil cache, in the set's precision.
 :meth:`~repro.core.pointset.PointSet.interp` takes the windowed engine of
 :mod:`repro.core.windowed` when the cache holds no operator.
 """
@@ -84,10 +84,11 @@ def interp_cached(grid, points, dtype=np.complex64, out=None):
 
     ``interp_matrix @ grid`` of the :class:`~repro.core.pointset.PointSet`'s
     stencil cache performs the kernel-weighted gather for every
-    transform at once, in the cache's point order.  The real-valued operator
-    is never upcast (and copied) to complex: with ``n_trans > 1`` the grids
-    are contracted by one real product over their complex128 transpose
-    viewed as ``(n_fine, 2 * n_trans)`` float64; a single grid takes one
+    transform at once, in the cache's point order.  The operator is in the
+    set's precision (float32 weights for a single-precision set) and real,
+    so it is never upcast (and copied) to complex: with ``n_trans > 1`` the
+    grids are contracted by one real product over their complex transpose
+    viewed as ``(n_fine, 2 * n_trans)`` reals; a single grid takes one
     product per real and imaginary part (faster there than the two-column
     product).  ``out``, when given, must be a ``(n_trans, M)`` array; the
     result is written into it and it is returned.
@@ -102,9 +103,10 @@ def interp_cached(grid, points, dtype=np.complex64, out=None):
     if result is None:
         result = np.empty((n_trans, matrix.shape[0]), dtype=dtype)
     if n_trans > 1:
-        pairs = np.empty((matrix.shape[1], n_trans), dtype=np.complex128)
+        pairs = np.empty((matrix.shape[1], n_trans),
+                         dtype=np.result_type(grids.dtype, matrix.dtype))
         pairs.T.reshape(grids.shape)[...] = grids
-        result[...] = (matrix @ pairs.view(np.float64)).view(np.complex128).T
+        result[...] = (matrix @ pairs.view(pairs.real.dtype)).view(pairs.dtype).T
     else:
         flat = grids[0].reshape(-1)
         result[0].real[...] = matrix @ flat.real

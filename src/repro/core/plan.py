@@ -43,6 +43,7 @@ from .gridsize import fine_grid_shape, type3_axis
 from .options import Opts, SpreadMethod, integral_count, integral_mode_counts
 from .pointset import (PointSet, PointSetKey, build_point_set, live_point_set,
                        validated_point_arrays)
+from .windowed import tiles_pay
 from .workspace import Workspace
 
 __all__ = ["Plan", "CUDA_CONTEXT_MB"]
@@ -218,6 +219,11 @@ class Plan:
         self._t3_inner = None
         self._t3_prephase = None
         self._t3_postphase = None
+        #: Set by the simple calls (:func:`~repro.core.simple.invoke`): a
+        #: type-3 ``set_pts`` then plans without the CSR operator where
+        #: :func:`~repro.core.simple.skips_operator` would, judged on the grid
+        #: it derives anyway, so the extents are computed once.
+        self._one_shot = False
 
         # Profiles.  Only this plan's own allocations are recorded: on a
         # shared device (multiple plans, or a type-3 plan's inner type-2)
@@ -400,6 +406,7 @@ class Plan:
             kernel_eval=self.opts.kernel_eval,
             stencil_budget=self.opts.stencil_budget, bin_shape=self.bin_shape,
             stencils=self.backend.wants_stencil_cache(),
+            weights=np.dtype(self.precision.real_dtype).name,
         )
 
     def _attach_mismatch(self, points):
@@ -553,6 +560,9 @@ class Plan:
                     "frequencies; the requested tolerance is unattainable"
                 )
             factors *= (2.0 / w) / phihat
+        if self._one_shot and self.ndim > 1 and tiles_pay(m, fine_shape, w):
+            self.opts = self.opts.copy(stencil_budget=0)
+            self._pretune_opts = self._pretune_opts.copy(stencil_budget=0)
 
         # Tune the outer spread on the derived composition grid (the actual
         # spread coordinates are the rescaled sources; the tuner's sampled

@@ -78,7 +78,7 @@ def validated_point_arrays(arrays, ndim, names, what="coordinate", owner="plan")
         if a.ndim != 1 or a.shape[0] == 0:
             raise ValueError(f"{what} array {name!r} must be a non-empty 1-D array, "
                              f"got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError(f"{what} array {name!r} contains non-finite values "
                              "(NaN or Inf); nonuniform points must be finite reals")
         out.append(a)
@@ -88,7 +88,12 @@ def validated_point_arrays(arrays, ndim, names, what="coordinate", owner="plan")
 
 
 class PointSetKey(NamedTuple):
-    """What a point set's contents depend on besides the points."""
+    """What a point set's contents depend on besides the points.
+
+    ``weights`` names the dtype of the CSR operator's weights (``"float32"``
+    for single-precision plans, ``"float64"`` for double), so plans of the
+    two precisions never share a set.
+    """
 
     fine_shape: tuple
     width: int
@@ -97,6 +102,7 @@ class PointSetKey(NamedTuple):
     stencil_budget: int
     bin_shape: tuple
     stencils: bool
+    weights: str
 
     def mismatch(self, other):
         """Name of the first field that differs from ``other``, else ``None``."""
@@ -253,6 +259,6 @@ def build_point_set(grid_coords, key, kernel, store=None, previous=None):
             [c[perm] for c in grid_coords], key.fine_shape, kernel,
             kernel_eval=key.kernel_eval, fuse_budget=key.stencil_budget,
             store=store, points_digest=points_digest, bin_shape=key.bin_shape,
-            recycle=recycle,
+            recycle=recycle, weight_dtype=np.dtype(key.weights),
         )
     return PointSet(grid_coords, sort, stencil, key, stored=store is not None)

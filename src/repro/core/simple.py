@@ -92,10 +92,13 @@ def invoke(nufft_type, coords, data, targets, n_modes, kwargs, eps=1e-6, out=Non
             raise ValueError(f"n_modes must hold {dim} mode count(s), got {n_modes!r}")
     else:
         shape = data.shape[-dim:] if nufft_type == 2 else dim
-    if "stencil_budget" not in kwargs and "opts" not in kwargs \
-            and skips_operator(nufft_type, coords, targets, shape, eps):
+    # The operator rule: decided here for types 1 and 2, and by a type-3
+    # plan's set_pts, on the grid it derives from the points' extents.
+    auto = "stencil_budget" not in kwargs and "opts" not in kwargs
+    if auto and nufft_type != 3 and skips_operator(nufft_type, coords, targets, shape, eps):
         kwargs["stencil_budget"] = 0
     with Plan(nufft_type, shape, eps=eps, **kwargs) as plan:
+        plan._one_shot = auto
         plan.set_pts(*coords, **dict(zip(("s", "t", "u"), targets)))
         return plan.execute(data, out=out)
 
@@ -111,7 +114,9 @@ def skips_operator(nufft_type, coords, targets, n_modes, eps):
     (:func:`~repro.core.windowed.tiles_pay`): their points fill it densely
     enough.  1D calls keep it, and so does an invalid ``eps``, which the
     plan rejects.  The arguments are as for :func:`invoke`; ``n_modes`` is
-    the mode shape (types 1 and 2).
+    the mode shape (types 1 and 2).  A type-3 simple call does not call
+    this: its plan applies the same rule in ``set_pts``, to the grid it
+    derives anyway.
 
     Examples
     --------

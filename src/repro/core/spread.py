@@ -24,7 +24,7 @@ So the method reaches only :func:`spread_kernel_profiles`.  The numerics have
 one cache-free path, :func:`spread_direct` (exact kernel values evaluated on
 the fly, points in user order), run by the ``reference`` backend and the
 CUNFFT / gpuNUFFT baselines; and one cached path, :func:`spread_cached`, the
-CSR operator of a point set's stencil cache.
+CSR operator of a point set's stencil cache, in the set's precision.
 :meth:`~repro.core.pointset.PointSet.spread` takes the windowed engine of
 :mod:`repro.core.windowed` when the cache holds no operator.
 """
@@ -193,15 +193,18 @@ def spread_cached(strengths, points, dtype=np.complex64, out=None):
 
     Requires a :class:`~repro.core.pointset.PointSet` whose stencil cache
     carries the CSR interpolation matrix, whose transpose *is* the spreading
-    operator; the strengths follow the cache's point order.  Real and imaginary parts
-    share the real-valued kernel weights, so a ``(n_trans, M)`` block with
-    ``n_trans > 1`` is spread by one real sparse product over its complex128
-    transpose viewed as ``(M, 2 * n_trans)`` float64.  A single transform
-    takes two products, one per part, written straight into the output's
-    real and imaginary views (the two-column product is not reliably faster
-    there: slower on small 2D sets, slightly faster on large ones).
-    ``out``, when given, must be a ``(n_trans, *fine_shape)`` array of any
-    layout; the result is written into it and it is returned.
+    operator; the strengths follow the cache's point order.  The operator is
+    in the set's precision (float32 weights for a single-precision set), and
+    the products run in it: real and imaginary parts share the real-valued
+    weights, so a ``(n_trans, M)`` block with ``n_trans > 1`` is spread by
+    one real sparse product over its complex transpose viewed as
+    ``(M, 2 * n_trans)`` reals, and scipy never upcasts (copies) the
+    operator.  A single transform takes two products, one per part, written
+    straight into the output's real and imaginary views (the two-column
+    product is not reliably faster there).  Column for column, the two forms
+    give bit-identical sums.  ``out``, when given, must be a
+    ``(n_trans, *fine_shape)`` array of any layout; the result is written
+    into it and it is returned.
     """
     cache = points.stencil
     if cache is None or cache.interp_matrix is None:
@@ -213,9 +216,10 @@ def spread_cached(strengths, points, dtype=np.complex64, out=None):
         result = np.empty((n_trans,) + cache.fine_shape, dtype=dtype)
     spread_op = points.spread_operator()  # (n_fine, M), CSC view: no copy
     if n_trans > 1:
-        pairs = np.empty((block.shape[1], n_trans), dtype=np.complex128)
+        pairs = np.empty((block.shape[1], n_trans),
+                         dtype=np.result_type(block.dtype, spread_op.dtype))
         pairs[...] = block.T
-        grids = (spread_op @ pairs.view(np.float64)).view(np.complex128)
+        grids = (spread_op @ pairs.view(pairs.real.dtype)).view(pairs.dtype)
         # Splitting the flat axis is a view whatever ``grids.T``'s strides.
         result[...] = grids.T.reshape(result.shape)
     else:

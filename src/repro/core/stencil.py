@@ -148,7 +148,8 @@ class StencilCache:
         return int(total)
 
 
-def _tensor_stencil(starts, vals_per_dim, shape, index_dtype=np.int64, out=None):
+def _tensor_stencil(starts, vals_per_dim, shape, index_dtype=np.int64, out=None,
+                    weight_dtype=None):
     """Flat indices and tensor-product weights of every point's ``w^d`` stencil.
 
     Point ``j`` covers the nodes ``starts[d][j] + r`` (``0 <= r < w``) of
@@ -157,7 +158,8 @@ def _tensor_stencil(starts, vals_per_dim, shape, index_dtype=np.int64, out=None)
     ``(flat_idx, weights)`` of shape ``(M, w^d)``, the last axis's node
     fastest: ``flat_idx`` (of ``index_dtype``) indexes the flattened grid and
     ``weights`` holds the products ``vals[0][r0, j] * vals[1][r1, j] * ...``
-    taken in axis order.
+    taken in axis order, in the kernel values' precision, and rounded once
+    to ``weight_dtype`` (default: that precision) when stored.
 
     Points are assembled in blocks of about ``_BLOCK_ENTRIES`` entries.  A
     block is built node-major, ``(w^d, points)``, so every numpy pass runs
@@ -175,7 +177,7 @@ def _tensor_stencil(starts, vals_per_dim, shape, index_dtype=np.int64, out=None)
         flat_idx, weights = (a.reshape(m, k) for a in out)
     else:
         flat_idx = np.empty((m, k), dtype=index_dtype)
-        weights = np.empty((m, k), dtype=np.result_type(*vals_per_dim))
+        weights = np.empty((m, k), dtype=weight_dtype or np.result_type(*vals_per_dim))
     # Per axis, the wrapped and stride-scaled index of every node the points
     # reach: one table lookup replaces a modulo per (point, node) pair.
     strides = np.cumprod((1,) + tuple(int(n) for n in shape[:0:-1]))[::-1]
@@ -187,8 +189,9 @@ def _tensor_stencil(starts, vals_per_dim, shape, index_dtype=np.int64, out=None)
         node_offsets.append(np.arange(w, dtype=np.int64)[:, None] - lo)
 
     block = max(1, _BLOCK_ENTRIES // k)
+    value_dtype = np.result_type(*vals_per_dim)
     idx_block = np.empty((k, min(m, block)), dtype=index_dtype)
-    wt_block = np.empty((k, min(m, block)), dtype=weights.dtype)
+    wt_block = np.empty((k, min(m, block)), dtype=value_dtype)
     for start in range(0, m, block):
         rows = slice(start, min(m, start + block))
         b = rows.stop - start
@@ -201,7 +204,7 @@ def _tensor_stencil(starts, vals_per_dim, shape, index_dtype=np.int64, out=None)
                 idx_next, wt_next = idx_block[:, :b], wt_block[:, :b]
             else:
                 idx_next = np.empty((idx.shape[0] * w, b), dtype=index_dtype)
-                wt_next = np.empty((idx.shape[0] * w, b), dtype=weights.dtype)
+                wt_next = np.empty((idx.shape[0] * w, b), dtype=value_dtype)
             np.add(idx[:, None, :],
                    np.take(tables[d], starts[d][rows] + node_offsets[d])[None],
                    out=idx_next.reshape(-1, w, b))
@@ -215,7 +218,8 @@ def _tensor_stencil(starts, vals_per_dim, shape, index_dtype=np.int64, out=None)
 
 def build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval="horner",
                         fuse_budget=DEFAULT_FUSE_BUDGET, build_matrix=True,
-                        store=None, points_digest=None, bin_shape=None, recycle=None):
+                        store=None, points_digest=None, bin_shape=None, recycle=None,
+                        weight_dtype=np.float64):
     """Build the stencil cache for one point set.
 
     Parameters
@@ -256,34 +260,43 @@ def build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval="horner",
         into its arrays instead of fresh memory, which would page-fault on
         first touch; ``recycle`` must not be used afterwards.  Ignored when
         the store participates, whose entries may be shared.
+    weight_dtype : numpy dtype
+        Precision of the CSR operator's weights: ``float32`` for a
+        single-precision point set, whose products then run in float32
+        throughout, ``float64`` (the default) otherwise.  Each weight is the
+        float64 product of the per-axis values, rounded once.  The
+        per-dimension values stay float64.
     """
     if kernel_eval not in ("horner", "exact"):
         raise ValueError(f"kernel_eval must be 'horner' or 'exact', got {kernel_eval!r}")
     if store is not None and points_digest is not None:
         key = stencil_cache_key(points_digest, fine_shape, kernel, kernel_eval,
-                                fuse_budget, build_matrix, bin_shape)
+                                fuse_budget, build_matrix, bin_shape, weight_dtype)
         return stencil_cache_from_arrays(store.get_or_build(
             "stencil", key,
             lambda: stencil_cache_arrays(_build_stencil_cache(
                 grid_coords, fine_shape, kernel, kernel_eval, fuse_budget,
-                build_matrix, store=store,
+                build_matrix, store=store, weight_dtype=weight_dtype,
             )),
         ))
     return _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
-                                fuse_budget, build_matrix, store=store, recycle=recycle)
+                                fuse_budget, build_matrix, store=store, recycle=recycle,
+                                weight_dtype=weight_dtype)
 
 
-def _recyclable_operator(recycle, nnz, index_dtype):
-    """``recycle``'s CSR operator when its arrays fit ``nnz`` entries."""
+def _recyclable_operator(recycle, nnz, index_dtype, weight_dtype):
+    """``recycle``'s CSR operator when its arrays fit ``nnz`` entries of
+    ``weight_dtype`` weights."""
     old = getattr(recycle, "interp_matrix", None)
-    if (old is None or old.data.shape != (nnz,) or old.data.dtype != np.float64
+    if (old is None or old.data.shape != (nnz,) or old.data.dtype != weight_dtype
             or old.indices.dtype != index_dtype):
         return None
     return old
 
 
 def _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
-                         fuse_budget, build_matrix, store=None, recycle=None):
+                         fuse_budget, build_matrix, store=None, recycle=None,
+                         weight_dtype=np.float64):
     """The actual build (no store lookup); see :func:`build_stencil_cache`."""
     ndim = len(fine_shape)
     w = kernel.width
@@ -317,10 +330,11 @@ def _build_stencil_cache(grid_coords, fine_shape, kernel, kernel_eval,
         n_fine = int(np.prod(fine_shape))
         index_dtype = (np.int32 if max(n_fine, m * k) <= np.iinfo(np.int32).max
                        else np.int64)
-        old = _recyclable_operator(recycle, m * k, index_dtype)
+        old = _recyclable_operator(recycle, m * k, index_dtype, weight_dtype)
         flat_idx, weights = _tensor_stencil(
             i0_list, vals_list, fine_shape, index_dtype,
-            out=None if old is None else (old.indices, old.data))
+            out=None if old is None else (old.indices, old.data),
+            weight_dtype=weight_dtype)
         # Every row holds k entries, so an operator of equal size has this
         # very indptr.
         indptr = (np.arange(0, (m + 1) * k, k, dtype=index_dtype) if old is None
@@ -351,21 +365,23 @@ _ENGINE_LAYOUT = ("order", "pencil_starts", "tile_starts", "tile_keys")
 
 
 def stencil_cache_key(points_digest, fine_shape, kernel, kernel_eval,
-                      fuse_budget, build_matrix, bin_shape=None):
+                      fuse_budget, build_matrix, bin_shape=None,
+                      weight_dtype=np.float64):
     """The artifact key one stencil cache is stored under.
 
     Every input that shapes the cache's contents participates: the points
     digest, the fine-grid geometry, the kernel parameters, the evaluation
-    mode, the fusion knobs and the bin shape that sets the point order
-    (``None``: the digested order).  Two processes computing the same key
-    are guaranteed bit-identical caches (the build is deterministic).
+    mode, the fusion knobs, the bin shape that sets the point order
+    (``None``: the digested order) and the operator's weight dtype.  Two
+    processes computing the same key are guaranteed bit-identical caches
+    (the build is deterministic).
     """
     grid = "x".join(str(int(n)) for n in fine_shape)
     bins = "none" if bin_shape is None else "x".join(str(int(n)) for n in bin_shape)
     return (f"pts={points_digest}.grid={grid}.w={int(kernel.width)}"
             f".beta={float(kernel.beta):.9g}.eval={kernel_eval}"
             f".budget={int(fuse_budget)}.matrix={int(bool(build_matrix))}"
-            f".bins={bins}")
+            f".bins={bins}.weights={np.dtype(weight_dtype).name}")
 
 
 def stencil_cache_arrays(cache):

@@ -73,8 +73,8 @@ class DeviceFFT:
                 # single launch: the work scales with the batch, the launch
                 # does not.
                 profile = fft_kernel_profile(shape, key[1], name=name).scaled(count)
-                self._last_profile = (key, profile)
-            self.pipeline.add_kernel(profile, phase="exec")
+                self._last_profile = (key, profile.validate())
+            self.pipeline.add_kernel(profile, phase="exec", checked=True)
 
     @staticmethod
     def _batch_geometry(grid, axes):

@@ -163,10 +163,16 @@ class PipelineProfile:
     transfers: list = field(default_factory=list)  # list[TransferRecord]
     allocs: object = None  # AllocStats of the producing execute, if any
 
-    def add_kernel(self, profile, phase="exec"):
+    def add_kernel(self, profile, phase="exec", checked=False):
+        """Record one launch of ``profile``; it is validated unless ``checked``.
+
+        Callers that keep a profile across executes validate it once, when
+        they build it, and pass ``checked=True`` on every launch.
+        """
         if phase not in ("exec", "setup"):
             raise ValueError(f"phase must be 'exec' or 'setup', got {phase!r}")
-        profile.validate()
+        if not checked:
+            profile.validate()
         self.kernels.append((phase, profile))
         return profile
 

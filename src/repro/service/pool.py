@@ -14,6 +14,13 @@ order: a lease with no ``points_key`` (re-pointing a plan for a new point
 set) takes the least recently used idle plan, which leaves recently used --
 hot -- point sets in place; eviction beyond ``max_plans`` idle plans destroys
 the pool-wide least recently used one, returning its simulated device memory.
+
+A pointed entry carries the checksum of its point set (``points_key``) and a
+private copy of the coordinates it was pointed with (``points``).  Idle
+entries are also indexed by ``(key, points_key)``, so finding a plan that
+holds a request's points is one dict probe plus one exact comparison of the
+coordinates: a checksum only finds candidates, and a collision or a caller
+array changed in place since the plan was pointed is a miss.
 """
 
 from __future__ import annotations
@@ -21,21 +28,48 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core.options import integral_count
 
-__all__ = ["PlanPool", "PooledPlan"]
+__all__ = ["PlanPool", "PooledPlan", "equal_points"]
 
 
-@dataclass
+def equal_points(mine, theirs):
+    """Whether two tuples of point arrays are equal value for value.
+
+    The one test behind a warm hit (:meth:`PooledPlan.holds`) and behind
+    fusing queued requests into one block: a checksum only finds candidates.
+    """
+    return len(mine) == len(theirs) and all(
+        a is b or np.array_equal(a, b) for a, b in zip(mine, theirs))
+
+
+@dataclass(eq=False)
 class PooledPlan:
-    """One pooled plan plus the bookkeeping the service needs."""
+    """One pooled plan plus the bookkeeping the service needs.
+
+    ``points`` is the entry's own copy of the coordinate (and type-3
+    target) arrays its plan was last pointed with, ``None`` when the pool
+    cannot vouch for them.
+    """
 
     plan: object
     key: tuple
     device_id: int = -1
-    points_key: str = None
+    points_key: object = None
+    points: tuple = None
     last_used: int = 0
     leases: int = 0
+
+    def holds(self, points):
+        """Whether the plan was pointed with exactly these arrays' values."""
+        return self.points is not None and equal_points(self.points, points)
+
+    def point_at(self, points_key, points):
+        """Record a re-point: the checksum and a private copy of ``points``."""
+        self.points_key = points_key
+        self.points = tuple(np.array(a, copy=True) for a in points)
 
 
 class PlanPool:
@@ -58,6 +92,7 @@ class PlanPool:
         self.max_plans = integral_count("max_plans", max_plans, 0)
         self.on_evict = on_evict
         self._idle = {}  # key -> list[PooledPlan]
+        self._pointed = {}  # (key, points_key) -> list[PooledPlan], idle only
         self._clock = itertools.count()
         self.n_idle = 0
 
@@ -80,26 +115,30 @@ class PlanPool:
     # ------------------------------------------------------------------ #
     # lease / release
     # ------------------------------------------------------------------ #
-    def lease(self, key, points_key=None):
-        """Pop an idle plan for ``key``; returns ``None`` on a miss.
+    def lease(self, key):
+        """Pop the least recently used idle plan for ``key``; ``None`` on a miss.
 
-        When ``points_key`` is given and the bucket holds a plan already
-        carrying that exact point set, that plan is preferred (its bin sort
-        and stencil cache are still valid, so ``set_pts`` can be skipped).
-        Otherwise the victim is the least recently used plan of the bucket,
-        ``bucket[0]``: the caller re-points it, and the plan least likely to
-        be asked for its point set again is the one idle the longest.
+        The victim is ``bucket[0]``: the caller re-points it, and the plan
+        least likely to be asked for its point set again is the one idle the
+        longest.  A caller that wants a plan already holding its point set
+        asks :meth:`lease_points` first.
         """
-        bucket = self._idle.get(key)
-        if not bucket:
+        if not self._idle.get(key):
             return None
-        index = 0
-        if points_key is not None:
-            for i, candidate in enumerate(bucket):
-                if candidate.points_key == points_key:
-                    index = i
-                    break
-        return self._lease(key, index)
+        return self._lease(key, 0)
+
+    def lease_points(self, key, points_key, points):
+        """Pop the idle plan for ``key`` that holds ``points``; ``None`` on a miss.
+
+        Candidates come from the ``(key, points_key)`` index, the least
+        recently used first, and one must hold exactly the values of
+        ``points``, the request's coordinate (and target) arrays
+        (:meth:`PooledPlan.holds`).
+        """
+        for entry in self._pointed.get((key, points_key), ()):
+            if entry.holds(points):
+                return self._lease(key, self._idle[key].index(entry))
+        return None
 
     def lru_key(self, keys):
         """The key among ``keys`` holding the least recently used idle plan.
@@ -113,11 +152,6 @@ class PlanPool:
             if bucket and (oldest is None or bucket[0].last_used < oldest):
                 oldest, lru = bucket[0].last_used, key
         return lru
-
-    def has_points(self, key, points_key):
-        """Whether an idle plan for ``key`` already holds ``points_key``."""
-        return any(entry.points_key == points_key
-                   for entry in self._idle.get(key, ()))
 
     def lease_unpointed(self, key):
         """Pop an idle plan whose point set is unknown (``points_key=None``).
@@ -136,8 +170,18 @@ class PlanPool:
         entry = bucket.pop(index)
         if not bucket:
             del self._idle[key]
+        self._unindex(entry)
         self.n_idle -= 1
         return entry
+
+    def _unindex(self, entry):
+        if entry.points_key is None:
+            return
+        index = (entry.key, entry.points_key)
+        listed = self._pointed[index]
+        listed.remove(entry)
+        if not listed:
+            del self._pointed[index]
 
     def _lease(self, key, index):
         entry = self._pop(key, index)
@@ -152,6 +196,8 @@ class PlanPool:
             return
         entry.last_used = next(self._clock)
         self._idle.setdefault(entry.key, []).append(entry)
+        if entry.points_key is not None:
+            self._pointed.setdefault((entry.key, entry.points_key), []).append(entry)
         self.n_idle += 1
         while self.n_idle > self.max_plans:
             self._evict_lru()
@@ -180,6 +226,7 @@ class PlanPool:
             if key[-1] != device_id:
                 continue
             for entry in self._idle.pop(key):
+                self._unindex(entry)
                 self.n_idle -= 1
                 purged += 1
                 self._destroy_entry(entry)
@@ -193,4 +240,5 @@ class PlanPool:
                 entry = bucket.pop()
                 self.n_idle -= 1
                 self._destroy_entry(entry)
+        self._pointed.clear()
         self.n_idle = 0

@@ -9,11 +9,15 @@ service front door), grouped by :meth:`TransformRequest.plan_key` for plan
 pooling and by :meth:`TransformRequest.points_key` for ``n_trans``
 coalescing, and answered with a :class:`TransformResult` carrying the output
 alongside the serving telemetry (device, cache hits, modelled timings).
+
+The points key is a checksum that only finds candidates: the service fuses
+requests, and skips a pooled plan's ``set_pts``, only for coordinates equal
+value for value (:func:`~repro.service.pool.equal_points`).
 """
 
 from __future__ import annotations
 
-import hashlib
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -23,10 +27,12 @@ from ..core.options import Opts, integral_mode_counts
 from ..core.pointset import validated_point_arrays
 
 __all__ = ["PlanKey", "TransformRequest", "TransformResult", "plan_key_for",
-           "front_door"]
+           "front_door", "signature_label"]
 
 _COORD_FIELDS = ("x", "y", "z")
 _TARGET_FIELDS = ("s", "t", "u")
+_POINT_FIELDS = _COORD_FIELDS + _TARGET_FIELDS
+_KEY_MASK = (1 << 64) - 1
 
 
 class PlanKey(NamedTuple):
@@ -76,7 +82,29 @@ def plan_key_for(nufft_type, n_modes, eps, precision, method, backend, isign=Non
     ``ValueError`` here); ``isign=None`` and the explicit per-type default
     produce the same key (they are the same plan), while ``"auto"`` stays
     unresolved.
+
+    Keys are memoized on the arguments and their types (and the types of a
+    tuple ``n_modes``'s entries), so a repeated geometry skips the
+    normalization; unhashable arguments (a list or array ``n_modes``) are
+    normalized afresh.  Invalid arguments raise on every call.
     """
+    args = (nufft_type, n_modes, eps, precision, method, backend, isign)
+    memo = (args, tuple(map(type, args)),
+            tuple(map(type, n_modes)) if type(n_modes) is tuple else None)
+    try:
+        hash(memo)
+    except TypeError:
+        return _plan_key(*args)
+    return _memo_plan_key(memo)
+
+
+@functools.lru_cache(maxsize=256)
+def _memo_plan_key(memo):
+    return _plan_key(*memo[0])
+
+
+def _plan_key(nufft_type, n_modes, eps, precision, method, backend, isign):
+    """The normalization behind :func:`plan_key_for`."""
     if nufft_type not in (1, 2, 3):
         raise ValueError(f"nufft_type must be 1, 2 or 3, got {nufft_type}")
     nufft_type = int(nufft_type)
@@ -90,6 +118,19 @@ def plan_key_for(nufft_type, n_modes, eps, precision, method, backend, isign=Non
     opts = Opts(method=method, precision=precision, isign=isign, backend=backend)
     return PlanKey(nufft_type, modes, float(eps), opts.precision.value,
                    opts.method.value, opts.backend, opts.resolve_isign(nufft_type))
+
+
+def signature_label(plan_key, points_key):
+    """Compact label of a ``(plan_key, points_key)`` signature.
+
+    E.g. ``"t1:64x64:eps1e-06:single:isign-1:pts=1a2b3c4d"``: the geometry
+    fields plus the points checksum in hex, the key
+    :class:`~repro.service.ServiceStats` reports pool and latency counts by.
+    """
+    modes = (f"{plan_key.modes[1]}d" if plan_key.nufft_type == 3
+             else "x".join(str(n) for n in plan_key.modes))
+    return (f"t{plan_key.nufft_type}:{modes}:eps{plan_key.eps:g}:{plan_key.precision}"
+            f":isign{plan_key.isign:+d}:pts={points_key >> 32:08x}")
 
 
 def front_door(cls, request, fields):
@@ -173,10 +214,8 @@ class TransformRequest:
     tenant: str = "default"
     priority: int = 0
     deadline_s: float = None
-    _points_digest: str = field(default=None, repr=False, compare=False)
+    _points_key: int = field(default=None, init=False, repr=False, compare=False)
     _plan_key: tuple = field(default=None, init=False, repr=False, compare=False)
-    _signature_label: str = field(default=None, init=False, repr=False,
-                                  compare=False)
 
     def __post_init__(self):
         # The plan key is the one normalization of the geometry fields
@@ -266,57 +305,52 @@ class TransformRequest:
         return self._plan_key
 
     def points_key(self):
-        """Digest of the nonuniform points (and type-3 targets).
+        """Checksum of the nonuniform points (and type-3 targets).
 
-        Requests with equal :meth:`plan_key` *and* equal ``points_key`` are
-        transforms over the same geometry and point set -- exactly the
-        batched ``n_trans`` case the paper's plan interface vectorizes -- so
-        the service fuses them into one block.
+        A 64-bit key over each array's field, length and wrapping sum of
+        its values' bit patterns, computed once: one pass over the data,
+        several times cheaper than a CRC.  Requests with equal
+        :meth:`plan_key` and equal ``points_key`` are candidates for one
+        point set -- the batched ``n_trans`` case the paper's plan interface
+        vectorizes -- and the service fuses them into one block, or skips a
+        pooled plan's ``set_pts``, only when their arrays are also equal
+        value for value (:func:`~repro.service.pool.equal_points`).  A
+        checksum alone never decides, so a collision (a permutation of the
+        same points, say) costs one comparison, not a wrong answer.
         """
-        if self._points_digest is None:
-            h = hashlib.blake2b(digest_size=16)
-            for f in _COORD_FIELDS + _TARGET_FIELDS:
-                arr = getattr(self, f)
-                if arr is not None:
-                    h.update(f.encode())
-                    h.update(np.ascontiguousarray(arr).tobytes())
-            self._points_digest = h.hexdigest()
-        return self._points_digest
+        if self._points_key is None:
+            parts = tuple((f, arr.shape[0], int(np.add.reduce(arr.view(np.uint64))))
+                          for f, arr in enumerate(getattr(self, name) for name in _POINT_FIELDS)
+                          if arr is not None)
+            self._points_key = hash(parts) & _KEY_MASK
+        return self._points_key
+
+    def point_arrays(self):
+        """The coordinate arrays, then any type-3 target arrays, in field order."""
+        return tuple(arr for f in _POINT_FIELDS if (arr := getattr(self, f)) is not None)
 
     def signature(self):
         """Micro-batching fusion key: ``(plan_key(), points_key())``.
 
-        Requests with equal signatures are the same transform geometry over
-        the same point set -- exactly what the async front-end collects into
-        one bounded window and fuses into a single ``n_trans`` block.
+        Requests with equal signatures and equal points are the same
+        transform geometry over the same point set -- what the async
+        front-end collects into one bounded window and the service fuses
+        into a single ``n_trans`` block.
         """
         return (self.plan_key(), self.points_key())
 
     def signature_label(self):
         """Compact human-readable signature for reports and stats keys.
 
-        E.g. ``"t1:64x64:eps1e-06:single:isign-1:pts=1a2b3c4d"`` -- the
-        geometry fields plus the first 8 hex digits of the points digest,
-        the key :class:`~repro.service.ServiceStats` breaks pool hit/miss
-        counts and latency percentiles down by.
+        E.g. ``"t1:64x64:eps1e-06:single:isign-1:pts=1a2b3c4d"``
+        (:func:`signature_label`).
         """
-        if self._signature_label is None:
-            modes = (f"{self.ndim}d" if self.nufft_type == 3
-                     else "x".join(str(n) for n in self.n_modes))
-            self._signature_label = (
-                f"t{self.nufft_type}:{modes}:eps{self.eps:g}:{self.precision}"
-                f":isign{self.isign:+d}:pts={self.points_key()[:8]}"
-            )
-        return self._signature_label
+        return signature_label(*self.signature())
 
     def setpts_kwargs(self):
         """Keyword arguments for ``Plan.set_pts``."""
-        kwargs = {}
-        for f in _COORD_FIELDS + _TARGET_FIELDS:
-            arr = getattr(self, f)
-            if arr is not None:
-                kwargs[f] = arr
-        return kwargs
+        return {f: arr for f in _POINT_FIELDS
+                if (arr := getattr(self, f)) is not None}
 
 
 @dataclass(eq=False)

@@ -17,13 +17,14 @@ from ..core.plan import Plan
 from ..faults import DeviceFaultError, DeviceLostError
 from ..gpu.costmodel import CostModel
 from ..gpu.device import ENGINES
-from .pool import PlanPool
+from .pool import PlanPool, equal_points
 from .request import (
     PlanKey,
     TransformRequest,
     TransformResult,
     front_door,
     plan_key_for,
+    signature_label,
 )
 from .resilience import (
     DeadlineExceededError,
@@ -33,7 +34,7 @@ from .resilience import (
 )
 
 __all__ = ["ServiceStats", "TransformService", "LATENCY_KINDS",
-           "LATENCY_PERCENTILES"]
+           "LATENCY_PERCENTILES", "MAX_SIGNATURES"]
 
 #: The serving geometry (see :class:`TransformService`): streams per device
 #: of a fleet the service builds, the fewest transforms per shard, the most
@@ -53,6 +54,12 @@ LATENCY_PERCENTILES = (50, 95, 99)
 #: sub-queue, time in the open batching window, and arrival-to-completion.
 LATENCY_KINDS = ("queue_wait", "batch_wait", "e2e")
 
+#: Signatures :class:`ServiceStats` keeps pool counts for; the counts of
+#: the ones it lets go are summed under :data:`OTHER_SIGNATURE`.
+MAX_SIGNATURES = 64
+OTHER_SIGNATURE = "other"
+_POOL_COUNTS = ("hits", "misses", "setpts_skipped")
+
 
 @dataclass
 class ServiceStats:
@@ -71,7 +78,12 @@ class ServiceStats:
     * ``pool_by_signature`` -- per request signature (see
       :meth:`~repro.service.TransformRequest.signature_label`), the PlanPool
       hit/miss counts and skipped ``set_pts`` executions, so batching-window
-      wins vs. pool churn are diagnosable per signature from one report;
+      wins vs. pool churn are diagnosable per signature from one report.
+      It keeps at most :data:`MAX_SIGNATURES` signatures: a new one past
+      that folds the counts of the signature with the fewest pool events
+      into an :data:`OTHER_SIGNATURE` entry, so totals never change and
+      fresh point sets do not grow the record.  Labels are formatted when
+      the record is read;
     * ``shed_by_tenant`` -- requests shed per tenant (front-end fair-share
       shedding; the aggregate stays in ``requests_shed``);
     * latency samples recorded via :meth:`record_latency` and summarized by
@@ -117,7 +129,6 @@ class ServiceStats:
     modelled_engine_seconds: dict = field(
         default_factory=lambda: {"h2d": 0.0, "exec": 0.0, "d2h": 0.0}
     )
-    pool_by_signature: dict = field(default_factory=dict)
     shed_by_tenant: dict = field(default_factory=dict)
     latency_samples: dict = field(default_factory=dict)
     artifacts: InitVar[object] = None
@@ -130,9 +141,24 @@ class ServiceStats:
             since = artifacts.snapshot()
         self._artifacts_since = since
         self._prewarmed = prewarmed
+        #: ``[hits, misses, setpts_skipped]`` by signature: a request's
+        #: ``(plan_key, points_key)``, a label, or :data:`OTHER_SIGNATURE`.
+        self._pool_counts = {}
 
     def _pool_total(self, name):
-        return sum(entry[name] for entry in self.pool_by_signature.values())
+        i = _POOL_COUNTS.index(name)
+        return sum(counts[i] for counts in self._pool_counts.values())
+
+    @property
+    def pool_by_signature(self):
+        """``{label: {"hits", "misses", "setpts_skipped"}}``, built on read."""
+        out = {}
+        for signature, counts in self._pool_counts.items():
+            label = signature if isinstance(signature, str) else signature_label(*signature)
+            entry = out.setdefault(label, dict.fromkeys(_POOL_COUNTS, 0))
+            for name, n in zip(_POOL_COUNTS, counts):
+                entry[name] += n
+        return out
 
     def _artifact_count(self, name):
         if self._artifacts is None:
@@ -155,16 +181,34 @@ class ServiceStats:
     # QoS accounting (per-signature pool events, latency percentiles)
     # ------------------------------------------------------------------ #
     def _signature_counts(self, signature):
-        return self.pool_by_signature.setdefault(
-            signature, {"hits": 0, "misses": 0, "setpts_skipped": 0})
+        counts = self._pool_counts.get(signature)
+        if counts is None:
+            named = len(self._pool_counts) - (OTHER_SIGNATURE in self._pool_counts)
+            if named >= MAX_SIGNATURES:
+                self._fold_quietest()
+            counts = self._pool_counts[signature] = [0, 0, 0]
+        return counts
+
+    def _fold_quietest(self):
+        """Sum the signature with the fewest pool events into ``"other"``."""
+        quietest = min((sig for sig in self._pool_counts if sig != OTHER_SIGNATURE),
+                       key=lambda sig: self._pool_counts[sig][0] + self._pool_counts[sig][1])
+        folded = self._pool_counts.pop(quietest)
+        other = self._pool_counts.setdefault(OTHER_SIGNATURE, [0, 0, 0])
+        for i, n in enumerate(folded):
+            other[i] += n
 
     def record_pool_event(self, signature, hit):
-        """Count one PlanPool lease outcome against ``signature``."""
-        self._signature_counts(signature)["hits" if hit else "misses"] += 1
+        """Count one PlanPool lease outcome against ``signature``.
+
+        ``signature`` is a request's :meth:`~TransformRequest.signature` or
+        a label.
+        """
+        self._signature_counts(signature)[0 if hit else 1] += 1
 
     def record_setpts_skip(self, signature, n=1):
         """Count ``n`` skipped ``set_pts`` executions against ``signature``."""
-        self._signature_counts(signature)["setpts_skipped"] += int(n)
+        self._signature_counts(signature)[2] += int(n)
 
     def record_shed(self, tenant=None):
         """Count one shed request (optionally attributed to ``tenant``)."""
@@ -606,14 +650,25 @@ class TransformService:
         )
 
     def _group(self, queue):
-        """Coalesce the queue into same-geometry/same-points blocks."""
+        """Coalesce the queue into same-geometry/same-points blocks.
+
+        Requests with one signature fuse only when their point arrays are
+        equal value for value (:func:`~repro.service.pool.equal_points`):
+        equal checksums over unequal points form separate blocks.
+        """
         if not self.coalesce:
             return [[item] for item in queue]
-        groups = {}  # in first-seen order
+        groups = {}  # signature -> blocks of equal points, in first-seen order
         for seq, req in queue:
-            groups.setdefault(req.signature(), []).append((seq, req))
-        return [group[i:i + MAX_BLOCK] for group in groups.values()
-                for i in range(0, len(group), MAX_BLOCK)]
+            blocks = groups.setdefault(req.signature(), [])
+            for block in blocks:
+                if equal_points(block[0][1].point_arrays(), req.point_arrays()):
+                    block.append((seq, req))
+                    break
+            else:
+                blocks.append([(seq, req)])
+        return [block[i:i + MAX_BLOCK] for blocks in groups.values()
+                for block in blocks for i in range(0, len(block), MAX_BLOCK)]
 
     def _shards(self, block):
         """Split one block across the fleet (each shard >= SHARD_MIN_BLOCK)."""
@@ -651,11 +706,10 @@ class TransformService:
                         or (target is not None
                             and not self.fleet.is_admissible(target.device_id))):
                     target = None  # re-place health-aware
-                entry, created = self._acquire_plan(
-                    req0.plan_key(), n_trans, req0.points_key(), device=target)
-                self.stats.record_pool_event(req0.signature_label(),
-                                             hit=not created)
-                self._execute_shard_inner(shard, entry, created, results,
+                entry, created, warm = self._acquire_plan(
+                    req0.plan_key(), n_trans, req0, device=target)
+                self.stats.record_pool_event(req0.signature(), hit=not created)
+                self._execute_shard_inner(shard, entry, created, warm, results,
                                           attempts, degraded, started_at)
             except Exception as exc:  # per-request failure isolation
                 # Don't pool a plan whose set_pts/execute failed mid-flight:
@@ -735,16 +789,15 @@ class TransformService:
             self._persist_plan_signature(entry)
             self.pool.release(entry)
 
-    def _execute_shard_inner(self, shard, entry, created, results, attempts,
-                             degraded, started_at):
+    def _execute_shard_inner(self, shard, entry, created, setpts_reused, results,
+                             attempts, degraded, started_at):
         req0, n_trans, plan = shard[0][1], len(shard), entry.plan
-        setpts_reused = (not created) and entry.points_key == req0.points_key()
         setup_seconds = {"h2d": 0.0, "exec": 0.0, "d2h": 0.0}
         if setpts_reused:
-            self.stats.record_setpts_skip(req0.signature_label(), n_trans)
+            self.stats.record_setpts_skip(req0.signature(), n_trans)
         else:
             plan.set_pts(**req0.setpts_kwargs())
-            entry.points_key = req0.points_key()
+            entry.point_at(req0.points_key(), req0.point_arrays())
             setup_seconds = _engine_seconds(plan, plan._setup_pipeline)
             self.stats.setpts_executed += 1
 
@@ -838,33 +891,37 @@ class TransformService:
     # ------------------------------------------------------------------ #
     # plan acquisition
     # ------------------------------------------------------------------ #
-    def _acquire_plan(self, plan_key, n_trans, points_key, device=None,
+    def _acquire_plan(self, plan_key, n_trans, request=None, device=None,
                       allow_repoint=False):
-        """Lease a pooled plan or build one; returns (entry, created).
+        """Lease a pooled plan or build one; returns (entry, created, warm).
 
-        With ``device`` pinned (multi-shard blocks), only that device's pool
-        bucket is consulted.  Otherwise device choice balances cache affinity
-        against load: first a device (in least-loaded order) whose pooled
-        plan already holds this exact point set, then a device with an
-        unpointed plan, then -- at pool capacity -- the least recently used
-        pointed plan for the key across all candidate devices, re-pointed
-        (below capacity, external lessees take the first pointed plan in
-        least-loaded order), and otherwise a fresh plan on the least-loaded
-        device.
+        ``warm`` says the entry's plan holds ``request``'s point set, so
+        ``set_pts`` can be skipped.  With ``device`` pinned (multi-shard
+        blocks), only that device's pool bucket is consulted.  Otherwise
+        device choice balances cache affinity against load: first a device
+        (in least-loaded order) whose pooled plan already holds the
+        request's exact point set (:meth:`PlanPool.lease_points`, checksum
+        then values), then a device with an unpointed plan, then -- at pool
+        capacity -- the least recently used pointed plan for the key across
+        all candidate devices, re-pointed (below capacity, external lessees
+        take the first pointed plan in least-loaded order), and otherwise a
+        fresh plan on the least-loaded device.
         """
         ranked = [device] if device is not None else self.fleet.ranked()
         keys = [(plan_key, n_trans, d.device_id) for d in ranked]
-        if points_key is not None:
+        if request is not None:
+            points_key, points = request.points_key(), request.point_arrays()
             for key in keys:
-                if self.pool.has_points(key, points_key):
-                    return self.pool.lease(key, points_key=points_key), False
+                entry = self.pool.lease_points(key, points_key, points)
+                if entry is not None:
+                    return entry, False, True
         # Plans released by external lessees carry no vouched-for point set
         # (points_key=None): re-pointing one steals cached state from nobody,
         # so they are fair game at any pool occupancy.
         for key in keys:
             entry = self.pool.lease_unpointed(key)
             if entry is not None:
-                return entry, False
+                return entry, False, False
         # Geometry-only reuse of a *pointed* plan re-runs set_pts on it,
         # which pays off only once the pool can no longer grow: below
         # capacity, distinct recurring point sets each deserve their own
@@ -877,13 +934,13 @@ class TransformService:
         if 0 < self.pool.max_plans <= self.pool.n_idle:
             key = self.pool.lru_key(keys)
             if key is not None:
-                return self.pool.lease(key), False
+                return self.pool.lease(key), False, False
         elif allow_repoint:
             for key in keys:
                 entry = self.pool.lease(key)
                 if entry is not None:
-                    return entry, False
-        return self._new_entry(plan_key, n_trans, ranked[0]), True
+                    return entry, False, False
+        return self._new_entry(plan_key, n_trans, ranked[0]), True, False
 
     def _new_entry(self, plan_key, n_trans, device):
         """A pool entry around a new plan of ``plan_key`` on ``device``.
@@ -1108,8 +1165,8 @@ class TransformService:
         self._require_open()
         plan_key = plan_key_for(nufft_type, n_modes, eps, precision, method,
                                 backend, isign)
-        entry, created = self._acquire_plan(
-            plan_key, integral_count("n_trans", n_trans, 1), None,
+        entry, created, _ = self._acquire_plan(
+            plan_key, integral_count("n_trans", n_trans, 1),
             allow_repoint=True, device=device,
         )
         if created:
@@ -1118,7 +1175,7 @@ class TransformService:
             self.stats.lease_hits += 1
         # External callers may re-point the plan arbitrarily; the pool can no
         # longer vouch for the cached point set.
-        entry.points_key = None
+        entry.points_key = entry.points = None
         self._leased[id(entry.plan)] = entry
         return entry.plan
 

@@ -384,21 +384,22 @@ class TestProducerRoundtrips:
         for cold, warm in zip(*outputs):
             assert np.array_equal(cold, warm)
 
-    def test_stencil_v4_entry_is_rebuilt(self, tmp_path, rng):
-        """A stencil entry of schema 4 (its non-pencil points in bin order,
-        not tile order) is stale: the store skips it and rebuilds, and the
-        plan's output is that of a plan without a store."""
-        assert ARRAY_KINDS["stencil"] == 5
+    def test_stencil_v5_entry_is_rebuilt(self, tmp_path, rng):
+        """A stencil entry of schema 5 (float64 CSR weights for every
+        precision) is stale: the store skips it and rebuilds, and the plan's
+        output is that of a plan without a store."""
+        assert ARRAY_KINDS["stencil"] == 6
         x, y, _ = make_points_2d(rng, m=2000)
-        c = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
+        c = (rng.standard_normal(2000) + 1j * rng.standard_normal(2000)).astype(np.complex64)
 
         def run(store):
-            with Plan(1, (32, 32), eps=1e-9, precision="double", stencil_budget=0,
+            with Plan(1, (32, 32), eps=1e-6, precision="single",
                       artifact_store=store) as plan:
                 plan.set_pts(x, y)
+                assert plan.point_set.stencil.interp_matrix.dtype == np.float32
                 return plan.execute(c)
 
-        old = ArtifactStore(root=tmp_path).register_array_kind("stencil", 4)
+        old = ArtifactStore(root=tmp_path).register_array_kind("stencil", 5)
         run(old)
         assert old.stats.by_kind["stencil"]["builds"] == 1
         new = ArtifactStore(root=tmp_path)
@@ -423,6 +424,8 @@ class TestProducerRoundtrips:
         assert stencil_cache_key("d", (32, 32), kernel, "horner", 1 << 20,
                                  True, (8, 8)) != stencil_cache_key(
             "d", (32, 32), kernel, "horner", 1 << 20, True, (4, 4))
+        assert stencil_cache_key("d", (32, 32), kernel, "horner", 1 << 20,
+                                 True, None, np.float32) != base
 
     def test_bin_shapes_keep_separate_stencil_entries(self, tmp_path, rng):
         """Plans differing only in ``bin_shape`` share a store, not entries.

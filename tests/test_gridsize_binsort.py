@@ -72,6 +72,22 @@ class TestCoordinates:
         # folding preserves the angle modulo 2*pi
         assert np.isclose(np.exp(1j * folded), np.exp(1j * x), atol=1e-9)
 
+    def test_fold_matches_mod_bit_for_bit(self):
+        """In [-pi, pi) the fold skips ``np.mod``; its bits must not change,
+        signed zeros, subnormals and both neighbours of +-pi included."""
+        def by_mod(x):
+            folded = np.mod(x, 2 * np.pi)
+            folded[folded >= 2 * np.pi] = 0.0
+            return folded
+
+        pi = np.pi
+        edges = np.array([-0.0, 0.0, -5e-324, 5e-324, -1e-17, 1e-17, -pi,
+                          np.nextafter(-pi, 0.0), np.nextafter(pi, 0.0), -3.0, 3.0])
+        wide = np.append(edges, [pi, np.nextafter(-pi, -4.0), 7.0, -1e3])
+        random = np.random.default_rng(3).uniform(-pi, pi, 4096)
+        for x in (edges, wide, random):
+            assert fold_coordinates(x).tobytes() == by_mod(x).tobytes()
+
     def test_to_grid_coordinates_range(self):
         x = np.array([-np.pi, 0.0, np.pi - 1e-9, np.pi])  # pi wraps to 0-like
         g = to_grid_coordinates(x, 64)

@@ -199,12 +199,18 @@ class TestPlanPool:
         assert pool.lease(("k",)) is None
 
     @staticmethod
-    def _released(pool, points_keys, key=("k",)):
-        """Release one entry per points key, in order; returns the entries."""
+    def _points(points_key):
+        return (np.array([float(ord(ch)) for ch in points_key]),)
+
+    @classmethod
+    def _released(cls, pool, points_keys, key=("k",)):
+        """Release one entry per points key, in order, each pointed at
+        ``_points(points_key)`` (unpointed for ``None``); returns the entries."""
         entries = []
         for points_key in points_keys:
             entry = pool.make_entry(Plan(1, (16,)), key)
-            entry.points_key = points_key
+            if points_key is not None:
+                entry.point_at(points_key, cls._points(points_key))
             pool.release(entry)
             entries.append(entry)
         return entries
@@ -221,9 +227,12 @@ class TestPlanPool:
     def test_points_key_hit_wins_over_lru_order(self):
         pool = PlanPool(max_plans=4)
         entries = self._released(pool, ["a", "b", "c"])
-        assert pool.lease(("k",), points_key="c") is entries[2]
-        # A points key the pool does not hold falls back to the LRU plan.
-        assert pool.lease(("k",), points_key="zzz") is entries[0]
+        assert pool.lease_points(("k",), "c", self._points("c")) is entries[2]
+        # A points key the pool does not hold, or one it holds for other
+        # points, misses; the caller then takes the LRU plan.
+        assert pool.lease_points(("k",), "zzz", self._points("zzz")) is None
+        assert pool.lease_points(("k",), "a", self._points("b")) is None
+        assert pool.lease(("k",)) is entries[0]
         pool.clear()
 
     def test_lease_unpointed_unchanged(self):
